@@ -1,21 +1,18 @@
 """Real-order modified Bessel functions and the radial Green's-function kernels.
 
-I_a(x) is summed from its power series; beyond the series switch point the
-same series is accumulated in log space so that arguments up to |k| r_max
-never overflow.  K_a(x) uses a uniformly stable small-argument series
-(limiting form at integer orders, continuous through them) for x <= 2 and a
-trapezoidal evaluation of the integral representation
-
-    K_a(x) = exp(-x) * int_0^inf exp(-x (cosh t - 1)) cosh(a t) dt
-
-for x > 2; the quadrature step scales like x^(-1/2) so both branches deliver
-~1e-13 relative accuracy (checked against an independent arbitrary-precision
-series oracle in the test suite).
+I_a and K_a come from scipy's exponentially scaled Amos routines
+(scipy.special.ive and kve; D. E. Amos, ACM TOMS 644, 1986), which return
+exactly the mantissas of I_a(x) = ive(a, x) e^{+x} and K_a(x) = kve(a, x)
+e^{-x}.  They are accurate to ~1e-14 relative against the arbitrary-precision
+series oracle in the test suite, and arguments up to |k| r_max never
+overflow.
 
 All results are carried as ScaledValue pairs (mantissa, exp_shift) with
 value = mantissa * e^exp_shift.  The growing and decaying kernels always
 enter Green's formulas in products whose shifts cancel to |k| (r - s), so no
-intermediate ever overflows.
+intermediate ever overflows.  The kernels depend only on the grid, |k|, nu
+and the kind, so the mode solvers compute them once per grid and keep the
+mantissas in the grid's operator cache (see modes._scaled_kernels).
 
 Derivatives come from the recurrences
 
@@ -27,13 +24,12 @@ applied once or twice; they are never finite-differenced.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import ive, kve
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "ScaledValue",
@@ -48,22 +44,6 @@ __all__ = [
     "kernel_I_derivs",
     "wronskian_check",
 ]
-
-# Taylor coefficients of 1/Gamma(1+t) about t=0 (frozen to double precision);
-# used to keep the Temme gamma combinations smooth through integer orders.
-_INV_GAMMA_TAYLOR = (
-    1.0,
-    0.57721566490153286061,
-    -0.65587807152025388108,
-    -0.042002635034095235529,
-    0.1665386113822914895,
-    -0.042197734555544336748,
-    -0.0096219715278769735621,
-)
-
-_SERIES_TINY = 1e-18
-_MAX_SERIES_TERMS = 100000
-
 
 class ScaledValue:
     """A quantity m * e^s held as (mantissa m, exponent shift s).
@@ -194,181 +174,32 @@ def _as_positive(x) -> np.ndarray:
     return arr
 
 
-def i_switch_point(alpha: float) -> float:
-    """Switch between plain and log-space summation of the I series."""
-    return max(12.0, 2.0 * alpha * alpha)
-
-
-K_SWITCH = 2.0  # plain Temme series below, scaled integral above
-
-
-# ----------------------------------------------------------------------------
-# I_a(x)
-
-
-def _i_series_plain(alpha, x):
-    shift = alpha * np.log(0.5 * x) - gammaln(alpha + 1.0)
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for m in range(_MAX_SERIES_TERMS):
-        term = term * q / ((m + 1.0) * (m + alpha + 1.0))
-        total = total + term
-        if np.all(term <= _SERIES_TINY * total):
-            break
-    return total, shift
-
-
-def _i_series_log(alpha, x):
-    # Sum around the peak term m* so mantissas stay O(1) for huge x.
-    a1 = alpha + 1.0
-    mstar = np.maximum(np.floor(0.5 * (-a1 + np.sqrt(a1 * a1 + x * x))), 0.0)
-    log_q = 2.0 * np.log(0.5 * x)
-    shift = ((2.0 * mstar + alpha) * np.log(0.5 * x)
-             - gammaln(mstar + 1.0) - gammaln(mstar + alpha + 1.0))
-    total = np.ones_like(x)
-    rel = np.ones_like(x)
-    for j in range(1, _MAX_SERIES_TERMS):
-        m = mstar - j + 1.0  # term ratio t_{m-1}/t_m uses m
-        active = m >= 1.0
-        if not active.any():
-            break
-        mm = np.where(active, m, 1.0)
-        rel = np.where(active, rel * np.exp(np.log(mm) + np.log(mm + alpha) - log_q), 0.0)
-        total = total + rel
-        if np.all(rel <= _SERIES_TINY):
-            break
-    rel = np.ones_like(x)
-    for j in range(1, _MAX_SERIES_TERMS):
-        m = mstar + j
-        rel = rel * np.exp(log_q - np.log(m) - np.log(m + alpha))
-        total = total + rel
-        if np.all(rel <= _SERIES_TINY):
-            break
-    return total, shift
-
-
 def bessel_i(order, x) -> ScaledValue:
-    """Modified Bessel function of the first kind, scaled, vectorized in x."""
+    """Modified Bessel function of the first kind, I_a(x) = ive(a, x) e^x."""
     alpha = _as_order(order)
     arr = _as_positive(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    mant = np.empty_like(arr)
-    shift = np.empty_like(arr)
-    lo = arr <= i_switch_point(alpha)
-    if lo.any():
-        mant[lo], shift[lo] = _i_series_plain(alpha, arr[lo])
-    hi = ~lo
-    if hi.any():
-        mant[hi], shift[hi] = _i_series_log(alpha, arr[hi])
-    out = ScaledValue(mant, shift)
-    return _maybe_scalar(out, scalar)
-
-
-# ----------------------------------------------------------------------------
-# K_a(x)
-
-
-def _gamma_pair(mu: float):
-    """Gamma1, Gamma2, 1/Gamma(1+mu), 1/Gamma(1-mu) for |mu| <= 1/2."""
-    if abs(mu) < 1e-4:
-        d = _INV_GAMMA_TAYLOR
-        mu2 = mu * mu
-        g1 = -(d[1] + d[3] * mu2 + d[5] * mu2 * mu2)
-        g2 = d[0] + d[2] * mu2 + d[4] * mu2 * mu2 + d[6] * mu2 ** 3
-    else:
-        gp = 1.0 / math.gamma(1.0 + mu)
-        gm = 1.0 / math.gamma(1.0 - mu)
-        g1 = (gm - gp) / (2.0 * mu)
-        g2 = 0.5 * (gm + gp)
-    return g1, g2, g2 - mu * g1, g2 + mu * g1
-
-
-def _k_temme(alpha, x):
-    """K_alpha(x) for x <= 2: Temme's series at |mu| <= 1/2, recurred upward.
-
-    At integer alpha this is exactly the standard logarithmic limiting form;
-    near-integer orders evaluate smoothly (no sin(pi a) cancellation).
-    """
-    n = int(math.floor(alpha + 0.5))
-    mu = alpha - n
-    g1, g2, gp, gm = _gamma_pair(mu)
-    pimu = math.pi * mu
-    fact = pimu / math.sin(pimu) if abs(pimu) > 1e-15 else 1.0
-    d = -np.log(0.5 * x)
-    e = mu * d
-    small = np.abs(e) < 1e-4
-    esafe = np.where(small, 1.0, e)
-    fact2 = np.where(small, 1.0 + e * e / 6.0 + e ** 4 / 120.0, np.sinh(esafe) / esafe)
-    ff = fact * (g1 * np.cosh(e) + g2 * fact2 * d)
-    ee = np.exp(e)
-    p = 0.5 * ee / gp
-    q = 0.5 / (ee * gm)
-    c = np.ones_like(x)
-    xx = 0.25 * x * x
-    sum0 = ff.copy()
-    sum1 = p.copy()
-    for i in range(1, 1000):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c = c * xx / i
-        p = p / (i - mu)
-        q = q / (i + mu)
-        del0 = c * ff
-        sum0 = sum0 + del0
-        sum1 = sum1 + c * (p - i * ff)
-        if np.all(np.abs(del0) <= _SERIES_TINY * np.abs(sum0)):
-            break
-    k0, k1 = sum0, sum1 * 2.0 / x
-    for j in range(n):
-        k0, k1 = k1, k0 + 2.0 * (mu + j + 1.0) / x * k1
-    return k0
-
-
-def _k_integral(alpha, x):
-    """e^x K_alpha(x) for x >= K_SWITCH by trapezoid on the cosh representation."""
-    xmin = float(np.min(x))
-    xmax = float(np.max(x))
-    T = 1.0
-    while -xmin * (math.cosh(T) - 1.0) + alpha * T > -60.0 and T < 45.0:
-        T += 0.25
-    h = min(1.0 / 16.0, 0.35 / math.sqrt(xmax))
-    t = np.linspace(0.0, T, int(T / h) + 2)
-    h = t[1] - t[0]
-    log_cosh = np.logaddexp(alpha * t, -alpha * t) - math.log(2.0)
-    expo = -np.multiply.outer(x, np.cosh(t) - 1.0) + log_cosh[None, :]
-    w = np.full(t.shape, h)
-    w[0] = 0.5 * h
-    w[-1] = 0.5 * h
-    return np.exp(expo) @ w
+    return ScaledValue(_finite(ive(alpha, arr), "I", alpha), arr)
 
 
 def bessel_k(order, x) -> ScaledValue:
-    """Modified Bessel function of the second kind, scaled, vectorized in x."""
+    """Modified Bessel function of the second kind, K_a(x) = kve(a, x) e^-x."""
     alpha = _as_order(order)
-    if alpha > 60.0:
-        # the integral branch's integrand peak e^{a asinh(a/x)} would overflow
-        raise DomainError(f"orders above 60 are not supported (got {alpha})")
     arr = _as_positive(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    mant = np.empty_like(arr)
-    shift = np.zeros_like(arr)
-    lo = arr <= K_SWITCH
-    if lo.any():
-        mant[lo] = _k_temme(alpha, arr[lo])
-    hi = ~lo
-    if hi.any():
-        mant[hi] = _k_integral(alpha, arr[hi])
-        shift[hi] = -arr[hi]
-    out = ScaledValue(mant, shift)
-    return _maybe_scalar(out, scalar)
+    # kve returns NaN for subnormal orders; K_a is even in a, so
+    # K_a = K_0 (1 + O(a^2)) and orders this small are exactly K_0.
+    if alpha < _K_ORDER_FLOOR:
+        alpha = 0.0
+    return ScaledValue(_finite(kve(alpha, arr), "K", alpha), -arr)
 
 
-def _maybe_scalar(sv: ScaledValue, scalar: bool) -> ScaledValue:
-    if scalar:
-        return ScaledValue(sv.mantissa[0], sv.exp_shift[0])
-    return sv
+_K_ORDER_FLOOR = 1e-100
+
+
+def _finite(mantissa, name, alpha):
+    if not np.all(np.isfinite(mantissa)):
+        raise NumericError(f"scaled {name}_{alpha:g} is not representable "
+                           "in double precision at this argument")
+    return mantissa
 
 
 # ----------------------------------------------------------------------------

@@ -151,6 +151,11 @@ class BoundaryData:
     g_z: Dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self):
+        for comp, d in zip(COMPONENTS, (self.g_r, self.g_theta, self.g_z)):
+            bad = [k for k, v in d.items() if not np.isfinite(v)]
+            if bad:
+                raise NumericError(f"boundary coefficient ({comp}, {bad[0]}) "
+                                   f"is not finite: {d[bad[0]]}")
         if abs(self.g_r.get(0, 0.0)) != 0.0:
             raise ConfigError(
                 "boundary normalization violated: g_{r,0} must be exactly 0 "

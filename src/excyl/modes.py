@@ -161,14 +161,27 @@ def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
 
 
 def _scaled_kernels(grid: RadialGrid, k: int, nu: float, kind: str):
-    """Kernel derivative triples renormalized to shifts -|k|r and +|k|r."""
+    """Kernel derivative triples renormalized to shifts -|k|r and +|k|r.
+
+    The kernels depend only on the grid, |k|, nu and the kind -- not on the
+    iterate or on mu -- so their mantissas are computed once per grid and
+    kept read-only in the grid's operator cache.
+    """
     r = grid.nodes
     kk = abs(k)
-    shift_dec = -kk * r
-    shift_gro = kk * r
-    dec = tuple(g.with_shift(shift_dec) for g in kernel_K_derivs(k, nu, r, kind))
-    gro = tuple(g.with_shift(shift_gro) for g in kernel_I_derivs(k, nu, r, kind))
-    return dec, gro
+    key = ("kernels", kk, nu, kind)
+    mantissas = grid._cache.get(key)
+    if mantissas is None:
+        dec = tuple(g.with_shift(-kk * r).mantissa
+                    for g in kernel_K_derivs(k, nu, r, kind))
+        gro = tuple(g.with_shift(kk * r).mantissa
+                    for g in kernel_I_derivs(k, nu, r, kind))
+        for m in dec + gro:
+            m.setflags(write=False)
+        mantissas = grid._cache[key] = (dec, gro)
+    dec, gro = mantissas
+    return (tuple(ScaledValue(m, -kk * r) for m in dec),
+            tuple(ScaledValue(m, kk * r) for m in gro))
 
 
 def _greens_solution(grid: RadialGrid, k: int, nu: float, fv: np.ndarray,

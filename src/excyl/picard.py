@@ -34,8 +34,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, NumericError
 from .fourier import (
+    COMPONENTS,
     BoundaryData,
     ForcingData,
     FourierField,
@@ -221,8 +222,9 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
     Each step assembles the quadratic forcing from the current iterate and
     re-solves every linear mode; convergence is declared when consecutive
     iterates are closer than tol in the tau-weighted norm.  Distances growing
-    three steps in a row abort with a diagnostic; hitting max_iters returns
-    the partial result flagged as unconverged.
+    three steps in a row abort with a diagnostic; a non-finite distance
+    raises NumericError naming the first non-finite block; hitting max_iters
+    returns the partial result flagged as unconverged.
     """
     tau = compute_tau(nu, forcing.lambda_theta, forcing.lambda_z,
                       forcing.lambda_)
@@ -254,6 +256,10 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
         if relaxation != 1.0:
             v_new = state.v_current.blend(v_new, relaxation)
         diff = bnorm(v_new - state.v_current, tau.tau)
+        if not np.isfinite(diff):
+            raise NumericError(
+                f"Picard iterate {it} is not finite: first at "
+                f"{_first_non_finite(v_new)}")
         state.v_current = v_new
         state.iterations = it
         state.diff_norm_history.append(diff)
@@ -282,6 +288,19 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
         from .residuals import attach_residual_report
         attach_residual_report(bundle)
     return bundle
+
+
+def _first_non_finite(v: FourierField) -> str:
+    """Name the first non-finite block of an iterate: sigma, then (component, k)."""
+    if v.sigma is not None and not np.isfinite(v.sigma):
+        return "sigma"
+    for k in range(v.k_max + 1):
+        for comp in COMPONENTS:
+            p = v.profile(comp, k)
+            if not all(np.all(np.isfinite(a)) for a in (p.values, p.d1, p.d2)
+                       if a is not None):
+                return f"({comp}, {k})"
+    return "no single mode (the norm overflowed)"
 
 
 @dataclass

@@ -608,7 +608,12 @@ def fd_meridional_solve(grid: RadialGrid, k: int, nu: float, big_f,
         rhs[m - 1 + off] = 0.0
 
     mat = sp.csr_matrix((data, (rows, cols)), shape=(2 * m, 2 * m))
-    sol = spla.spsolve(mat, rhs)
+    with np.errstate(all="ignore"):
+        try:
+            sol = spla.spsolve(mat, rhs)
+        except RuntimeError as exc:  # singular matrix => ill-posed parameters
+            raise NumericError(
+                f"coupled FD oracle linear system is singular: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericError("coupled FD oracle produced non-finite values")
     phi, w = sol[:m], sol[m:]

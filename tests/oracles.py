@@ -17,20 +17,26 @@ _NUDGE = mp.mpf("1e-14")
 
 
 def mp_bessel_i(alpha, x, dps=50):
-    """I_alpha(x) by direct summation of the power series."""
+    """I_alpha(x) by direct summation of the power series.
+
+    Terms follow from the ratio t_{m+1} = t_m (x/2)^2 / ((m+1)(m+alpha+1)),
+    so only the leading term needs a gamma function.
+    """
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         z = mp.mpf(x)
+        q = (z / 2) ** 2
+        term = (z / 2) ** a / mp.gamma(a + 1)
         total = mp.mpf(0)
         m = 0
         while True:
-            term = (z / 2) ** (2 * m + a) / (mp.factorial(m) * mp.gamma(m + a + 1))
             total += term
             if m > 4 and abs(term) < abs(total) * mp.mpf(10) ** (-dps - 5):
                 break
             m += 1
             if m > 20000:
                 raise RuntimeError("oracle series failed to converge")
+            term = term * q / (m * (m + a))
         return total
 
 

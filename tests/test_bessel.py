@@ -13,7 +13,6 @@ from excyl.bessel import (
     bessel_i_prime,
     bessel_k,
     bessel_k_prime,
-    i_switch_point,
     kernel_I,
     kernel_I_derivs,
     kernel_K,
@@ -117,6 +116,16 @@ def test_positivity(alpha, x):
     assert bessel_k(alpha, x).mantissa > 0.0
 
 
+@pytest.mark.parametrize("alpha", [5e-324, 1e-310, 1e-120])
+def test_tiny_orders_match_order_zero(alpha):
+    # the Amos kve returns NaN at subnormal orders; K_a = K_0 (1 + O(a^2))
+    xs = np.array([0.01, 1.0, 60.0])
+    np.testing.assert_allclose(bessel_k(alpha, xs).value(),
+                               bessel_k(0.0, xs).value(), rtol=1e-15)
+    np.testing.assert_allclose(bessel_i(alpha, xs).value(),
+                               bessel_i(0.0, xs).value(), rtol=1e-15)
+
+
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.floats(0.0, 4.0), x=st.floats(0.05, 100.0))
 def test_scaled_reconstruction(alpha, x):
@@ -131,23 +140,19 @@ def test_scaled_reconstruction(alpha, x):
         assert sv_k.value() == pytest.approx(math.exp(lk), rel=1e-12)
 
 
-def test_branch_overlap_window():
-    # the two summation branches of I agree near the switch point
-    for alpha in [0.0, 1.0, 2.5]:
-        xs = np.linspace(0.8, 1.2, 9) * i_switch_point(alpha)
-        from excyl.bessel import _i_series_plain, _i_series_log
-        m_lo, s_lo = _i_series_plain(alpha, xs)
-        m_hi, s_hi = _i_series_log(alpha, xs)
-        v_lo = np.log(m_lo) + s_lo
-        v_hi = np.log(m_hi) + s_hi
-        np.testing.assert_allclose(v_lo, v_hi, rtol=0, atol=1e-11)
-    # K branches around x = 2
+def test_former_switch_windows_against_oracle():
+    # the hand-rolled substrate switched branches at x = 2 (K) and at
+    # x = max(12, 2 a^2) (I); both windows stay pinned to the series oracle
+    import mpmath as mp
     for alpha in [0.0, 0.4, 1.0, 2.5]:
-        from excyl.bessel import _k_temme, _k_integral
-        xs = np.linspace(1.6, 2.4, 9)
-        v_lo = np.log(_k_temme(alpha, xs))
-        v_hi = np.log(_k_integral(alpha, xs)) - xs
-        np.testing.assert_allclose(v_lo, v_hi, rtol=0, atol=1e-11)
+        xs = np.concatenate([np.linspace(1.6, 2.4, 9),
+                             np.linspace(0.8, 1.2, 9) * max(12.0, 2.0 * alpha ** 2)])
+        got_i = bessel_i(alpha, xs).log_abs()
+        got_k = bessel_k(alpha, xs).log_abs()
+        want_i = [float(mp.log(mp_bessel_i(alpha, x))) for x in xs]
+        want_k = [float(mp.log(mp_bessel_k(alpha, x))) for x in xs]
+        np.testing.assert_allclose(got_i, want_i, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(got_k, want_k, rtol=0, atol=1e-11)
 
 
 def test_continuity_in_order_through_integers():

@@ -8,6 +8,7 @@ import pytest
 from excyl.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
+    EXIT_NUMERIC,
     EXIT_OK,
     main,
     parse_config,
@@ -115,6 +116,13 @@ def test_exit_codes(tmp_path):
     ok = tmp_path / "nu1.ini"
     ok.write_text(MINIMAL)
     assert main(["nonunique", str(ok)]) == EXIT_CONFIG  # nu >= -2 refused
+
+
+def test_non_finite_boundary_is_numeric_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(SMALL_RUN.replace("theta,1 = 1e-3", "theta,1 = nan"))
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "(theta, 1)" in capsys.readouterr().err
 
 
 def test_verify_roundtrip_and_tamper_detection(tmp_path):

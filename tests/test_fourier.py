@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from excyl.errors import ConfigError, DomainError
+from excyl.errors import ConfigError, DomainError, NumericError
 from excyl.fourier import (
     BoundaryData,
     ForcingData,
@@ -225,6 +225,15 @@ def test_boundary_normalization_enforced():
 def test_boundary_conjugate_symmetry_enforced():
     with pytest.raises(ConfigError):
         BoundaryData(g_theta={1: 1.0 + 1.0j, -1: 1.0 + 1.0j})
+
+
+def test_boundary_non_finite_rejected():
+    with pytest.raises(NumericError, match=r"\(theta, 1\)"):
+        BoundaryData(g_theta={1: float("nan")})
+    with pytest.raises(NumericError, match=r"\(z, 2\)"):
+        BoundaryData(g_z={2: complex(0.0, float("inf"))})
+    with pytest.raises(NumericError):
+        BoundaryData(g_r={0: float("nan")})
 
 
 def test_vnorm_single_mode():

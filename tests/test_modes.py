@@ -394,3 +394,60 @@ def test_driver_parallel_matches_serial(grid):
         for c in ("r", "theta", "z"):
             np.testing.assert_array_equal(f1.profile(c, k).values,
                                           f8.profile(c, k).values)
+
+
+# --- per-grid kernel cache ----------------------------------------------------
+
+
+def _kernel_entries(grid):
+    return {key: val for key, val in grid._cache.items() if key[0] == "kernels"}
+
+
+def test_kernel_cache_is_per_grid():
+    g60 = RadialGrid.graded(128, 60.0, 2.0)
+    g80 = RadialGrid.graded(128, 80.0, 2.0)
+    solve_swirl_mode(g60, 1, -1.0, _zeros(g60), 1.0, 10.0)
+    before = {key: [m.copy() for m in dec + gro]
+              for key, (dec, gro) in _kernel_entries(g60).items()}
+    solve_swirl_mode(g80, 1, -1.0, _zeros(g80), 1.0, 10.0)
+    e60, e80 = _kernel_entries(g60), _kernel_entries(g80)
+    assert set(e60) == set(e80) == {("kernels", 1, -1.0, "swirl")}
+    for key in e60:
+        for m60, m80, old in zip(e60[key][0] + e60[key][1],
+                                 e80[key][0] + e80[key][1], before[key]):
+            assert not np.shares_memory(m60, m80)
+            assert not np.array_equal(m60, m80)
+            np.testing.assert_array_equal(m60, old)
+
+
+def test_kernel_cache_separates_nu():
+    g = RadialGrid.graded(128, 60.0, 2.0)
+    solve_swirl_mode(g, 1, -1.0, _zeros(g), 1.0, 10.0)
+    reused = solve_swirl_mode(g, 1, -3.0, _zeros(g), 1.0, 10.0)
+    fresh_grid = RadialGrid.graded(128, 60.0, 2.0)
+    fresh = solve_swirl_mode(fresh_grid, 1, -3.0, _zeros(fresh_grid), 1.0, 10.0)
+    np.testing.assert_array_equal(reused.values, fresh.values)
+    assert len(_kernel_entries(g)) == 2
+
+
+def test_kernel_cache_mantissas_read_only():
+    g = RadialGrid.graded(128, 60.0, 2.0)
+    solve_meridional_mode(g, 2, -1.0, _zeros(g), _zeros(g), 1e-3, 1e-3, 10.0)
+    entries = _kernel_entries(g)
+    assert {key[3] for key in entries} == {"vorticity", "stream"}
+    for dec, gro in entries.values():
+        for m in dec + gro:
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0] = 0.0
+
+
+def test_fd_meridional_singular_system_is_numeric_error(grid, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "spsolve", singular)
+    with pytest.raises(NumericError, match="singular"):
+        fd_meridional_solve(grid, 1, -1.0, _zeros(grid), 1e-3, 0.0, 10.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from excyl.errors import ConfigError
+from excyl.errors import ConfigError, NumericError
 from excyl.fourier import BoundaryData, ForcingData, ForcingMode, FourierField, bnorm
 from excyl.picard import (
     assemble_rhs,
@@ -279,3 +279,66 @@ def test_nonuniqueness_separation(grid):
     i = int(np.argmin(np.abs(rep.radii - 50.0)))
     assert rep.values[i] == pytest.approx(-0.05, rel=0.05)
     assert rep.bundle_distance > 10 * 1e-10
+
+
+def test_picard_non_finite_iterate_is_numeric_error(grid):
+    def f(r):
+        out = 1e-4 * r ** -10.0
+        out[len(r) // 2] = np.nan
+        return out
+
+    forcing = ForcingData(modes={("theta", 0): ForcingMode(f, 10.0)})
+    with pytest.raises(NumericError, match=r"iterate 1 .*\(theta, 0\)"):
+        picard_solve(grid, -3.0, 1.0, 2, forcing, BoundaryData())
+
+
+# --- per-grid kernel cache ------------------------------------------------------
+
+
+def _count_kernel_calls(monkeypatch):
+    import excyl.modes
+
+    calls = {}
+
+    def counting(name):
+        original = getattr(excyl.modes, name)
+
+        def wrapper(k, nu, r, kind="swirl"):
+            key = (name, abs(k), kind)
+            calls[key] = calls.get(key, 0) + 1
+            return original(k, nu, r, kind)
+
+        monkeypatch.setattr(excyl.modes, name, wrapper)
+
+    counting("kernel_K_derivs")
+    counting("kernel_I_derivs")
+    return calls
+
+
+def test_kernel_cache_shared_across_iterations_and_solves(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    g = RadialGrid.graded(256, 60.0, 2.0)
+    b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
+    first, second, _ = nonuniqueness_pair(g, -3.0, 1.0, 2, ForcingData(), b, 0.05)
+    assert first.iterations > 1 and second.iterations > 1
+    expected = {(name, k, kind): 1
+                for name in ("kernel_K_derivs", "kernel_I_derivs")
+                for k in (1, 2) for kind in ("swirl", "vorticity", "stream")}
+    assert calls == expected
+    nonuniqueness_pair(g, -3.0, 0.5, 2, ForcingData(), b, 0.02)
+    assert calls == expected
+
+
+def test_kernel_cache_hit_is_bit_identical():
+    g = RadialGrid.graded(256, 60.0, 2.0)
+    b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
+    cold = picard_solve(g, -1.0, 1.0, 2, ForcingData(), b)
+    warm = picard_solve(g, -1.0, 1.0, 2, ForcingData(), b)
+    assert warm.norms["B_tau"] == cold.norms["B_tau"]
+    assert warm.diff_history == cold.diff_history
+    for k in range(-2, 3):
+        for c in ("r", "theta", "z"):
+            p_cold, p_warm = cold.v.profile(c, k), warm.v.profile(c, k)
+            for a, b_ in ((p_cold.values, p_warm.values), (p_cold.d1, p_warm.d1),
+                          (p_cold.d2, p_warm.d2)):
+                np.testing.assert_array_equal(a, b_)
