@@ -4,8 +4,10 @@ I_a and K_a come from scipy's exponentially scaled Amos routines
 (scipy.special.ive and kve; D. E. Amos, ACM TOMS 644, 1986), which return
 exactly the mantissas of I_a(x) = ive(a, x) e^{+x} and K_a(x) = kve(a, x)
 e^{-x}.  They are accurate to ~1e-14 relative against the arbitrary-precision
-series oracle in the test suite, and arguments up to |k| r_max never
-overflow.
+series oracle in the test suite.  The Amos routines give up at arguments
+x > 2^30 ~ 1.07e9 (ive and kve return NaN there), so bessel_i and bessel_k
+are defined for 0 < x <= 2^30 and raise NumericError beyond; the solver's
+arguments |k| r stay many orders of magnitude below that.
 
 All results are carried as ScaledValue pairs (mantissa, exp_shift) with
 value = mantissa * e^exp_shift.  The growing and decaying kernels always
@@ -175,14 +177,20 @@ def _as_positive(x) -> np.ndarray:
 
 
 def bessel_i(order, x) -> ScaledValue:
-    """Modified Bessel function of the first kind, I_a(x) = ive(a, x) e^x."""
+    """Modified Bessel function of the first kind, I_a(x) = ive(a, x) e^x.
+
+    Defined for 0 < x <= 2^30 ~ 1.07e9; larger x raises NumericError.
+    """
     alpha = _as_order(order)
     arr = _as_positive(x)
     return ScaledValue(_finite(ive(alpha, arr), "I", alpha), arr)
 
 
 def bessel_k(order, x) -> ScaledValue:
-    """Modified Bessel function of the second kind, K_a(x) = kve(a, x) e^-x."""
+    """Modified Bessel function of the second kind, K_a(x) = kve(a, x) e^-x.
+
+    Defined for 0 < x <= 2^30 ~ 1.07e9; larger x raises NumericError.
+    """
     alpha = _as_order(order)
     arr = _as_positive(x)
     # kve returns NaN for subnormal orders; K_a is even in a, so

@@ -26,9 +26,8 @@ Runs are described by a flat INI document with three sections:
 
 Subcommands: solve, verify, nonunique, bessel, oracle, calibrate.
 Exit codes: 0 ok, 1 config, 2 numeric, 3 convergence, 4 io.
-Worker-pool size comes from the EXCYL_WORKERS environment variable.
 All numeric output is written with 17 significant digits, and identical
-configurations reproduce bit-identical files at any worker count.
+configurations reproduce bit-identical files.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
-import os
 import re
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -99,11 +97,9 @@ class RunConfig:
             raise ConfigError("relaxation must lie in (0, 1]")
         if self.k_max < 1 or self.n_radial < 8:
             raise ConfigError("need k_max >= 1 and n_radial >= 8")
-        for comp, k, val in self.boundary:
-            if comp == "r" and k == 0 and val != 0:
-                raise ConfigError(
-                    "normalization violated: the boundary radial mean g_{r,0} "
-                    "must be 0 (it belongs to nu)")
+        # BoundaryData rejects non-finite values (NumericError) before the
+        # g_{r,0} normalization (ConfigError)
+        self.boundary_data()
         # tau > 0 is a hypothesis too; computing it raises ConfigError if not
         self.tau_info()
         return self
@@ -239,11 +235,8 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def _write_csv(path: Path, header: List[str], columns: List[np.ndarray]):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        rows = len(columns[0])
-        for i in range(rows):
-            fh.write(",".join(_FMT % float(c[i]) for c in columns) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt=_FMT, delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _write_mode_csv(path: Path, grid: RadialGrid, profs: Dict[str, np.ndarray]):
@@ -258,20 +251,11 @@ def _write_mode_csv(path: Path, grid: RadialGrid, profs: Dict[str, np.ndarray]):
     _write_csv(path, header, cols)
 
 
-def _workers() -> int:
-    raw = os.environ.get("EXCYL_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"EXCYL_WORKERS must be an integer, got {raw!r}")
-
-
 def _solve_bundle(cfg: RunConfig):
     grid = cfg.grid()
     bundle = picard_solve(grid, cfg.nu, cfg.mu, cfg.k_max, cfg.forcing_data(),
                           cfg.boundary_data(), tol=cfg.tol_picard,
-                          max_iters=cfg.max_iters, relaxation=cfg.relaxation,
-                          workers=_workers())
+                          max_iters=cfg.max_iters, relaxation=cfg.relaxation)
     attach_residual_report(bundle)
     return bundle
 
@@ -358,8 +342,7 @@ def cmd_verify(args) -> int:
                              names=True)
         for comp, name in (("r", "v_r"), ("theta", "v_theta"), ("z", "v_z")):
             vals = data[f"re_{name}"] + 1j * data[f"im_{name}"]
-            field.set_mode(k, comp, RadialProfile(grid, vals))
-    field.mirror_negative_modes()
+            field.set_mode(k, comp, RadialProfile(grid, vals))  # values only
     # sigma is reported in the summary; reread it if present
     summary = sol_dir / "summary.txt"
     if field.sigma is not None and summary.exists():
@@ -382,8 +365,7 @@ def cmd_nonunique(args) -> int:
     first, second, rep = nonuniqueness_pair(
         grid, cfg.nu, cfg.mu, cfg.k_max, cfg.forcing_data(),
         cfg.boundary_data(), args.delta_mu, tol=cfg.tol_picard,
-        max_iters=cfg.max_iters, relaxation=cfg.relaxation,
-        workers=_workers())
+        max_iters=cfg.max_iters, relaxation=cfg.relaxation)
     attach_residual_report(first)
     attach_residual_report(second)
     out_dir = Path(args.output or cfg.output_dir)
@@ -479,8 +461,7 @@ def cmd_calibrate(args) -> int:
                 _w.simplefilter("ignore")
                 bundle = picard_solve(grid, cfg.nu, cfg.mu, cfg.k_max, forcing,
                                       b, tol=cfg.tol_picard,
-                                      max_iters=cfg.max_iters,
-                                      workers=_workers())
+                                      max_iters=cfg.max_iters)
             ok = bundle.converged
         except (ConvergenceError, NumericError):
             ok = False

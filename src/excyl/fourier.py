@@ -1,8 +1,8 @@
 """Fourier representation in z: fields, boundary and forcing data, norms.
 
-Physical fields are real, so coefficients satisfy c_{-k} = conj(c_k); fields
-store complex coefficients for all k in [-K, K] and builders enforce the
-symmetry.  The zero-mode swirl tail sigma/r is held separately from the mode
+Physical fields are real, so coefficients satisfy c_{-k} = conj(c_k); a
+FourierField stores k = 0..K in one dense array and hands out the negative
+modes as conjugates.  The zero-mode swirl tail sigma/r is held separately from the mode
 profiles (it is the coefficient the non-uniqueness construction acts on and
 is only present when -2 <= nu < 0).
 
@@ -44,98 +44,87 @@ __all__ = [
 
 @dataclass
 class FourierField:
-    """Velocity modes: k -> {component -> RadialProfile}, plus the sigma tail."""
+    """Velocity modes k = 0..K in one array, plus the sigma tail.
+
+    data[c, k, d] is the radial derivative of order d (0, 1, 2) of the mode-k
+    profile of COMPONENTS[c] on the grid nodes.  Mode -k is the conjugate of
+    mode k, so the field is real by construction.  A field known by its
+    values only (read back from artifacts) has has_derivatives False: its
+    derivative slots are never handed out, and norms needing them refuse it.
+    """
 
     grid: RadialGrid
-    k_max: int
-    modes: Dict[int, Dict[str, RadialProfile]] = field(default_factory=dict)
+    data: np.ndarray
     sigma: Optional[float] = None  # zero-mode swirl 1/r coefficient
+    has_derivatives: bool = True
 
     @classmethod
     def zero(cls, grid: RadialGrid, k_max: int, with_sigma: bool) -> "FourierField":
-        modes = {k: {c: RadialProfile.zero(grid) for c in COMPONENTS}
-                 for k in range(-k_max, k_max + 1)}
-        return cls(grid, k_max, modes, 0.0 if with_sigma else None)
+        data = np.zeros((len(COMPONENTS), k_max + 1, 3, len(grid)), dtype=complex)
+        return cls(grid, data, 0.0 if with_sigma else None)
+
+    @property
+    def k_max(self) -> int:
+        return self.data.shape[1] - 1
 
     def profile(self, component: str, k: int) -> RadialProfile:
         if component not in COMPONENTS:
             raise DomainError(f"unknown component {component!r}")
-        if k in self.modes and component in self.modes[k]:
-            return self.modes[k][component]
-        return RadialProfile.zero(self.grid)
+        if abs(k) > self.k_max:
+            return RadialProfile.zero(self.grid)
+        vals, d1, d2 = self.data[COMPONENTS.index(component), abs(k)]
+        if k < 0:
+            vals, d1, d2 = np.conj(vals), np.conj(d1), np.conj(d2)
+        if not self.has_derivatives:
+            d1 = d2 = None
+        return RadialProfile(self.grid, vals, d1, d2)
 
     def set_mode(self, k: int, component: str, profile: RadialProfile) -> None:
-        if abs(k) > self.k_max:
-            raise DomainError(f"mode {k} exceeds truncation {self.k_max}")
-        self.modes.setdefault(k, {})[component] = profile
+        """Store mode 0 <= k <= K.  A profile without both derivatives makes
+        the whole field values-only."""
+        if not 0 <= k <= self.k_max:
+            raise DomainError(f"mode {k} is outside 0..{self.k_max} "
+                              "(negative modes are conjugates)")
+        slot = self.data[COMPONENTS.index(component), k]
+        slot[0] = profile.values
+        if profile.d1 is None or profile.d2 is None:
+            self.has_derivatives = False
+        else:
+            slot[1], slot[2] = profile.d1, profile.d2
 
-    def mirror_negative_modes(self) -> None:
-        """Fill k < 0 from conjugate symmetry of the k > 0 entries."""
-        for k in range(1, self.k_max + 1):
-            if k in self.modes:
-                self.modes[-k] = {c: p.conjugate() for c, p in self.modes[k].items()}
-
-    def conjugate_symmetry_defect(self) -> float:
-        worst = 0.0
-        for k in range(0, self.k_max + 1):
-            for c in COMPONENTS:
-                a = self.profile(c, k).values
-                b = self.profile(c, -k).values
-                worst = max(worst, float(np.max(np.abs(a - np.conj(b)))))
-        return worst
+    def stack(self, component: str, order: int = 0) -> np.ndarray:
+        """Derivative `order` of one component for k = -K..K, shape (2K+1, n)."""
+        if order and not self.has_derivatives:
+            raise NumericError("field profiles are missing their derivatives")
+        half = self.data[COMPONENTS.index(component), :, order]
+        return np.concatenate((np.conj(half[:0:-1]), half))
 
     def divergence_defect(self) -> float:
         """Max over modes of | ik v_z + v_r' + v_r/r | on the grid."""
-        r = self.grid.nodes
-        worst = 0.0
-        for k in range(-self.k_max, self.k_max + 1):
-            vr = self.profile("r", k)
-            vz = self.profile("z", k)
-            if vr.d1 is None:
-                d1 = self.grid.differentiate(vr.values, 1)
-            else:
-                d1 = vr.d1
-            res = 1j * k * vz.values + d1 + vr.values / r
-            worst = max(worst, float(np.max(np.abs(res))))
-        return worst
-
-    def component_values(self, component: str) -> Dict[int, np.ndarray]:
-        return {k: self.profile(component, k).values
-                for k in range(-self.k_max, self.k_max + 1)}
-
-    def component_d1(self, component: str) -> Dict[int, np.ndarray]:
-        out = {}
-        for k in range(-self.k_max, self.k_max + 1):
-            p = self.profile(component, k)
-            if p.d1 is None:
-                raise NumericError("field profiles are missing first derivatives")
-            out[k] = p.d1
-        return out
+        vr, vz = self.data[0, :, 0], self.data[2, :, 0]
+        if self.has_derivatives:
+            d1 = self.data[0, :, 1]
+        else:
+            d1 = self.grid.differentiate(vr.T, 1).T
+        ik = 1j * np.arange(self.k_max + 1)[:, None]
+        return float(np.max(np.abs(ik * vz + d1 + vr / self.grid.nodes)))
 
     def __sub__(self, other: "FourierField") -> "FourierField":
-        out = FourierField(self.grid, max(self.k_max, other.k_max))
-        for k in range(-out.k_max, out.k_max + 1):
-            out.modes[k] = {c: self.profile(c, k) - other.profile(c, k)
-                            for c in COMPONENTS}
-        if self.sigma is None and other.sigma is None:
-            out.sigma = None
-        else:
-            out.sigma = (self.sigma or 0.0) - (other.sigma or 0.0)
-        return out
+        return self._combine(other, lambda a, b: a - b)
 
     def blend(self, other: "FourierField", weight: float) -> "FourierField":
         """(1 - weight) * self + weight * other (under-relaxation helper)."""
-        out = FourierField(self.grid, max(self.k_max, other.k_max))
-        for k in range(-out.k_max, out.k_max + 1):
-            out.modes[k] = {
-                c: self.profile(c, k).scaled(1.0 - weight)
-                + other.profile(c, k).scaled(weight)
-                for c in COMPONENTS}
+        return self._combine(other, lambda a, b: (1.0 - weight) * a + weight * b)
+
+    def _combine(self, other: "FourierField", op) -> "FourierField":
+        if self.data.shape != other.data.shape:
+            raise DomainError("fields differ in grid size or truncation")
         if self.sigma is None and other.sigma is None:
-            out.sigma = None
+            sigma = None
         else:
-            out.sigma = (1.0 - weight) * (self.sigma or 0.0) + weight * (other.sigma or 0.0)
-        return out
+            sigma = op(self.sigma or 0.0, other.sigma or 0.0)
+        return FourierField(self.grid, op(self.data, other.data), sigma,
+                            self.has_derivatives and other.has_derivatives)
 
 
 @dataclass
@@ -266,47 +255,27 @@ class ForcingData:
 # mode convolution (quadratic terms) and synthesis
 
 
-def convolve_product(a: Dict[int, np.ndarray], b: Dict[int, np.ndarray],
-                     k_max: int) -> Dict[int, np.ndarray]:
-    """(a * b)_k = sum over l of a_{k-l} b_l, truncated to |k| <= k_max.
+def convolve_product(a: np.ndarray, b: np.ndarray, k_max: int) -> np.ndarray:
+    """Rows k = 0..2K of the mode convolution (a * b)_k = sum_l a_{k-l} b_l.
 
-    Spectral Galerkin truncation: contributions with |k-l| or |l| above the
-    inputs' support vanish; output modes beyond k_max are discarded.
+    a and b stack the modes k = -K..K (K = k_max) along their first axis, as
+    FourierField.stack returns them.  Rows 0..K are the Galerkin-truncated
+    product and rows K+1..2K the tail the truncation discards; rows k < 0
+    are the conjugates of rows -k for real fields and are not formed.  Each
+    l adds a_{k-l} b_l to a slice of rows, l in increasing order, so every
+    row sums its terms in the same order.
     """
-    shapes = {v.shape for v in a.values()} | {v.shape for v in b.values()}
-    if len(shapes) > 1:
-        raise DomainError("convolution inputs live on different grids")
-    out: Dict[int, np.ndarray] = {}
-    a_ks = sorted(a)
-    b_ks = sorted(b)
-    for k in range(-k_max, k_max + 1):
-        acc = None
-        for l in b_ks:
-            j = k - l
-            if j in a:
-                term = a[j] * b[l]
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            out[k] = acc
+    if a.shape != b.shape or a.shape[0] != 2 * k_max + 1:
+        raise DomainError("convolution inputs differ in grid size or truncation")
+    out = np.zeros(a.shape, dtype=np.result_type(a, b))
+    for i, b_l in enumerate(b):  # l = i - K reaches rows 0..i from a_{K-i}..a_K
+        out[:i + 1] += a[2 * k_max - i:] * b_l
     return out
 
 
-def convolution_tail_norm(a: Dict[int, np.ndarray], b: Dict[int, np.ndarray],
-                          k_max: int) -> float:
-    """Sup norm of the discarded |k| > k_max convolution tail (diagnostic)."""
-    worst = 0.0
-    a_ks = sorted(a)
-    b_ks = sorted(b)
-    for k in list(range(-2 * k_max, -k_max)) + list(range(k_max + 1, 2 * k_max + 1)):
-        acc = None
-        for l in b_ks:
-            j = k - l
-            if j in a:
-                term = a[j] * b[l]
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            worst = max(worst, float(np.max(np.abs(acc))))
-    return worst
+def convolution_tail_norm(product: np.ndarray, k_max: int) -> float:
+    """Sup norm of the discarded |k| > k_max rows of a convolve_product result."""
+    return float(np.max(np.abs(product[k_max + 1:]), initial=0.0))
 
 
 def synthesize(fieldv: FourierField, r, z, nu: float = 0.0, mu: float = 0.0,
@@ -390,21 +359,17 @@ def bnorm(v: FourierField, tau: float) -> float:
     Zero modes: sum_l sup r^{3+tau-l} |v_theta0^{(2-l)}|  and
                 sum_l sup r^{2+tau-l} |v_z0^{(2-l)}|;
     nonzero modes: sum_{k,j,l} |k|^{2-l} sup r^{3/2+tau} |v_{j,k}^{(l)}|;
-    plus |sigma| when the tail coefficient is present.
+    plus |sigma| when the tail coefficient is present.  Modes -k and k
+    contribute alike.
     """
-    grid = v.grid
+    if not v.has_derivatives:
+        raise NumericError("field profiles are missing their derivatives")
+    r = v.grid.nodes
+    order = np.arange(3)[:, None]
+    mag = np.abs(v.data)  # (component, k, order, node)
+    zero_modes = (np.max(r ** (1.0 + tau + order) * mag[1, 0], axis=-1).sum()
+                  + np.max(r ** (tau + order) * mag[2, 0], axis=-1).sum())
+    sups = np.max(r ** (1.5 + tau) * mag[:, 1:], axis=-1)  # (component, k, order)
+    k_weights = np.arange(1, v.k_max + 1)[:, None] ** (2 - order.T)
     total = abs(v.sigma) if v.sigma is not None else 0.0
-    vth0 = v.profile("theta", 0)
-    vz0 = v.profile("z", 0)
-    for ell in (0, 1, 2):
-        total += weighted_sup(vth0.derivative(2 - ell), grid, 3.0 + tau - ell).value
-        total += weighted_sup(vz0.derivative(2 - ell), grid, 2.0 + tau - ell).value
-    for k in range(-v.k_max, v.k_max + 1):
-        if k == 0:
-            continue
-        for comp in COMPONENTS:
-            prof = v.profile(comp, k)
-            for ell in (0, 1, 2):
-                total += (abs(k) ** (2 - ell)
-                          * weighted_sup(prof.derivative(ell), grid, 1.5 + tau).value)
-    return total
+    return float(total + zero_modes + 2.0 * np.sum(k_weights * sups))

@@ -325,18 +325,16 @@ def _to_complex(sv: ScaledValue) -> complex:
 
 
 def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
-                        rhs: dict, decays: dict, boundary, workers: int = 1):
+                        rhs: dict, decays: dict, boundary):
     """Solve all modes |k| <= k_max of the linearized system.
 
     rhs maps (component, k) for k >= 0 to forcing sample arrays (missing
     entries are zero); decays provides tail exponents under the keys
     ("theta", 0), ("z", 0) and "nonzero".  The rotation coupling feeds
     2 mu v_theta,k / r^2 (with the freshly solved swirl mode) into each
-    meridional solve.  Modes k >= 1 run in a parallel map with an ordered
-    merge; k < 0 follows from conjugate symmetry.
+    meridional solve.  Modes k >= 1 are solved in turn; k < 0 follows from
+    conjugate symmetry.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from .fourier import FourierField
 
     r = grid.nodes
@@ -360,29 +358,18 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
     field_out.sigma = swirl0.sigma
 
     lam = decays["nonzero"]
-
-    def solve_one(k):
+    merid_by_k = {}
+    for k in range(1, k_max + 1):
         v_theta = solve_swirl_mode(grid, k, nu, get("theta", k),
                                    boundary.coefficient("theta", k), lam)
         f_r_eff = get("r", k) + (2.0 * mu / r ** 2) * v_theta.values
         merid = solve_meridional_mode(grid, k, nu, f_r_eff, get("z", k),
                                       boundary.coefficient("r", k),
                                       boundary.coefficient("z", k), lam)
-        return k, v_theta, merid
-
-    ks = list(range(1, k_max + 1))
-    if workers > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_one, ks))
-    else:
-        results = [solve_one(k) for k in ks]
-    merid_by_k = {}
-    for k, v_theta, merid in results:  # ordered merge
         field_out.set_mode(k, "theta", v_theta)
         field_out.set_mode(k, "r", merid.v_r)
         field_out.set_mode(k, "z", merid.v_z)
         merid_by_k[k] = merid
-    field_out.mirror_negative_modes()
     return field_out, merid_by_k
 
 

@@ -114,16 +114,12 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
     with_sigma = -2.0 <= nu < 0.0
     sigma_bar = vbar.sigma if (with_sigma and vbar.sigma is not None) else 0.0
 
-    vr = vbar.component_values("r")
-    vth = vbar.component_values("theta")
-    vz = vbar.component_values("z")
-    d_vr = vbar.component_d1("r")
-    d_vth = vbar.component_d1("theta")
-    d_vz = vbar.component_d1("z")
-    il_vth = {l: 1j * l * vth[l] for l in vth}
-    il_vz = {l: 1j * l * vz[l] for l in vz}
-    il_vr = {l: 1j * l * vr[l] for l in vr}
+    vr, vth, vz = (vbar.stack(c) for c in COMPONENTS)
+    d_vr, d_vth, d_vz = (vbar.stack(c, 1) for c in COMPONENTS)
+    il = 1j * np.arange(-k_max, k_max + 1)[:, None]
+    il_vth, il_vz, il_vr = il * vth, il * vz, il * vr
 
+    # product rows k = 0..2K; rows above K are the discarded tail
     conv = lambda a, b: convolve_product(a, b, k_max)
     adv_th = conv(vr, d_vth)
     rot_th = conv(vz, il_vth)
@@ -134,21 +130,16 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
     rot_r = conv(vz, il_vr)
     cen_r = conv(vth, vth)
 
-    zero = np.zeros(len(grid), dtype=complex)
-
-    def pick(m, k):
-        return m.get(k, zero)
-
     rhs: Dict[Tuple[str, int], np.ndarray] = {}
     for k in range(0, k_max + 1):
-        f_th = (-(pick(adv_th, k) + pick(rot_th, k) + pick(str_th, k) / r)
+        f_th = (-(adv_th[k] + rot_th[k] + str_th[k] / r)
                 + forcing.sample("theta", k, r))
-        f_z = (-(pick(adv_z, k) + pick(rot_z, k))
+        f_z = (-(adv_z[k] + rot_z[k])
                + forcing.sample("z", k, r))
-        f_r = (-(pick(adv_r, k) + pick(rot_r, k) - pick(cen_r, k) / r)
+        f_r = (-(adv_r[k] + rot_r[k] - cen_r[k] / r)
                + forcing.sample("r", k, r))
         if with_sigma:
-            f_r = f_r + 2.0 * sigma_bar * pick(vth, k) / r ** 2
+            f_r = f_r + 2.0 * sigma_bar * vth[k_max + k] / r ** 2
         rhs[("theta", k)] = f_th
         rhs[("z", k)] = f_z
         rhs[("r", k)] = f_r
@@ -156,12 +147,12 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
     # absorb the zero radial mode into the pressure; audit the full profile,
     # including the pieces the split representation keeps implicit
     absorbed = rhs[("r", 0)] + (sigma_bar ** 2) / r ** 3 \
-        + 2.0 * mu * (pick(vth, 0) + sigma_bar / r) / r ** 2
-    rhs[("r", 0)] = zero
+        + 2.0 * mu * (vth[k_max] + sigma_bar / r) / r ** 2
+    rhs[("r", 0)] = np.zeros(len(grid), dtype=complex)
     absorbed_decay = min(3.0, forcing.decay("r", 0))
 
-    tail = max(convolution_tail_norm(vr, d_vth, k_max),
-               convolution_tail_norm(vth, vth, k_max))
+    tail = max(convolution_tail_norm(adv_th, k_max),
+               convolution_tail_norm(cen_r, k_max))
     return RhsAssembly(rhs=rhs, absorbed_fr0=absorbed,
                        absorbed_fr0_decay=absorbed_decay,
                        convolution_tail=tail)
@@ -215,8 +206,7 @@ SMALLNESS_WARN = 0.25
 def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
                  forcing: ForcingData, boundary: BoundaryData,
                  tol: float = 1e-10, max_iters: int = 25,
-                 relaxation: float = 1.0, workers: int = 1,
-                 verify: bool = False) -> SolutionBundle:
+                 relaxation: float = 1.0, verify: bool = False) -> SolutionBundle:
     """Fixed-point construction of the reduced solution, starting from 0.
 
     Each step assembles the quadratic forcing from the current iterate and
@@ -251,8 +241,7 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
     for it in range(1, max_iters + 1):
         rhs = assemble_rhs(state.v_current, forcing, mu, nu)
         v_new, merid_final = solve_linear_system(grid, nu, mu, k_max, rhs.rhs,
-                                                 decays, boundary,
-                                                 workers=workers)
+                                                 decays, boundary)
         if relaxation != 1.0:
             v_new = state.v_current.blend(v_new, relaxation)
         diff = bnorm(v_new - state.v_current, tau.tau)

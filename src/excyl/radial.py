@@ -23,6 +23,7 @@ Every closed-form representation in the mode solvers is checked against it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -49,23 +50,26 @@ __all__ = [
 _BLOCK_LOG_SPAN = 120.0  # max |rate|*(span) handled inside one scaled block
 
 
-def _local_weights(points: np.ndarray, x0: float, order: int) -> np.ndarray:
-    """Weights w with sum_j w_j f(points_j) ~ f^(order)(x0) (exact on polys)."""
+def _vander(t: np.ndarray, n: int) -> np.ndarray:
+    """np.vander(t, n, increasing=True) for every entry of a stack t."""
+    return np.vander(t.ravel(), n, increasing=True).reshape(t.shape + (n,))
+
+
+def _local_weights(points: np.ndarray, x0, order: int) -> np.ndarray:
+    """Weights w with sum_j w_j f(points_j) ~ f^(order)(x0) (exact on polys).
+
+    points (..., n) with x0 (...) stacks independent stencils.
+    """
     pts = np.asarray(points, float)
-    n = pts.size
-    scale = max(pts.max() - pts.min(), 1e-30)
-    t = (pts - x0) / scale
-    v = np.vander(t, n, increasing=True).T
-    rhs = np.zeros(n)
-    rhs[order] = _factorial(order) / scale ** order
-    return np.linalg.solve(v, rhs)
-
-
-def _factorial(n: int) -> float:
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    n = pts.shape[-1]
+    scale = np.maximum(pts.max(axis=-1) - pts.min(axis=-1), 1e-30)
+    t = (pts - np.asarray(x0)[..., None]) / scale[..., None]
+    rhs = np.zeros(pts.shape)
+    # float_power calls C pow() per element; `** 2` squares instead and
+    # rounds differently in the last bit
+    rhs[..., order] = math.factorial(order) / np.float_power(scale, order)
+    v = _vander(t, n).swapaxes(-1, -2)
+    return np.linalg.solve(v, rhs[..., None])[..., 0]
 
 
 class RadialGrid:
@@ -135,27 +139,17 @@ class RadialGrid:
         xi = np.concatenate([(-1.0 + (2.0 * p + 1.0 + xi4) / subdiv)
                              for p in range(subdiv)])
         om = np.tile(om4 / subdiv, subdiv)
-        ng = xi.size
-        idx = np.empty((n, 4), dtype=int)
-        g_r = np.empty((n, ng), dtype=float)
-        g_w = np.empty((n, ng), dtype=float)
-        interp = np.empty((n, ng, 4), dtype=float)
-        for i in range(n):
-            j0 = min(max(i - 1, 0), len(r) - 4)
-            pts = r[j0:j0 + 4]
-            a, b = r[i], r[i + 1]
-            c = 0.5 * (a + b)
-            hw = 0.5 * (b - a)
-            scale = max(pts.max() - pts.min(), 1e-30)
-            t = (pts - c) / scale
-            vp = np.vander(t, 4, increasing=True)
-            xg = c + hw * xi
-            tg = (xg - c) / scale
-            vg = np.vander(tg, 4, increasing=True)
-            idx[i] = np.arange(j0, j0 + 4)
-            g_r[i] = xg
-            g_w[i] = om * hw
-            interp[i] = vg @ np.linalg.inv(vp)
+        j0 = np.clip(np.arange(n) - 1, 0, len(r) - 4)
+        idx = j0[:, None] + np.arange(4)
+        pts = r[idx]
+        c = (0.5 * (r[:-1] + r[1:]))[:, None]
+        hw = (0.5 * (r[1:] - r[:-1]))[:, None]
+        scale = np.maximum(pts.max(axis=1) - pts.min(axis=1), 1e-30)[:, None]
+        g_r = c + hw * xi
+        g_w = om * hw
+        vp = _vander((pts - c) / scale, 4)
+        vg = _vander((g_r - c) / scale, 4)
+        interp = vg @ np.linalg.inv(vp)
         self._cache[key] = (idx, g_r, g_w, interp)
         return idx, g_r, g_w, interp
 
@@ -177,13 +171,9 @@ class RadialGrid:
         if key in self._cache:
             return self._cache[key]
         r = self.nodes
-        m = r.size
-        idx = np.empty((m, 5), dtype=int)
-        wts = np.empty((m, 5), dtype=float)
-        for i in range(m):
-            j0 = min(max(i - 2, 0), m - 5)
-            idx[i] = np.arange(j0, j0 + 5)
-            wts[i] = _local_weights(r[j0:j0 + 5], r[i], order)
+        j0 = np.clip(np.arange(r.size) - 2, 0, r.size - 5)
+        idx = j0[:, None] + np.arange(5)
+        wts = _local_weights(r[idx], r, order)
         self._cache[key] = (idx, wts)
         return idx, wts
 
@@ -247,42 +237,6 @@ class RadialProfile:
 
     def weighted_sup(self, zeta: float, order: int = 0) -> "WeightedNorm":
         return weighted_sup(self.derivative(order), self.grid, zeta)
-
-    def conjugate(self) -> "RadialProfile":
-        return RadialProfile(
-            self.grid, np.conj(self.values),
-            None if self.d1 is None else np.conj(self.d1),
-            None if self.d2 is None else np.conj(self.d2),
-            self.decay_exponent)
-
-    def __add__(self, other: "RadialProfile") -> "RadialProfile":
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other: "RadialProfile") -> "RadialProfile":
-        return self._combine(other, -1.0)
-
-    def scaled(self, c) -> "RadialProfile":
-        return RadialProfile(
-            self.grid, c * self.values,
-            None if self.d1 is None else c * self.d1,
-            None if self.d2 is None else c * self.d2,
-            self.decay_exponent)
-
-    def _combine(self, other, sgn):
-        if other.grid is not self.grid and not np.array_equal(
-                other.grid.nodes, self.grid.nodes):
-            raise DomainError("profiles live on different grids")
-
-        def comb(a, b):
-            if a is None or b is None:
-                return None
-            return a + sgn * b
-
-        dec = None
-        if self.decay_exponent is not None and other.decay_exponent is not None:
-            dec = min(self.decay_exponent, other.decay_exponent)
-        return RadialProfile(self.grid, self.values + sgn * other.values,
-                             comb(self.d1, other.d1), comb(self.d2, other.d2), dec)
 
 
 @dataclass(frozen=True)

@@ -288,11 +288,10 @@ def manufactured_forcing(field_star: FourierField,
     k_max = field_star.k_max
     zero = np.zeros(len(grid), dtype=complex)
 
-    vals = {c: field_star.component_values(c) for c in COMPONENTS}
-    d1 = {c: field_star.component_d1(c) for c in COMPONENTS}
-    d2 = {c: {k: field_star.profile(c, k).derivative(2)
-              for k in range(-k_max, k_max + 1)} for c in COMPONENTS}
-    il = {c: {k: 1j * k * vals[c][k] for k in vals[c]} for c in COMPONENTS}
+    vals = {c: field_star.stack(c) for c in COMPONENTS}
+    d1 = {c: field_star.stack(c, 1) for c in COMPONENTS}
+    ik = 1j * np.arange(-k_max, k_max + 1)[:, None]
+    il = {c: ik * vals[c] for c in COMPONENTS}
 
     conv = lambda a, b: convolve_product(a, b, k_max)
     quad = {}
@@ -306,18 +305,20 @@ def manufactured_forcing(field_star: FourierField,
     out = {}
     for k in range(0, k_max + 1):
         lin_coeff = {"r": (1.0 - nu), "theta": (1.0 + nu), "z": 0.0}
+        v_th = vals["theta"][k_max + k]
         for comp in COMPONENTS:
-            v = vals[comp].get(k, zero)
-            lin = -(d2[comp].get(k, zero) + (1.0 - nu) / r * d1[comp].get(k, zero)
+            prof = field_star.profile(comp, k)
+            v = prof.values
+            lin = -(prof.d2 + (1.0 - nu) / r * prof.d1
                     - lin_coeff[comp] / r ** 2 * v - k * k * v)
             a, b = quad[comp]
-            q = a.get(k, zero) + b.get(k, zero)
+            q = a[k] + b[k]
             if comp == "theta":
-                q = q + stretch.get(k, zero) / r
+                q = q + stretch[k] / r
             if comp == "r":
-                q = q - cen.get(k, zero) / r \
-                    - 2.0 * sigma * vals["theta"].get(k, zero) / r ** 2 \
-                    - 2.0 * mu * vals["theta"].get(k, zero) / r ** 2
+                q = q - cen[k] / r \
+                    - 2.0 * sigma * v_th / r ** 2 \
+                    - 2.0 * mu * v_th / r ** 2
                 if k == 0:
                     q = q - (sigma * sigma + 2.0 * mu * sigma) / r ** 3
             grad_p = zero

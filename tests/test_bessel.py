@@ -19,7 +19,7 @@ from excyl.bessel import (
     kernel_K_derivs,
     wronskian_check,
 )
-from excyl.errors import DomainError
+from excyl.errors import DomainError, NumericError
 
 from oracles import mp_bessel_i, mp_bessel_k
 
@@ -180,6 +180,10 @@ def test_domain_errors():
         kernel_K(0, -1.0, 2.0)
     with pytest.raises(DomainError):
         BesselOrder(-1.0)
+    # scipy's ive/kve return NaN beyond x = 2^30: an error, never a value
+    for f in (bessel_i, bessel_k):
+        with pytest.raises(NumericError):
+            f(1.0, 1e10)
 
 
 def test_order_constructors():

@@ -116,6 +116,8 @@ def test_exit_codes(tmp_path):
     ok = tmp_path / "nu1.ini"
     ok.write_text(MINIMAL)
     assert main(["nonunique", str(ok)]) == EXIT_CONFIG  # nu >= -2 refused
+    # beyond x = 2^30 the Bessel substrate has no finite value
+    assert main(["bessel", "--order", "1", "--x", "1e10"]) == EXIT_NUMERIC
 
 
 def test_non_finite_boundary_is_numeric_error(tmp_path, capsys):
@@ -123,6 +125,10 @@ def test_non_finite_boundary_is_numeric_error(tmp_path, capsys):
     cfg.write_text(SMALL_RUN.replace("theta,1 = 1e-3", "theta,1 = nan"))
     assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_NUMERIC
     assert "(theta, 1)" in capsys.readouterr().err
+    # a non-finite g_{r,0} is a numeric error too, not a normalization breach
+    cfg.write_text(MINIMAL + "[boundary]\nr,0 = nan\n")
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "(r, 0)" in capsys.readouterr().err
 
 
 def test_verify_roundtrip_and_tamper_detection(tmp_path):

@@ -25,83 +25,77 @@ def grid():
     return RadialGrid.graded(96, 50.0, 2.0)
 
 
-def _random_modes(grid, ks, rng):
-    out = {}
+def _random_stack(grid, ks, k_max, rng):
+    """Conjugate-symmetric modes -k_max..k_max, nonzero on +-ks only."""
+    half = np.zeros((k_max + 1, len(grid)), dtype=complex)
     for k in ks:
-        out[k] = (rng.standard_normal(len(grid))
-                  + 1j * rng.standard_normal(len(grid)))
-    return out
+        half[k] = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
+    half[0] = half[0].real  # a real field has a real zero mode
+    return np.concatenate((np.conj(half[:0:-1]), half))
 
 
-def _pseudo_spectral_product(a, b, k_max, n_z=None):
-    """Oracle: synthesize on a fine z grid, multiply pointwise, re-project."""
-    all_k = sorted(set(a) | set(b))
-    span = 2 * max(abs(k) for k in all_k) if all_k else 1
-    n_z = n_z or max(4 * k_max + 1, 2 * span + 1)
+def _pseudo_spectral_product(a, b, k_max):
+    """Oracle: synthesize on a fine z grid, multiply pointwise, re-project.
+
+    Returns rows k = 0..2K; 4K+1 samples resolve the product without aliasing.
+    """
+    n_z = 4 * k_max + 1
     z = 2.0 * np.pi * np.arange(n_z) / n_z
-    npts = next(iter(a.values())).shape[0] if a else next(iter(b.values())).shape[0]
-    fa = np.zeros((npts, n_z), dtype=complex)
-    fb = np.zeros((npts, n_z), dtype=complex)
-    for k, v in a.items():
-        fa += v[:, None] * np.exp(1j * k * z)[None, :]
-    for k, v in b.items():
-        fb += v[:, None] * np.exp(1j * k * z)[None, :]
-    prod = fa * fb
+    e = np.exp(1j * np.outer(np.arange(-k_max, k_max + 1), z))
+    prod = (a.T @ e) * (b.T @ e)
     coeffs = np.fft.fft(prod, axis=1) / n_z  # e^{+ikz} convention
-    out = {}
-    freqs = np.fft.fftfreq(n_z, d=1.0 / n_z).astype(int)
-    for k in range(-k_max, k_max + 1):
-        (col,) = np.nonzero(freqs == k)
-        out[k] = coeffs[:, col[0]]
+    return coeffs[:, :2 * k_max + 1].T
+
+
+def _direct_sum(a, b, k_max):
+    """Reference loop: row k sums a_{k-l} b_l over l in increasing order."""
+    out = np.zeros_like(a)
+    for k in range(0, 2 * k_max + 1):
+        for l in range(-k_max, k_max + 1):
+            if abs(k - l) <= k_max:
+                out[k] += a[k - l + k_max] * b[l + k_max]
     return out
 
 
 def test_convolution_zero_factor(grid):
     rng = np.random.default_rng(1)
-    a = _random_modes(grid, [-1, 0, 1], rng)
-    b = {k: np.zeros(len(grid), dtype=complex) for k in (-1, 0, 1)}
-    out = convolve_product(a, b, 3)
-    assert all(np.all(v == 0) for v in out.values())
+    a = _random_stack(grid, [0, 1], 3, rng)
+    out = convolve_product(a, np.zeros_like(a), 3)
+    assert np.all(out == 0)
 
 
 def test_convolution_support(grid):
     rng = np.random.default_rng(2)
-    a = _random_modes(grid, [-1, 1], rng)
-    b = _random_modes(grid, [-1, 1], rng)
+    a = _random_stack(grid, [1], 4, rng)
+    b = _random_stack(grid, [1], 4, rng)
     out = convolve_product(a, b, 4)
-    nonzero = {k for k, v in out.items() if np.max(np.abs(v)) > 0}
-    assert nonzero <= {-2, 0, 2}
+    nonzero = {k for k, v in enumerate(out) if np.max(np.abs(v)) > 0}
+    assert nonzero <= {0, 2}
 
 
 def test_convolution_matches_pseudo_spectral_oracle(grid):
     rng = np.random.default_rng(3)
-    ks = [-2, -1, 0, 1, 2]
-    a = _random_modes(grid, ks, rng)
-    b = _random_modes(grid, ks, rng)
     k_max = 4
+    a = _random_stack(grid, [0, 1, 2], k_max, rng)
+    b = _random_stack(grid, [0, 1, 2], k_max, rng)
     got = convolve_product(a, b, k_max)
-    want = _pseudo_spectral_product(a, b, k_max)
-    for k in range(-k_max, k_max + 1):
-        np.testing.assert_allclose(got.get(k, 0.0), want[k], atol=1e-10)
+    np.testing.assert_allclose(got, _pseudo_spectral_product(a, b, k_max),
+                               atol=1e-10)
+    # same terms, same summation order as the plain double loop
+    wide_a = _random_stack(grid, range(k_max + 1), k_max, rng)
+    wide_b = _random_stack(grid, range(k_max + 1), k_max, rng)
+    np.testing.assert_array_equal(convolve_product(wide_a, wide_b, k_max),
+                                  _direct_sum(wide_a, wide_b, k_max))
 
 
 def test_convolution_symmetry_and_linearity(grid):
     rng = np.random.default_rng(4)
-    ks = [-1, 0, 1]
-    a = _random_modes(grid, ks, rng)
-    b = _random_modes(grid, ks, rng)
-    c = _random_modes(grid, ks, rng)
-    ab = convolve_product(a, b, 2)
-    ba = convolve_product(b, a, 2)
-    for k in ab:
-        np.testing.assert_allclose(ab[k], ba[k], rtol=1e-12, atol=1e-12)
-    bc = {k: b[k] + c[k] for k in ks}
-    lhs = convolve_product(a, bc, 2)
-    rhs_b = convolve_product(a, b, 2)
-    rhs_c = convolve_product(a, c, 2)
-    for k in lhs:
-        np.testing.assert_allclose(lhs[k], rhs_b[k] + rhs_c[k],
-                                   rtol=1e-12, atol=1e-12)
+    a, b, c = (_random_stack(grid, [0, 1], 2, rng) for _ in range(3))
+    np.testing.assert_allclose(convolve_product(a, b, 2),
+                               convolve_product(b, a, 2), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(convolve_product(a, b + c, 2),
+                               convolve_product(a, b, 2) + convolve_product(a, c, 2),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_truncation_consistency(grid):
@@ -109,25 +103,22 @@ def test_truncation_consistency(grid):
     # truncated pseudo-spectral product exactly
     rng = np.random.default_rng(5)
     k_max = 6
-    ks = [-3, -1, 0, 2, 3]
-    a = _random_modes(grid, ks, rng)
-    b = _random_modes(grid, ks, rng)
+    a = _random_stack(grid, [0, 1, 3], k_max, rng)
+    b = _random_stack(grid, [0, 2, 3], k_max, rng)
     got = convolve_product(a, b, k_max)
     want = _pseudo_spectral_product(a, b, k_max)
-    for k in range(-k_max, k_max + 1):
-        np.testing.assert_allclose(got.get(k, np.zeros(len(grid))), want[k],
-                                   atol=1e-10)
+    np.testing.assert_allclose(got[:k_max + 1], want[:k_max + 1], atol=1e-10)
     # support up to K/2 generates no discarded tail at all
-    assert convolution_tail_norm(a, b, k_max) == 0.0
+    assert convolution_tail_norm(got, k_max) == 0.0
     # wider support does, and the diagnostic reports it
-    wide = _random_modes(grid, [4], rng)
-    assert convolution_tail_norm(wide, wide, k_max) > 0
+    wide = _random_stack(grid, [4], k_max, rng)
+    assert convolution_tail_norm(convolve_product(wide, wide, k_max), k_max) > 0
 
 
 def test_grid_mismatch_rejected(grid):
     other = RadialGrid.graded(64, 50.0, 2.0)
-    a = {0: np.ones(len(grid), dtype=complex)}
-    b = {0: np.ones(len(other), dtype=complex)}
+    a = np.ones((3, len(grid)), dtype=complex)
+    b = np.ones((3, len(other)), dtype=complex)
     with pytest.raises(DomainError):
         convolve_product(a, b, 1)
 
@@ -139,8 +130,6 @@ def _field_with(grid, k, comp, values, k_max=3, sigma=None):
     f = FourierField.zero(grid, k_max, with_sigma=sigma is not None)
     prof = RadialProfile(grid, np.asarray(values, dtype=complex))
     f.set_mode(k, comp, prof)
-    if k != 0:
-        f.set_mode(-k, comp, prof.conjugate())
     if sigma is not None:
         f.sigma = sigma
     return f
@@ -175,7 +164,6 @@ def test_synthesize_matches_direct_summation(grid):
             if k == 0:
                 vals = np.real(vals) + 0j
             f.set_mode(k, comp, RadialProfile(grid, vals))
-    f.mirror_negative_modes()
     z = 2.0 * np.pi * np.arange(64) / 64
     r = grid.nodes[17]
     u = synthesize(f, r, z)
@@ -209,7 +197,6 @@ def test_synthesize_real_for_conjugate_symmetric(seed):
     for k in (1, 2):
         vals = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
         f.set_mode(k, "theta", RadialProfile(grid, vals))
-    f.mirror_negative_modes()
     # would raise NumericError if the imaginary residue exceeded 1e-10
     synthesize(f, 5.0, np.linspace(0, 6.0, 5))
 
@@ -298,7 +285,6 @@ def test_bnorm_k_weights(grid):
     zero = np.zeros(len(grid), dtype=complex)
     f = FourierField.zero(grid, 3, with_sigma=False)
     f.set_mode(3, "z", RadialProfile(grid, vals, zero, zero))
-    f.set_mode(-3, "z", RadialProfile(grid, vals, zero, zero))
     tau = 0.5
     w = np.max(grid.nodes ** (1.5 + tau) * np.abs(vals))
     assert bnorm(f, tau) == pytest.approx(2 * 9 * w, rel=1e-12)

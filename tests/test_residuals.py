@@ -88,7 +88,6 @@ def _manufactured_field(grid, nu, amp=1e-3, sigma=None):
     field.set_mode(1, "r", v_r)
     field.set_mode(1, "z", v_z)
     field.set_mode(1, "theta", exp_prof(amp * (0.5 - 0.2j)))
-    field.mirror_negative_modes()
     if sigma is not None:
         field.sigma = sigma
     return field
@@ -195,7 +194,5 @@ def test_tampered_solution_detected(grid):
     near = len(grid) // 8  # r ~ 2.5, where the mode is still O(data)
     tampered[near] *= 1.5
     bundle.v.set_mode(1, "theta", RadialProfile(grid, tampered, prof.d1, prof.d2))
-    bundle.v.set_mode(-1, "theta",
-                      RadialProfile(grid, np.conj(tampered), None, None))
     rep = residual_asns(bundle.v, -1.0, 1.0, forcing=bundle.forcing)
     assert rep.max_momentum > 100 * max(clean.max_momentum, 1e-12)
