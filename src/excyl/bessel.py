@@ -9,9 +9,11 @@ x > 2^30 ~ 1.07e9 (ive and kve return NaN there), so bessel_i and bessel_k
 are defined for 0 < x <= 2^30 and raise NumericError beyond; the solver's
 arguments |k| r stay many orders of magnitude below that.
 
-All results are carried as ScaledValue pairs (mantissa, exp_shift) with
-value = mantissa * e^exp_shift.  The growing and decaying kernels always
-enter Green's formulas in products whose shifts cancel to |k| (r - s), so no
+All results are returned as ScaledValue pairs (mantissa, exp_shift) with
+value = mantissa * e^exp_shift, so no result overflows.  The mode solvers
+keep only the kernel mantissas at shifts -|k|r and +|k|r: in the Green's
+formulas those exponentials cancel against the exponentially weighted
+integrals, so the solvers multiply plain mantissa arrays and no
 intermediate ever overflows.  The kernels depend only on the grid, |k|, nu
 and the kind, so the mode solvers compute them once per grid and keep the
 mantissas in the grid's operator cache (see modes._scaled_kernels).
@@ -81,12 +83,6 @@ class ScaledValue:
         shift = np.broadcast_to(np.asarray(shift, float), self.exp_shift.shape)
         return ScaledValue(self.mantissa * np.exp(self.exp_shift - shift), shift.copy())
 
-    def normalized(self):
-        """Move the mantissa's magnitude into the shift (mantissa ~ O(1))."""
-        mag = np.abs(self.mantissa)
-        safe = np.where(mag > 0, mag, 1.0)
-        return ScaledValue(self.mantissa / safe, self.exp_shift + np.log(safe))
-
     def log_abs(self):
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.mantissa)) + self.exp_shift
@@ -105,9 +101,6 @@ class ScaledValue:
                                self.exp_shift - other.exp_shift)
         return ScaledValue(self.mantissa / other, self.exp_shift)
 
-    def __rtruediv__(self, other):
-        return ScaledValue(other / self.mantissa, -self.exp_shift)
-
     def __neg__(self):
         return ScaledValue(-self.mantissa, self.exp_shift)
 
@@ -122,9 +115,6 @@ class ScaledValue:
     def __sub__(self, other):
         return self + (-other if isinstance(other, ScaledValue)
                        else ScaledValue.of(-np.asarray(other)))
-
-    def __getitem__(self, idx):
-        return ScaledValue(self.mantissa[idx], self.exp_shift[idx])
 
     def __repr__(self):
         return f"ScaledValue({self.mantissa!r}, exp_shift={self.exp_shift!r})"

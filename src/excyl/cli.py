@@ -343,12 +343,8 @@ def cmd_verify(args) -> int:
         for comp, name in (("r", "v_r"), ("theta", "v_theta"), ("z", "v_z")):
             vals = data[f"re_{name}"] + 1j * data[f"im_{name}"]
             field.set_mode(k, comp, RadialProfile(grid, vals))  # values only
-    # sigma is reported in the summary; reread it if present
-    summary = sol_dir / "summary.txt"
-    if field.sigma is not None and summary.exists():
-        for line in summary.read_text().splitlines():
-            if line.startswith("sigma = ") and line.split("=")[1].strip() != "None":
-                field.sigma = float(line.split("=")[1])
+    if field.sigma is not None:
+        field.sigma = _summary_sigma(sol_dir / "summary.txt")
     rep = residual_asns(field, cfg.nu, cfg.mu, forcing=cfg.forcing_data(),
                         boundary=cfg.boundary_data())
     print(rep.as_text())
@@ -357,6 +353,21 @@ def cmd_verify(args) -> int:
                [rep.curve_r, rep.curve_momentum[:, 0], rep.curve_momentum[:, 1],
                 rep.curve_momentum[:, 2], rep.curve_divergence])
     return EXIT_OK
+
+
+def _summary_sigma(path: Path) -> float:
+    """The 1/r tail coefficient from a solve summary's `sigma = ` line.
+
+    A missing summary is an OSError; a missing or unparseable line is a
+    ConfigError.
+    """
+    for line in path.read_text().splitlines():
+        if line.startswith("sigma = "):
+            try:
+                return float(line[len("sigma = "):])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad sigma line {line!r}") from exc
+    raise ConfigError(f"{path} has no 'sigma = <float>' line")
 
 
 def cmd_nonunique(args) -> int:

@@ -211,13 +211,19 @@ class ForcingData:
                 raise ConfigError(f"unknown forcing component {comp!r}")
 
     def sample(self, component: str, k: int, r: np.ndarray) -> np.ndarray:
+        """f_{component,k} at r; a non-finite sample is a NumericError."""
         mode = self.modes.get((component, k))
         if mode is None:
             conj = self.modes.get((component, -k))
             if conj is None:
                 return np.zeros_like(r, dtype=complex)
-            return np.conj(np.asarray(conj.func(r), dtype=complex))
-        return np.asarray(mode.func(r), dtype=complex)
+            vals = np.conj(np.asarray(conj.func(r), dtype=complex))
+        else:
+            vals = np.asarray(mode.func(r), dtype=complex)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError(f"forcing ({component}, {k}) is not finite "
+                               "on the grid")
+        return vals
 
     @classmethod
     def from_grid_arrays(cls, grid, arrays, decay: float = 10.0,

@@ -26,7 +26,10 @@ Wronskian W = r^{nu-1}:
       v = vbar G_dec(r) + G_dec(r) int_1^r f s^{1-nu} G_grow ds
                         + G_grow(r) int_r^inf f s^{1-nu} G_dec ds
 
-in scaled arithmetic.  The meridional solve assembles the vorticity with the
+on kernel mantissas: the e^{-|k|r} of G_dec and the e^{+|k|r} of G_grow
+cancel against the exponentials of the integrals they multiply, and only
+the boundary term keeps a factor e^{|k|(1-r)} <= 1, so nothing overflows
+for any |k| r.  The meridional solve assembles the vorticity with the
 integrated-by-parts layout (only f_z values enter, no f_z derivative), closes
 (w_bar, phi_bar) against the boundary velocities through the stream-function
 representation, and recovers v_r = -ik phi, v_z = phi' + phi/r.
@@ -39,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bessel import ScaledValue, kernel_I_derivs, kernel_K_derivs
+from .bessel import kernel_I_derivs, kernel_K_derivs
 from .errors import DomainError, NumericError
 from .radial import (
     RadialGrid,
@@ -121,8 +124,7 @@ def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
         d1 = (a * ((nu + 1.0) * r ** nu * c_in - s_out / r ** 2)
               + const * (nu + 1.0) * r ** nu)
         d2 = -(1.0 - nu) / r * d1 + (1.0 + nu) / r ** 2 * vals - fv
-        prof = RadialProfile(grid, vals, d1, d2,
-                             decay_exponent=min(-(nu + 1.0), f_decay - 2.0))
+        prof = RadialProfile(grid, vals, d1, d2)
         return ZeroModeSwirlSolution(prof, None)
 
     # -2 <= nu < 0: unique o(1/r) remainder plus an explicit sigma/r tail
@@ -135,7 +137,7 @@ def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
     vals = -outer / r
     d1 = outer / r ** 2 + r ** nu * q
     d2 = -(1.0 - nu) / r * d1 + (1.0 + nu) / r ** 2 * vals - fv
-    prof = RadialProfile(grid, vals, d1, d2, decay_exponent=f_decay - 2.0)
+    prof = RadialProfile(grid, vals, d1, d2)
     return ZeroModeSwirlSolution(prof, float(np.real(sigma_c)))
 
 
@@ -155,17 +157,19 @@ def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
     vals = const * r ** nu - (r ** nu * c_in + s_out) / nu
     d1 = const * nu * r ** (nu - 1.0) - r ** (nu - 1.0) * c_in
     d2 = -(1.0 - nu) / r * d1 - fv
-    v_z = RadialProfile(grid, vals, d1, d2,
-                        decay_exponent=min(-nu, f_decay - 2.0))
+    v_z = RadialProfile(grid, vals, d1, d2)
     return RadialProfile.zero(grid), v_z
 
 
 def _scaled_kernels(grid: RadialGrid, k: int, nu: float, kind: str):
-    """Kernel derivative triples renormalized to shifts -|k|r and +|k|r.
+    """Kernel derivative triples as mantissas at shifts -|k|r and +|k|r.
 
-    The kernels depend only on the grid, |k|, nu and the kind -- not on the
-    iterate or on mu -- so their mantissas are computed once per grid and
-    kept read-only in the grid's operator cache.
+    Returns ((G_dec, G_dec', G_dec''), (G_grow, G_grow', G_grow'')) with
+    kernel = mantissa * e^{-|k|r} for the decaying triple and
+    mantissa * e^{+|k|r} for the growing one.  The kernels depend only on
+    the grid, |k|, nu and the kind -- not on the iterate or on mu -- so the
+    mantissas are computed once per grid and kept read-only in the grid's
+    operator cache.
     """
     r = grid.nodes
     kk = abs(k)
@@ -179,37 +183,30 @@ def _scaled_kernels(grid: RadialGrid, k: int, nu: float, kind: str):
         for m in dec + gro:
             m.setflags(write=False)
         mantissas = grid._cache[key] = (dec, gro)
-    dec, gro = mantissas
-    return (tuple(ScaledValue(m, -kk * r) for m in dec),
-            tuple(ScaledValue(m, kk * r) for m in gro))
+    return mantissas
 
 
 def _greens_solution(grid: RadialGrid, k: int, nu: float, fv: np.ndarray,
                      g_bc: complex, kind: str):
-    """Shared scaled-arithmetic core of the k != 0 representations.
+    """Shared core of the k != 0 representations, on kernel mantissas.
 
-    Returns (values, d1, d2, extras) where extras carries the pieces the
-    meridional closure reuses (kernels, integral transforms, vbar).
+    Only the boundary-anchored vbar term keeps an exponential factor,
+    decay = e^{|k|(1-r)}.  Returns (values, d1, d2).
     """
     kk = abs(k)
     r = grid.nodes
     (K0, K1, K2), (I0, I1, I2) = _scaled_kernels(grid, k, nu, kind)
     weight = r ** (1.0 - nu)
-    b_in = fv * weight * I0.mantissa   # integrand mantissa at shift +|k|s
-    b_out = fv * weight * K0.mantissa  # integrand mantissa at shift -|k|s
-    c_in = exp_weighted_prefix(grid, b_in, float(kk))
-    c_out = exp_weighted_suffix(grid, b_out, -float(kk))
-    # vbar = (g - G_grow(1) * int_1^inf f s^{1-nu} G_dec ds) / G_dec(1)
-    total_out = c_out[0]
-    vbar = (ScaledValue.of(g_bc) - I0[0] * total_out) / K0[0]
-    vals = (vbar * K0).value() + (K0 * c_in).value() + (I0 * c_out).value()
-    d1 = (vbar * K1).value() + (K1 * c_in).value() + (I1 * c_out).value()
-    d2 = ((vbar * K2).value() + (K2 * c_in).value() + (I2 * c_out).value()) - fv
-    extras = {
-        "dec": (K0, K1, K2), "gro": (I0, I1, I2),
-        "c_in": c_in, "c_out": c_out, "vbar": vbar,
-    }
-    return vals, d1, d2, extras
+    c_in = exp_weighted_prefix(grid, fv * weight * I0, float(kk))
+    c_out = exp_weighted_suffix(grid, fv * weight * K0, -float(kk))
+    # vbar = (g - G_grow(1) * int_1^inf f s^{1-nu} G_dec ds) / G_dec(1),
+    # held as its mantissa at shift +|k|
+    vbar = (g_bc - I0[0] * c_out[0]) / K0[0]
+    decay = np.exp(kk + (-kk) * r)
+    vals = (vbar * K0) * decay + K0 * c_in + I0 * c_out
+    d1 = (vbar * K1) * decay + K1 * c_in + I1 * c_out
+    d2 = ((vbar * K2) * decay + K2 * c_in + I2 * c_out) - fv
+    return vals, d1, d2
 
 
 def solve_swirl_mode(grid: RadialGrid, k: int, nu: float, f, g_theta_k: complex,
@@ -226,8 +223,8 @@ def solve_swirl_mode(grid: RadialGrid, k: int, nu: float, f, g_theta_k: complex,
     if f_decay <= 1.0:
         raise NumericError("nonzero-mode forcing must decay faster than r^-1")
     fv = _sample_forcing(f, grid)
-    vals, d1, d2, _ = _greens_solution(grid, k, nu, fv, g_theta_k, "swirl")
-    return RadialProfile(grid, vals, d1, d2, decay_exponent=f_decay)
+    vals, d1, d2 = _greens_solution(grid, k, nu, fv, g_theta_k, "swirl")
+    return RadialProfile(grid, vals, d1, d2)
 
 
 def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
@@ -240,6 +237,10 @@ def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
     its own kernel pair; velocities and their derivatives from phi and w.
     The closure and the stream transforms use the same discrete integrals, so
     the boundary conditions are reproduced to kernel accuracy.
+
+    Kernels and integrals are mantissas as in _greens_solution; the
+    boundary-anchored terms (those through bdry, w_bar and phi_bar) carry
+    decay = e^{|k|(1-r)}.
     """
     if k == 0:
         raise DomainError("use solve_zero_meridional for the zero mode")
@@ -252,76 +253,74 @@ def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
     frv = _sample_forcing(f_r, grid)
     fzv = _sample_forcing(f_z, grid)
 
-    # vorticity kernels (order |1 - nu/2|) and stream kernels (order 1)
-    (V0, V1, V2), (J0, J1, J2) = _scaled_kernels(grid, k, nu, "vorticity")
+    # vorticity kernels (order |1 - nu/2|) and stream kernels (order 1);
+    # the vorticity kernels' second derivatives are not needed
+    (V0, V1, _), (J0, J1, _) = _scaled_kernels(grid, k, nu, "vorticity")
     (S0, S1, S2), (T0, T1, T2) = _scaled_kernels(grid, k, nu, "stream")
+    decay = np.exp(kk + (-kk) * r)
 
     weight = r ** (1.0 - nu)
     # f_r part of F = ik f_r - f_z', plus the integrated-by-parts f_z part
     # carrying (s^{1-nu} J)' and (s^{1-nu} V)' against plain f_z values
-    dJ = (1.0 - nu) * r ** (-nu) * J0.mantissa + weight * J1.mantissa
-    dV = (1.0 - nu) * r ** (-nu) * V0.mantissa + weight * V1.mantissa
-    b_in = 1j * k * frv * weight * J0.mantissa + fzv * dJ
-    b_out = 1j * k * frv * weight * V0.mantissa + fzv * dV
+    dJ = (1.0 - nu) * r ** (-nu) * J0 + weight * J1
+    dV = (1.0 - nu) * r ** (-nu) * V0 + weight * V1
+    b_in = 1j * k * frv * weight * J0 + fzv * dJ
+    b_out = 1j * k * frv * weight * V0 + fzv * dV
     c_in = exp_weighted_prefix(grid, b_in, kk)
     c_out = exp_weighted_suffix(grid, b_out, -kk)
     bdry = J0[0] * complex(fzv[0])  # boundary term of the integration by parts
 
     # h(r): the w_bar-independent part of the vorticity, and its derivative
-    h_vals = (V0 * c_in).value() + (J0 * c_out).value() + (bdry * V0).value()
-    dh_vals = ((V1 * c_in).value() + (J1 * c_out).value()
-               + (bdry * V1).value() + fzv)
+    h_vals = V0 * c_in + J0 * c_out + (bdry * V0) * decay
+    dh_vals = V1 * c_in + J1 * c_out + (bdry * V1) * decay + fzv
 
     # stream transforms; S1[0] = |k| K_1'(|k|), T1[0] = |k| I_1'(|k|)
-    p_v_in = exp_weighted_prefix(grid, r * T0.mantissa * V0.mantissa, 0.0)
-    p_h_in = exp_weighted_prefix(grid, r * h_vals * T0.mantissa, kk)
-    s_v_out = exp_weighted_suffix(grid, r * S0.mantissa * V0.mantissa, -2.0 * kk)
-    s_h_out = exp_weighted_suffix(grid, r * h_vals * S0.mantissa, -kk)
+    p_v_in = exp_weighted_prefix(grid, r * T0 * V0, 0.0)
+    p_h_in = exp_weighted_prefix(grid, r * h_vals * T0, kk)
+    s_v_out = exp_weighted_suffix(grid, r * S0 * V0, -2.0 * kk)
+    s_h_out = exp_weighted_suffix(grid, r * h_vals * S0, -kk)
 
-    # closure: w_bar = D^{-1} (A g_r + B g_z - G)
+    # closure: w_bar = D^{-1} (A g_r + B g_z - G); A, B and G are mantissas
+    # at shift -|k|, D at -2|k|, so w_bar is one at +|k|
     a_k = (S0[0] + S1[0]) * (1.0 / (1j * k))
     b_k = S0[0]
     d_k = s_v_out[0]
     g_kf = s_h_out[0]
-    d_mant = complex(d_k.mantissa)
-    if not np.isfinite(d_mant) or abs(d_mant) * kk ** 2 < 1e-12:
+    if not np.isfinite(d_k) or abs(d_k) * kk ** 2 < 1e-12:
         raise NumericError(f"meridional closure: D_k underflow at k={k}")
     w_bar = (a_k * g_r_k + b_k * g_z_k - g_kf) / d_k
 
-    w_vals = (w_bar * V0).value() + h_vals
-    dw_vals = (w_bar * V1).value() + dh_vals
+    w_vals = (w_bar * V0) * decay + h_vals
+    dw_vals = (w_bar * V1) * decay + dh_vals
 
+    # phi_bar as its mantissa at shift +|k|
     phi_bar = -(T0[0] * g_z_k) - (T0[0] + T1[0]) * (g_r_k / (1j * k))
 
     def stream_combo(sk, tk):
-        return ((phi_bar * sk).value()
-                + (w_bar * (sk * p_v_in)).value() + (sk * p_h_in).value()
-                + (w_bar * (tk * s_v_out)).value() + (tk * s_h_out).value())
+        return ((phi_bar * sk) * decay
+                + (w_bar * (sk * p_v_in)) * decay + sk * p_h_in
+                + (w_bar * (tk * s_v_out)) * decay + tk * s_h_out)
 
     phi = stream_combo(S0, T0)
     d_phi = stream_combo(S1, T1)
     d2_phi = stream_combo(S2, T2) - w_vals
 
-    v_r = RadialProfile(grid, -1j * k * phi, -1j * k * d_phi, -1j * k * d2_phi,
-                        decay_exponent=f_decay)
+    v_r = RadialProfile(grid, -1j * k * phi, -1j * k * d_phi, -1j * k * d2_phi)
     v_z_vals = d_phi + phi / r
     v_z_d1 = d2_phi + d_phi / r - phi / r ** 2
     v_z_d2 = -dw_vals + k * k * d_phi
-    v_z = RadialProfile(grid, v_z_vals, v_z_d1, v_z_d2, decay_exponent=f_decay)
-    w_prof = RadialProfile(grid, w_vals, dw_vals, decay_exponent=f_decay)
-    phi_prof = RadialProfile(grid, phi, d_phi, d2_phi, decay_exponent=f_decay)
-    closure = ClosureCoefficients(
-        A_k=_to_complex(a_k), B_k=_to_complex(b_k),
-        D_k=_to_complex(d_k), G_kF=_to_complex(g_kf))
-    return MeridionalModeSolution(
-        v_r=v_r, v_z=v_z, w=w_prof, phi=phi_prof,
-        phi_bar=_to_complex(phi_bar), w_bar=_to_complex(w_bar),
-        closure=closure)
-
-
-def _to_complex(sv: ScaledValue) -> complex:
+    v_z = RadialProfile(grid, v_z_vals, v_z_d1, v_z_d2)
+    w_prof = RadialProfile(grid, w_vals, dw_vals)
+    phi_prof = RadialProfile(grid, phi, d_phi, d2_phi)
     with np.errstate(over="ignore", under="ignore"):
-        return complex(sv.value())
+        closure = ClosureCoefficients(
+            A_k=complex(a_k * np.exp(-kk)), B_k=complex(b_k * np.exp(-kk)),
+            D_k=complex(d_k * np.exp(-2.0 * kk)),
+            G_kF=complex(g_kf * np.exp(-kk)))
+        return MeridionalModeSolution(
+            v_r=v_r, v_z=v_z, w=w_prof, phi=phi_prof,
+            phi_bar=complex(phi_bar * np.exp(kk)),
+            w_bar=complex(w_bar * np.exp(kk)), closure=closure)
 
 
 def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
@@ -388,7 +387,7 @@ def recover_pressure(grid: RadialGrid, k: int, nu: float, v_z: RadialProfile,
         if f_decay is None:
             raise NumericError("zero-mode pressure recovery needs a decay exponent")
         vals = -integrate_outer(fv, grid, decay_exponent=f_decay, check_tail=False)
-        return RadialProfile(grid, vals, d1=fv, decay_exponent=f_decay - 1.0)
+        return RadialProfile(grid, vals, d1=fv)
     resid = fv + v_z.derivative(2) + (1.0 - nu) / r * v_z.derivative(1) \
         - k * k * v_z.values
-    return RadialProfile(grid, resid / (1j * k), decay_exponent=f_decay)
+    return RadialProfile(grid, resid / (1j * k))

@@ -9,8 +9,9 @@ stencils (4th order interior, one-sided at the ends).
 
 For the k != 0 Green's formulas the integrands carry e^{+|k|s} or e^{-|k|s}
 factors; exp_weighted_prefix / exp_weighted_suffix accumulate those in
-blocked scaled arithmetic and return ScaledValue arrays whose exp_shift is
-rate * r, so downstream kernel products cancel shifts exactly.
+blocked scaled arithmetic and return plain mantissa arrays out with
+integral(r_j) = out_j * e^{rate r_j}, so a kernel mantissa at the opposite
+shift multiplies them with no exponential left over.
 
 fd_bvp_solve is the independent verification path: a second-order
 finite-difference solution of the two-point problems
@@ -30,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bessel import ScaledValue
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -203,7 +203,6 @@ class RadialProfile:
     values: np.ndarray
     d1: Optional[np.ndarray] = None
     d2: Optional[np.ndarray] = None
-    decay_exponent: Optional[float] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -220,7 +219,7 @@ class RadialProfile:
     @classmethod
     def zero(cls, grid: RadialGrid) -> "RadialProfile":
         z = np.zeros(len(grid), dtype=complex)
-        return cls(grid, z, z.copy(), z.copy(), decay_exponent=None)
+        return cls(grid, z, z.copy(), z.copy())
 
     def derivative(self, order: int) -> np.ndarray:
         if order == 0:
@@ -320,22 +319,21 @@ def integrate_outer(f, grid: RadialGrid, r: Optional[float] = None,
 # exponentially weighted prefix/suffix integrals in scaled arithmetic
 
 
-def exp_weighted_prefix(grid: RadialGrid, b, rate: float) -> ScaledValue:
-    """P(r_j) = int_1^{r_j} b(s) e^{rate s} ds as ScaledValue with shift rate*r_j.
+def exp_weighted_prefix(grid: RadialGrid, b, rate: float) -> np.ndarray:
+    """Mantissas out_j of P(r_j) = int_1^{r_j} b(s) e^{rate s} ds.
 
-    rate must be >= 0: prefix integrals only pair with growing kernels in the
-    Green's representations.
+    P(r_j) = out_j * e^{rate r_j}.  rate must be >= 0: in the Green's
+    representations the prefix integrands carry growing kernels.
     """
     if rate < 0:
         raise DomainError("exp_weighted_prefix expects rate >= 0")
     b = _sample(b, grid)
     r = grid.nodes
-    n = grid.n_cells
     out = np.zeros(len(grid), dtype=b.dtype if np.iscomplexobj(b) else float)
     if rate == 0.0:
         cells = grid.cell_integrals(b)
         out[1:] = np.cumsum(cells)
-        return ScaledValue(out, np.zeros_like(r))
+        return out
     bounds = _block_bounds(r, rate)
     carry = 0.0  # prefix value scaled by e^{-rate * r[block end]}
     m = grid.subdivision_for_rate(rate)
@@ -350,32 +348,21 @@ def exp_weighted_prefix(grid: RadialGrid, b, rate: float) -> ScaledValue:
         # per-node mantissa at shift rate*r_j
         out[lo + 1: hi + 1] = total * np.exp(rate * (r[hi] - r[lo + 1: hi + 1]))
         carry = total[-1]
-    return ScaledValue(out, rate * r)
+    return out
 
 
-def exp_weighted_suffix(grid: RadialGrid, b, rate: float,
-                        tail_exponent: Optional[float] = None,
-                        check_tail: bool = False) -> ScaledValue:
-    """S(r_j) = int_{r_j}^inf b(s) e^{rate s} ds with shift rate*r_j.
+def exp_weighted_suffix(grid: RadialGrid, b, rate: float) -> np.ndarray:
+    """Mantissas out_j of S(r_j) = int_{r_j}^inf b(s) e^{rate s} ds.
 
-    rate must be <= 0 (decaying integrands).  For rate == 0 a declared
-    power-law tail exponent closes the [r_max, inf) part; for rate < 0 the
-    exponential factor makes that remainder negligible.
+    S(r_j) = out_j * e^{rate r_j}.  rate must be < 0: the suffix integrands
+    carry decaying kernels, whose exponential factor makes the [r_max, inf)
+    remainder negligible, so no tail closure is added.
     """
-    if rate > 0:
-        raise DomainError("exp_weighted_suffix expects rate <= 0")
+    if rate >= 0:
+        raise DomainError("exp_weighted_suffix expects rate < 0")
     b = _sample(b, grid)
     r = grid.nodes
     out = np.zeros(len(grid), dtype=b.dtype if np.iscomplexobj(b) else float)
-    if rate == 0.0:
-        cells = grid.cell_integrals(b)
-        out[:-1] = np.cumsum(cells[::-1])[::-1]
-        if tail_exponent is not None:
-            tail = tail_closure(b[-1], grid.r_max, tail_exponent)
-            if check_tail:
-                _check_declared_tail(b, grid, tail_exponent, out[0] + tail)
-            out = out + tail
-        return ScaledValue(out, np.zeros_like(r))
     bounds = _block_bounds(r, -rate)
     carry = 0.0  # suffix scaled by e^{-rate * r[block start]}
     m = grid.subdivision_for_rate(-rate)
@@ -388,17 +375,17 @@ def exp_weighted_suffix(grid: RadialGrid, b, rate: float,
         carry_here = carry * np.exp(rate * (r[hi] - r[lo]))
         total = local + carry_here
         out[lo:hi] = total * np.exp(rate * (r[lo] - r[lo:hi]))
-        carry = total[0] if total.size else carry_here
-    return ScaledValue(out, rate * r)
+        carry = total[0]
+    return out
 
 
 def _block_bounds(r: np.ndarray, rate_mag: float):
     """Split cells into blocks with rate_mag * span <= _BLOCK_LOG_SPAN."""
     n = r.size - 1
+    span = _BLOCK_LOG_SPAN / rate_mag
     bounds = []
     lo = 0
     while lo < n:
-        span = _BLOCK_LOG_SPAN / max(rate_mag, 1e-300)
         hi = int(np.searchsorted(r, r[lo] + span, side="right") - 1)
         hi = max(hi, lo + 1)
         hi = min(hi, n)

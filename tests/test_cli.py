@@ -8,6 +8,7 @@ import pytest
 from excyl.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
+    EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     main,
@@ -153,6 +154,33 @@ def test_verify_roundtrip_and_tamper_detection(tmp_path):
     assert np.max(tampered["momentum_theta"]) > 1e3 * max(clean_max, 1e-12)
 
 
+def test_verify_needs_the_summary_sigma(tmp_path, capsys):
+    # nu = -1 keeps a 1/r tail, so verify must reread sigma from summary.txt
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(SMALL_RUN)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg_file), "--output", str(out)]) == EXIT_OK
+    summary = out / "summary.txt"
+    text = summary.read_text()
+    assert main(["verify", str(out)]) == EXIT_OK
+    summary.write_text(text.replace("sigma = ", "sigma = not-a-number # "))
+    assert main(["verify", str(out)]) == EXIT_CONFIG
+    summary.write_text("".join(ln for ln in text.splitlines(keepends=True)
+                               if not ln.startswith("sigma = ")))
+    assert main(["verify", str(out)]) == EXIT_CONFIG
+    assert "sigma" in capsys.readouterr().err
+
+
+def test_verify_missing_summary_is_io_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(SMALL_RUN)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg_file), "--output", str(out)]) == EXIT_OK
+    (out / "summary.txt").unlink()
+    assert main(["verify", str(out)]) == EXIT_IO
+    assert "summary.txt" in capsys.readouterr().err
+
+
 def test_bessel_subcommand(capsys):
     assert main(["bessel", "--order", "1.0", "--x", "2.0"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
@@ -180,7 +208,7 @@ def test_oracle_subcommand():
     assert main(["oracle"]) == EXIT_OK
 
 
-def test_nonunique_subcommand(tmp_path):
+def test_nonunique_subcommand(tmp_path, capsys):
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text(
         "[params]\nnu = -3.0\nmu = 1.0\nk_max = 2\nn_radial = 256\n")
@@ -188,5 +216,9 @@ def test_nonunique_subcommand(tmp_path):
     rc = main(["nonunique", str(cfg_file), "--delta-mu", "0.05",
                "--output", str(out)])
     assert rc == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for which in ("first", "second"):
+        assert sum(ln.startswith(f"{which} residual max = ")
+                   for ln in lines) == 1, which
     data = np.genfromtxt(out / "separation.csv", delimiter=",", names=True)
     assert data["r_times_dutheta"][-1] == pytest.approx(-0.05, rel=0.05)

@@ -267,9 +267,12 @@ def test_meridional_pure_stream(grid):
     assert np.max(np.abs(div)) < 1e-12
 
 
-def test_meridional_boundary_exactness(grid):
-    # forced case: boundary interpolation survives the closure quadrature
-    k, nu = 3, -1.0
+@pytest.mark.parametrize("k", [3, 40])
+def test_meridional_boundary_exactness(grid, k):
+    # forced case: boundary interpolation survives the closure quadrature;
+    # at k = 40, |k| r_max = 4000, so the e^{+-|k|r} factors of kernels and
+    # integrals must cancel exactly through the meridional path
+    nu = -1.0
     f_r = (grid.nodes ** -2.0 * np.exp(-(grid.nodes - 1.0))).astype(complex)
     f_z = (0.3j * grid.nodes ** -3.0).astype(complex)
     g_r, g_z = 0.05 - 0.02j, 0.01 + 0.04j

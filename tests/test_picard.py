@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from excyl.errors import ConfigError, NumericError
-from excyl.fourier import BoundaryData, ForcingData, ForcingMode, FourierField, bnorm
+from excyl.fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
+                           FourierField, bnorm)
 from excyl.picard import (
     assemble_rhs,
     compute_tau,
@@ -60,7 +61,7 @@ def _profile(grid, amp, rate=1.0):
     vals = amp * np.exp(-rate * (r - 1.0))
     d1 = -rate * vals
     d2 = rate * rate * vals
-    return RadialProfile(grid, vals, d1, d2, decay_exponent=10.0)
+    return RadialProfile(grid, vals, d1, d2)
 
 
 def test_rhs_zero_iterate_returns_forcing(grid):
@@ -278,14 +279,33 @@ def test_nonuniqueness_separation(grid):
     assert rep.bundle_distance > 10 * 1e-10
 
 
-def test_picard_non_finite_iterate_is_numeric_error(grid):
+def test_picard_non_finite_iterate_is_numeric_error(grid, monkeypatch):
+    # non-finite data is rejected where it enters (next test), so poison the
+    # linear solve's output to reach the iterate check
+    import excyl.picard
+
+    solve = excyl.picard.solve_linear_system
+
+    def poisoned(*args, **kwargs):
+        field, merid = solve(*args, **kwargs)
+        field.data[COMPONENTS.index("theta"), 0, 0, len(grid) // 2] = np.nan
+        return field, merid
+
+    monkeypatch.setattr(excyl.picard, "solve_linear_system", poisoned)
+    forcing = ForcingData(modes={
+        ("theta", 0): ForcingMode(lambda r: 1e-4 * r ** -10.0, 10.0)})
+    with pytest.raises(NumericError, match=r"iterate 1 .*\(theta, 0\)"):
+        picard_solve(grid, -3.0, 1.0, 2, forcing, BoundaryData())
+
+
+def test_non_finite_forcing_is_rejected_where_it_enters(grid):
     def f(r):
         out = 1e-4 * r ** -10.0
         out[len(r) // 2] = np.nan
         return out
 
     forcing = ForcingData(modes={("theta", 0): ForcingMode(f, 10.0)})
-    with pytest.raises(NumericError, match=r"iterate 1 .*\(theta, 0\)"):
+    with pytest.raises(NumericError, match=r"forcing \(theta, 0\) is not finite"):
         picard_solve(grid, -3.0, 1.0, 2, forcing, BoundaryData())
 
 

@@ -61,7 +61,7 @@ def test_outer_scaled_kernel_matches_adaptive_oracle():
     rj = g.nodes[j]
     ref, _ = quad(lambda s: s * s * np.exp(-3.0 * (s - rj)), rj, g.r_max,
                   limit=1500, epsabs=1e-15, epsrel=1e-13)
-    assert suffix.mantissa[j] == pytest.approx(ref, rel=1e-9)
+    assert suffix[j] == pytest.approx(ref, rel=1e-9)
 
 
 def test_inner_outer_consistency(grid):
@@ -105,21 +105,30 @@ def test_exp_weighted_prefix_and_suffix_match_quad(grid):
                         limit=1200, epsabs=1e-300, epsrel=1e-13)
         ref_s, _ = quad(lambda s: fb(s) * np.exp(-k * (s - rj)), rj, grid.r_max,
                         limit=1200, epsabs=1e-300, epsrel=1e-13)
-        assert pre.mantissa[j] == pytest.approx(ref_p, rel=2e-6, abs=1e-300)
-        assert suf.mantissa[j] == pytest.approx(ref_s, rel=2e-6)
-        assert pre.exp_shift[j] == k * rj
-        assert suf.exp_shift[j] == -k * rj
+        assert pre[j] == pytest.approx(ref_p, rel=2e-6, abs=1e-300)
+        assert suf[j] == pytest.approx(ref_s, rel=2e-6)
 
 
 def test_exp_weighted_no_overflow_huge_rate(grid):
     # |k| r_max = 4000: mantissas must stay finite
     pre = exp_weighted_prefix(grid, np.ones(len(grid)), 40.0)
     suf = exp_weighted_suffix(grid, np.ones(len(grid)), -40.0)
-    assert np.all(np.isfinite(pre.mantissa))
-    assert np.all(np.isfinite(suf.mantissa))
+    assert np.all(np.isfinite(pre))
+    assert np.all(np.isfinite(suf))
     # int_1^r e^{ks} ds * e^{-kr} -> 1/k ; int_r^inf-ish e^{-ks} e^{+kr} -> 1/k
-    np.testing.assert_allclose(pre.mantissa[len(grid) // 2], 1 / 40.0, rtol=1e-6)
-    np.testing.assert_allclose(suf.mantissa[len(grid) // 2], 1 / 40.0, rtol=1e-6)
+    np.testing.assert_allclose(pre[len(grid) // 2], 1 / 40.0, rtol=1e-6)
+    np.testing.assert_allclose(suf[len(grid) // 2], 1 / 40.0, rtol=1e-6)
+
+
+def test_exp_weighted_rate_signs(grid):
+    # a rate-0 suffix would need a power-law tail closure, which is
+    # integrate_outer's job, so suffixes take rate < 0 only
+    ones = np.ones(len(grid))
+    with pytest.raises(DomainError):
+        exp_weighted_prefix(grid, ones, -1.0)
+    for rate in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            exp_weighted_suffix(grid, ones, rate)
 
 
 def test_weighted_sup():

@@ -70,7 +70,7 @@ def _manufactured_field(grid, nu, amp=1e-3, sigma=None):
     def exp_prof(a):
         vals = a * np.exp(-(r - 1.0))
         return RadialProfile(grid, vals.astype(complex), -vals.astype(complex),
-                             vals.astype(complex), decay_exponent=10.0)
+                             vals.astype(complex))
 
     field = FourierField.zero(grid, 2, with_sigma=sigma is not None)
     field.set_mode(0, "theta", exp_prof(amp))
@@ -81,10 +81,9 @@ def _manufactured_field(grid, nu, amp=1e-3, sigma=None):
     dphi = -phi
     d2phi = phi
     d3phi = -phi
-    v_r = RadialProfile(grid, -1j * phi, -1j * dphi, -1j * d2phi, 10.0)
+    v_r = RadialProfile(grid, -1j * phi, -1j * dphi, -1j * d2phi)
     v_z = RadialProfile(grid, dphi + phi / r, d2phi + dphi / r - phi / r ** 2,
-                        d3phi + d2phi / r - 2 * dphi / r ** 2 + 2 * phi / r ** 3,
-                        10.0)
+                        d3phi + d2phi / r - 2 * dphi / r ** 2 + 2 * phi / r ** 3)
     field.set_mode(1, "r", v_r)
     field.set_mode(1, "z", v_z)
     field.set_mode(1, "theta", exp_prof(amp * (0.5 - 0.2j)))
