@@ -97,6 +97,14 @@ class RunConfig:
             raise ConfigError("relaxation must lie in (0, 1]")
         if self.k_max < 1 or self.n_radial < 8:
             raise ConfigError("need k_max >= 1 and n_radial >= 8")
+        if not (np.isfinite(self.r_max) and self.r_max > 1.0):
+            raise ConfigError("r_max must be finite and > 1")
+        if not (np.isfinite(self.grid_gamma) and self.grid_gamma > 0.0):
+            raise ConfigError("grid_gamma must be finite and > 0")
+        if not (np.isfinite(self.tol_picard) and self.tol_picard > 0.0):
+            raise ConfigError("tol_picard must be finite and > 0")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
         # BoundaryData rejects non-finite values (NumericError) before the
         # g_{r,0} normalization (ConfigError)
         self.boundary_data()

@@ -8,8 +8,11 @@ on cubics and the composite rule is 4th order.  Differentiation uses 5-point
 stencils (4th order interior, one-sided at the ends).
 
 For the k != 0 Green's formulas the integrands carry e^{+|k|s} or e^{-|k|s}
-factors; exp_weighted_prefix / exp_weighted_suffix accumulate those in
-blocked scaled arithmetic and return plain mantissa arrays out with
+factors.  Each cell integral is a dot product of the cell's 4 stencil values
+with a weight row cached per (grid, rate), anchored at the cell end where the
+exponential is largest; exp_weighted_prefix / exp_weighted_suffix chain those
+with the recurrence out_{c+1} = e^{-|rate| h_c} out_c + C_c, whose factors
+never exceed 1, and return plain mantissa arrays out with
 integral(r_j) = out_j * e^{rate r_j}, so a kernel mantissa at the opposite
 shift multiplies them with no exponential left over.
 
@@ -47,9 +50,6 @@ __all__ = [
     "fd_meridional_solve",
 ]
 
-_BLOCK_LOG_SPAN = 120.0  # max |rate|*(span) handled inside one scaled block
-
-
 def _vander(t: np.ndarray, n: int) -> np.ndarray:
     """np.vander(t, n, increasing=True) for every entry of a stack t."""
     return np.vander(t.ravel(), n, increasing=True).reshape(t.shape + (n,))
@@ -79,6 +79,8 @@ class RadialGrid:
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 8:
             raise DomainError("grid needs at least 8 nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise DomainError("grid nodes must be finite")
         if abs(nodes[0] - 1.0) > 1e-14:
             raise DomainError("radial grid must start exactly at r = 1")
         if np.any(np.diff(nodes) <= 0):
@@ -161,9 +163,27 @@ class RadialGrid:
             m *= 2
         return m
 
-    def _gauss_values(self, values: np.ndarray, subdiv: int = 1) -> np.ndarray:
-        idx, _, _, interp = self._cell_quadrature(subdiv)
-        return np.einsum("cgj,cj->cg", interp, np.asarray(values)[idx])
+    def cell_weights(self, rate: float):
+        """(stencil idx (n,4), read-only weights W (n,4)), cached per rate.
+
+        W[c] . b[idx[c]] = int_{cell c} p_c(s) e^{rate (s - a_c)} ds, where p_c
+        is the cubic through the 4 stencil values and the anchor a_c is the
+        cell's right end for rate > 0 and its left end otherwise, so every
+        exponential factor is <= 1.  Built from the subdivided Gauss rule of
+        _cell_quadrature, which stays cached per subdivision count because
+        the rates |k|, -|k| and -2|k| of a solve mostly share one.
+        """
+        key = ("cellweights", float(rate))
+        if key in self._cache:
+            return self._cache[key]
+        idx, g_r, g_w, interp = self._cell_quadrature(
+            self.subdivision_for_rate(abs(rate)))
+        anchor = self.nodes[1:] if rate > 0 else self.nodes[:-1]
+        w = np.einsum("cg,cgj->cj", g_w * np.exp(rate * (g_r - anchor[:, None])),
+                      interp)
+        w.setflags(write=False)
+        self._cache[key] = (idx, w)
+        return idx, w
 
     def _derivative_stencils(self, order: int):
         """5-point differentiation stencils: (indices (n+1,5), weights (n+1,5))."""
@@ -187,8 +207,8 @@ class RadialGrid:
         return np.einsum("ij,ij->i", wts, gathered)
 
     def cell_integrals(self, values: np.ndarray) -> np.ndarray:
-        _, _, g_w, _ = self._cell_quadrature()
-        return np.einsum("cg,cg->c", g_w, self._gauss_values(values))
+        idx, w = self.cell_weights(0.0)
+        return np.einsum("cj,cj->c", w, np.asarray(values)[idx])
 
 
 # ----------------------------------------------------------------------------
@@ -316,7 +336,7 @@ def integrate_outer(f, grid: RadialGrid, r: Optional[float] = None,
 
 
 # ----------------------------------------------------------------------------
-# exponentially weighted prefix/suffix integrals in scaled arithmetic
+# exponentially weighted prefix/suffix integrals as mantissas
 
 
 def exp_weighted_prefix(grid: RadialGrid, b, rate: float) -> np.ndarray:
@@ -327,28 +347,7 @@ def exp_weighted_prefix(grid: RadialGrid, b, rate: float) -> np.ndarray:
     """
     if rate < 0:
         raise DomainError("exp_weighted_prefix expects rate >= 0")
-    b = _sample(b, grid)
-    r = grid.nodes
-    out = np.zeros(len(grid), dtype=b.dtype if np.iscomplexobj(b) else float)
-    if rate == 0.0:
-        cells = grid.cell_integrals(b)
-        out[1:] = np.cumsum(cells)
-        return out
-    bounds = _block_bounds(r, rate)
-    carry = 0.0  # prefix value scaled by e^{-rate * r[block end]}
-    m = grid.subdivision_for_rate(rate)
-    _, g_r, g_w, _ = grid._cell_quadrature(m)
-    b_gauss = grid._gauss_values(b, m)
-    for lo, hi in bounds:  # cells lo..hi-1
-        factors = np.exp(rate * (g_r[lo:hi] - r[hi]))
-        blk_cells = np.einsum("cg,cg,cg->c", g_w[lo:hi], b_gauss[lo:hi], factors)
-        local = np.cumsum(blk_cells)  # prefix within block, scaled by e^{-rate r[hi]}
-        carry_here = carry * np.exp(rate * (r[lo] - r[hi]))
-        total = carry_here + local
-        # per-node mantissa at shift rate*r_j
-        out[lo + 1: hi + 1] = total * np.exp(rate * (r[hi] - r[lo + 1: hi + 1]))
-        carry = total[-1]
-    return out
+    return _exp_weighted(grid, b, rate, reverse=False)
 
 
 def exp_weighted_suffix(grid: RadialGrid, b, rate: float) -> np.ndarray:
@@ -360,38 +359,28 @@ def exp_weighted_suffix(grid: RadialGrid, b, rate: float) -> np.ndarray:
     """
     if rate >= 0:
         raise DomainError("exp_weighted_suffix expects rate < 0")
-    b = _sample(b, grid)
-    r = grid.nodes
-    out = np.zeros(len(grid), dtype=b.dtype if np.iscomplexobj(b) else float)
-    bounds = _block_bounds(r, -rate)
-    carry = 0.0  # suffix scaled by e^{-rate * r[block start]}
-    m = grid.subdivision_for_rate(-rate)
-    _, g_r, g_w, _ = grid._cell_quadrature(m)
-    b_gauss = grid._gauss_values(b, m)
-    for lo, hi in reversed(bounds):
-        factors = np.exp(rate * (g_r[lo:hi] - r[lo]))
-        blk_cells = np.einsum("cg,cg,cg->c", g_w[lo:hi], b_gauss[lo:hi], factors)
-        local = np.cumsum(blk_cells[::-1])[::-1]  # suffix within block @ shift rate*r[lo]
-        carry_here = carry * np.exp(rate * (r[hi] - r[lo]))
-        total = local + carry_here
-        out[lo:hi] = total * np.exp(rate * (r[lo] - r[lo:hi]))
-        carry = total[0]
-    return out
+    return _exp_weighted(grid, b, rate, reverse=True)
 
 
-def _block_bounds(r: np.ndarray, rate_mag: float):
-    """Split cells into blocks with rate_mag * span <= _BLOCK_LOG_SPAN."""
-    n = r.size - 1
-    span = _BLOCK_LOG_SPAN / rate_mag
-    bounds = []
-    lo = 0
-    while lo < n:
-        hi = int(np.searchsorted(r, r[lo] + span, side="right") - 1)
-        hi = max(hi, lo + 1)
-        hi = min(hi, n)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+def _exp_weighted(grid: RadialGrid, b, rate: float, reverse: bool) -> np.ndarray:
+    """Chain the anchored cell integrals C_c of cell_weights(rate) from the
+    left end (reverse=False) or the right end (reverse=True) by
+
+        out_0 = 0,  out_{c+1} = e^{-|rate| h_c} out_c + C_c,
+
+    which is stable because no factor exceeds 1; at rate 0 it is the plain
+    running sum, bitwise equal to integrate_inner.
+    """
+    idx, w = grid.cell_weights(rate)
+    cells = np.einsum("cj,cj->c", w, _sample(b, grid)[idx])
+    decay = np.exp(-abs(rate) * np.diff(grid.nodes))
+    step = -1 if reverse else 1
+    acc = 0.0
+    out = [acc]
+    for d, c in zip(decay[::step].tolist(), cells[::step].tolist()):
+        acc = d * acc + c
+        out.append(acc)
+    return np.array(out, dtype=cells.dtype)[::step]
 
 
 # ----------------------------------------------------------------------------

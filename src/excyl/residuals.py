@@ -127,7 +127,7 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
         f_parts = []
         for comp in COMPONENTS:
             acc = np.zeros((len(grid), n_z), dtype=complex)
-            for k in sorted({kk for (_, kk) in forcing.modes} | {0}):
+            for k in sorted({abs(kk) for (_, kk) in forcing.modes} | {0}):
                 for kk in {k, -k}:
                     vals = forcing.sample(comp, kk, r)
                     if np.any(vals):

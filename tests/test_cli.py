@@ -132,6 +132,17 @@ def test_non_finite_boundary_is_numeric_error(tmp_path, capsys):
     assert "(r, 0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "r_max = nan", "r_max = inf", "r_max = 1.0", "grid_gamma = nan",
+    "grid_gamma = -1", "tol_picard = nan", "tol_picard = 0", "max_iters = 0"])
+def test_bad_grid_and_iteration_parameters_are_config_errors(tmp_path, capsys,
+                                                             line):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(MINIMAL + line + "\n")
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert line.split()[0] in capsys.readouterr().err
+
+
 def test_verify_roundtrip_and_tamper_detection(tmp_path):
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text(SMALL_RUN)

@@ -32,6 +32,8 @@ def test_grid_invariants(grid):
         RadialGrid(np.linspace(0.5, 10, 50))
     with pytest.raises(DomainError):
         RadialGrid(np.ones(20))
+    with pytest.raises(DomainError, match="finite"):
+        RadialGrid(np.append(np.linspace(1.0, 10.0, 20), np.inf))
 
 
 def test_quadrature_exact_on_cubics(grid):
@@ -109,15 +111,38 @@ def test_exp_weighted_prefix_and_suffix_match_quad(grid):
         assert suf[j] == pytest.approx(ref_s, rel=2e-6)
 
 
-def test_exp_weighted_no_overflow_huge_rate(grid):
-    # |k| r_max = 4000: mantissas must stay finite
-    pre = exp_weighted_prefix(grid, np.ones(len(grid)), 40.0)
-    suf = exp_weighted_suffix(grid, np.ones(len(grid)), -40.0)
+@pytest.mark.parametrize("rate", [40.0, 2000.0])
+def test_exp_weighted_no_overflow_huge_rate(grid, rate):
+    # |k| r_max = 4000 and 2e5: mantissas must stay finite, also where
+    # e^{-rate h} underflows to 0 across a cell (rate 2000)
+    pre = exp_weighted_prefix(grid, np.ones(len(grid)), rate)
+    suf = exp_weighted_suffix(grid, np.ones(len(grid)), -rate)
     assert np.all(np.isfinite(pre))
     assert np.all(np.isfinite(suf))
+    if rate > 40.0:
+        return  # the 32-panel subdivision cap limits accuracy at rate 2000
     # int_1^r e^{ks} ds * e^{-kr} -> 1/k ; int_r^inf-ish e^{-ks} e^{+kr} -> 1/k
     np.testing.assert_allclose(pre[len(grid) // 2], 1 / 40.0, rtol=1e-6)
     np.testing.assert_allclose(suf[len(grid) // 2], 1 / 40.0, rtol=1e-6)
+
+
+def test_rate_zero_prefix_is_integrate_inner(grid):
+    for b in (grid.nodes ** -2.0, (1.0 - 2.0j) * np.cos(grid.nodes)):
+        assert np.array_equal(exp_weighted_prefix(grid, b, 0.0),
+                              integrate_inner(b, grid))
+
+
+def test_cell_weights_cached_read_only_per_rate():
+    g = RadialGrid.graded(64, 50.0, 2.0)
+    idx, w = g.cell_weights(3.0)
+    assert w.shape == (g.n_cells, 4) and idx.shape == (g.n_cells, 4)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    assert g.cell_weights(3.0)[1] is w
+    _, w_minus = g.cell_weights(-3.0)
+    assert w_minus is not w and not np.array_equal(w_minus, w)
+    assert sum(key[0] == "cellweights" for key in g._cache) == 2
 
 
 def test_exp_weighted_rate_signs(grid):

@@ -4,7 +4,7 @@ solutions through both the linear and nonlinear paths."""
 import numpy as np
 import pytest
 
-from excyl.fourier import BoundaryData, ForcingData, FourierField
+from excyl.fourier import BoundaryData, ForcingData, ForcingMode, FourierField
 from excyl.modes import solve_linear_system
 from excyl.picard import picard_solve
 from excyl.radial import RadialGrid, RadialProfile
@@ -195,3 +195,24 @@ def test_tampered_solution_detected(grid):
     bundle.v.set_mode(1, "theta", RadialProfile(grid, tampered, prof.d1, prof.d2))
     rep = residual_asns(bundle.v, -1.0, 1.0, forcing=bundle.forcing)
     assert rep.max_momentum > 100 * max(clean.max_momentum, 1e-12)
+
+
+def test_forcing_given_at_minus_k_is_counted_once(grid):
+    # f_{z,-1} = conj(f_{z,1}) states the same real forcing as f_{z,1}; with
+    # the forcing keys holding both +1 and -1 the audit must still add each
+    # component's +-k forcing once
+    amp = 1e-4 * (1.0 + 0.5j)
+    f_th = ForcingMode(lambda r: 1e-4 * r ** -10.0, 10.0)
+    plus = ForcingData({("theta", 1): f_th,
+                        ("z", 1): ForcingMode(lambda r: amp * r ** -10.0, 10.0)})
+    minus = ForcingData({("theta", 1): f_th,
+                         ("z", -1): ForcingMode(
+                             lambda r: np.conj(amp) * r ** -10.0, 10.0)})
+    b = BoundaryData(g_theta={1: 1e-3})
+    bundle = picard_solve(grid, -1.0, 1.0, 4, plus, b)
+    reports = [residual_asns(bundle.v, -1.0, 1.0, forcing=f)
+               for f in (plus, minus)]
+    for name in ("momentum_r", "momentum_theta", "momentum_z", "divergence"):
+        assert getattr(reports[1], name) == pytest.approx(
+            getattr(reports[0], name), rel=1e-12, abs=1e-300), name
+    assert reports[1].momentum_theta < 1e-7
