@@ -84,9 +84,11 @@ class RunConfig:
     forcing: List[Tuple[str, int, str, Tuple[float, ...]]] = dc_field(default_factory=list)
 
     def validate(self):
-        if not self.nu < 0:
-            raise ConfigError("hypothesis violated: nu < 0 is required "
-                              "(boundary sink strength)")
+        if not (np.isfinite(self.nu) and self.nu < 0):
+            raise ConfigError("hypothesis violated: a finite nu < 0 is "
+                              "required (boundary sink strength)")
+        if not np.isfinite(self.mu):
+            raise ConfigError("mu must be finite")
         if not self.lambda_theta > 3.0:
             raise ConfigError("hypothesis violated: lambda_theta > 3 required")
         if not self.lambda_z > 2.0:
@@ -278,9 +280,9 @@ def _write_solution(cfg: RunConfig, bundle, out_dir: Path):
             "v_theta": bundle.v.profile("theta", k).values,
             "v_z": bundle.v.profile("z", k).values,
         }
-        if bundle.meridional and k in bundle.meridional:
-            profs["w"] = bundle.meridional[k].w.values
-            profs["phi"] = bundle.meridional[k].phi.values
+        if bundle.meridional is not None and k >= 1:
+            profs["w"] = bundle.meridional.w[k - 1]
+            profs["phi"] = bundle.meridional.phi[k - 1]
         _write_mode_csv(out_dir / f"mode_{k}.csv", grid, profs)
     rep = bundle.residual_report
     _write_csv(out_dir / "residuals.csv",

@@ -33,11 +33,25 @@ for any |k| r.  The meridional solve assembles the vorticity with the
 integrated-by-parts layout (only f_z values enter, no f_z derivative), closes
 (w_bar, phi_bar) against the boundary velocities through the stream-function
 representation, and recovers v_r = -ik phi, v_z = phi' + phi/r.
+
+Stacked layout: the nonzero modes differ only in the rate |k| of their
+kernels, so every nonzero-mode solve runs on (R, n) stacks, one row per
+mode, and each exp-weighted integral is one stacked prefix/suffix call.
+solve_linear_system solves k = 1..K as one stack per stage (swirl first,
+then the meridional pair, which needs the fresh swirl through
+2 mu v_theta,k / r^2); solve_swirl_mode and solve_meridional_mode are the
+one-row case of the same core.  Everything in a stage that depends only on
+(grid, nu, modes) -- the kernel mantissas, the integrand factors, the
+boundary factor e^{|k|(1-r)} and, for the meridional stage, the integrals
+p_v_in and s_v_out with the closure coefficients A_k, B_k, D_k -- is built
+once per grid and kept read-only in its operator cache, so an iteration
+runs four of the six meridional integrals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -56,6 +70,7 @@ from .radial import (
 __all__ = [
     "ZeroModeSwirlSolution",
     "MeridionalModeSolution",
+    "MeridionalStacks",
     "ClosureCoefficients",
     "solve_zero_swirl",
     "solve_zero_meridional",
@@ -83,6 +98,14 @@ class ClosureCoefficients:
     B_k: complex
     D_k: complex
     G_kF: complex
+
+
+@dataclass
+class MeridionalStacks:
+    """Vorticity w and stream function phi of modes k = 1..K, (K, n) each."""
+
+    w: np.ndarray
+    phi: np.ndarray
 
 
 @dataclass
@@ -162,59 +185,125 @@ def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
 
 
 def _scaled_kernels(grid: RadialGrid, k: int, nu: float, kind: str):
-    """Kernel derivative triples as mantissas at shifts -|k|r and +|k|r.
+    """Kernel derivative mantissas of one mode at shifts -|k|r and +|k|r.
 
     Returns ((G_dec, G_dec', G_dec''), (G_grow, G_grow', G_grow'')) with
     kernel = mantissa * e^{-|k|r} for the decaying triple and
-    mantissa * e^{+|k|r} for the growing one.  The kernels depend only on
-    the grid, |k|, nu and the kind -- not on the iterate or on mu -- so the
-    mantissas are computed once per grid and kept read-only in the grid's
-    operator cache.
+    mantissa * e^{+|k|r} for the growing one; the vorticity kernels keep
+    only (G, G'), since their second derivatives are never read.  The
+    kernels depend only on the grid, |k|, nu and the kind -- not on the
+    iterate or on mu -- so the mantissas are computed once per grid and kept
+    read-only in the grid's operator cache.
     """
     r = grid.nodes
     kk = abs(k)
     key = ("kernels", kk, nu, kind)
     mantissas = grid._cache.get(key)
     if mantissas is None:
+        keep = 2 if kind == "vorticity" else 3
         dec = tuple(g.with_shift(-kk * r).mantissa
-                    for g in kernel_K_derivs(k, nu, r, kind))
+                    for g in kernel_K_derivs(k, nu, r, kind)[:keep])
         gro = tuple(g.with_shift(kk * r).mantissa
-                    for g in kernel_I_derivs(k, nu, r, kind))
+                    for g in kernel_I_derivs(k, nu, r, kind)[:keep])
         for m in dec + gro:
             m.setflags(write=False)
         mantissas = grid._cache[key] = (dec, gro)
     return mantissas
 
 
-def _greens_solution(grid: RadialGrid, k: int, nu: float, fv: np.ndarray,
-                     g_bc: complex, kind: str):
-    """Shared core of the k != 0 representations, on kernel mantissas.
+def _cached_stack(grid: RadialGrid, key, build) -> SimpleNamespace:
+    """grid._cache[key]; on a miss build() gives a dict of arrays, which is
+    frozen (read-only) and stored as a namespace."""
+    stack = grid._cache.get(key)
+    if stack is None:
+        stack = SimpleNamespace(**build())
+        for arr in vars(stack).values():
+            arr.setflags(write=False)
+        grid._cache[key] = stack
+    return stack
 
-    Only the boundary-anchored vbar term keeps an exponential factor,
-    decay = e^{|k|(1-r)}.  Returns (values, d1, d2).
+
+def _kernel_rows(grid: RadialGrid, ks, nu: float, kind: str):
+    """The _scaled_kernels mantissas of modes ks as read-only (len(ks), n)
+    stacks.  The per-mode cache entries are re-pointed at rows of the
+    stacks, so each mantissa is held in memory once."""
+    per_k = [_scaled_kernels(grid, k, nu, kind) for k in ks]
+    dec, gro = (tuple(np.stack(rows) for rows in zip(*side))
+                for side in zip(*per_k))
+    for m in dec + gro:
+        m.setflags(write=False)
+    for i, k in enumerate(ks):
+        grid._cache[("kernels", abs(k), nu, kind)] = (
+            tuple(m[i] for m in dec), tuple(m[i] for m in gro))
+    return dec, gro
+
+
+def _rates_and_decay(grid: RadialGrid, ks):
+    """|k| per row and the boundary factor e^{|k|(1-r)} <= 1, (R, n)."""
+    kk = np.abs(np.asarray(ks, dtype=float))
+    col = kk[:, None]
+    return kk, np.exp(col + (-col) * grid.nodes)
+
+
+def _swirl_stack(grid: RadialGrid, ks, nu: float) -> SimpleNamespace:
+    """Iterate-independent arrays of the swirl solves of modes ks.
+
+    kk (R,), decay and the kernel mantissas K0..K2, I0..I2 (R, n), and the
+    integrand factors w_K0 = r^{1-nu} K0, w_I0 = r^{1-nu} I0.
     """
-    kk = abs(k)
-    r = grid.nodes
-    (K0, K1, K2), (I0, I1, I2) = _scaled_kernels(grid, k, nu, kind)
-    weight = r ** (1.0 - nu)
-    c_in = exp_weighted_prefix(grid, fv * weight * I0, float(kk))
-    c_out = exp_weighted_suffix(grid, fv * weight * K0, -float(kk))
-    # vbar = (g - G_grow(1) * int_1^inf f s^{1-nu} G_dec ds) / G_dec(1),
-    # held as its mantissa at shift +|k|
-    vbar = (g_bc - I0[0] * c_out[0]) / K0[0]
-    decay = np.exp(kk + (-kk) * r)
-    vals = (vbar * K0) * decay + K0 * c_in + I0 * c_out
-    d1 = (vbar * K1) * decay + K1 * c_in + I1 * c_out
-    d2 = ((vbar * K2) * decay + K2 * c_in + I2 * c_out) - fv
-    return vals, d1, d2
+    def build():
+        (K0, K1, K2), (I0, I1, I2) = _kernel_rows(grid, ks, nu, "swirl")
+        kk, decay = _rates_and_decay(grid, ks)
+        weight = grid.nodes ** (1.0 - nu)
+        return dict(kk=kk, decay=decay, K0=K0, K1=K1, K2=K2, I0=I0, I1=I1,
+                    I2=I2, w_K0=weight * K0, w_I0=weight * I0)
+    return _cached_stack(grid, ("swirlstack", ks, nu), build)
 
 
-def solve_swirl_mode(grid: RadialGrid, k: int, nu: float, f, g_theta_k: complex,
-                     f_decay: float) -> RadialProfile:
-    """Nonzero-mode swirl solve of
-    -(v'' + (1-nu)/r v' - ((1+nu)/r^2 + k^2) v) = f,  v(1) = g, decaying."""
-    if k == 0:
-        raise DomainError("use solve_zero_swirl for the zero mode")
+def _meridional_stack(grid: RadialGrid, ks, nu: float) -> SimpleNamespace:
+    """Iterate-independent arrays of the meridional solves of modes ks.
+
+    Besides the vorticity (V, J) and stream (S, T) kernel mantissas this
+    holds everything the closure needs that does not depend on the forcing:
+    the integrand factors r^{1-nu} J0, r^{1-nu} V0, (s^{1-nu} J)',
+    (s^{1-nu} V)', r S0 and r T0; the closure mantissas a_k, b_k (shift
+    -|k|) and d_k = s_v_out(1) (shift -2|k|); and the decay-weighted terms
+    V0d, V1d, Sd_j = S_j decay and Q_j = (S_j p_v_in + T_j s_v_out) decay
+    that w_bar and phi_bar multiply.  The integrals p_v_in (rate-0 prefix
+    of r T0 V0) and s_v_out (-2|k| suffix of r S0 V0) enter only through
+    d_k and Q_j, so an iteration never recomputes them.
+    """
+    def build():
+        r = grid.nodes
+        # vorticity kernels (order |1 - nu/2|) and stream kernels (order 1)
+        (V0, V1), (J0, J1) = _kernel_rows(grid, ks, nu, "vorticity")
+        S, T = _kernel_rows(grid, ks, nu, "stream")
+        kk, decay = _rates_and_decay(grid, ks)
+        weight = r ** (1.0 - nu)
+        p_v_in = exp_weighted_prefix(grid, r * T[0] * V0, 0.0)
+        s_v_out = exp_weighted_suffix(grid, r * S[0] * V0, -2.0 * kk)
+        d_k = s_v_out[:, 0]
+        bad = ~np.isfinite(d_k) | (np.abs(d_k) * kk ** 2 < 1e-12)
+        if np.any(bad):
+            raise NumericError("meridional closure: D_k underflow at "
+                               f"k={ks[int(np.argmax(bad))]}")
+        out = dict(
+            kk=kk, V0=V0, V1=V1, J0=J0, J1=J1,
+            w_J0=weight * J0, w_V0=weight * V0,
+            dJ=(1.0 - nu) * r ** (-nu) * J0 + weight * J1,
+            dV=(1.0 - nu) * r ** (-nu) * V0 + weight * V1,
+            rS0=r * S[0], rT0=r * T[0],
+            a_k=(S[0][:, 0] + S[1][:, 0]) / (1j * np.asarray(ks, float)),
+            b_k=S[0][:, 0], d_k=d_k.copy(), V0d=V0 * decay, V1d=V1 * decay)
+        for j in range(3):
+            out[f"S{j}"], out[f"T{j}"] = S[j], T[j]
+            out[f"Sd{j}"] = S[j] * decay
+            out[f"Q{j}"] = (S[j] * p_v_in + T[j] * s_v_out) * decay
+        return out
+    return _cached_stack(grid, ("meridionalstack", ks, nu), build)
+
+
+def _check_nonzero_mode(nu: float, f_decay: float) -> None:
     if nu >= 0:
         raise DomainError("background sink strength nu must be negative")
     # decay > 1 suffices for the mode integrals (the kernels damp the tails
@@ -222,9 +311,93 @@ def solve_swirl_mode(grid: RadialGrid, k: int, nu: float, f, g_theta_k: complex,
     # through the forcing-space validation
     if f_decay <= 1.0:
         raise NumericError("nonzero-mode forcing must decay faster than r^-1")
+
+
+def _swirl_rows(grid: RadialGrid, ks, nu: float, fv: np.ndarray, g):
+    """Swirl solves of modes ks at once: forcing rows fv (R, n), boundary
+    values g (R,).  Returns (values, d1, d2), each (R, n).
+
+    Only the boundary-anchored vbar term keeps an exponential factor,
+    decay = e^{|k|(1-r)}.
+    """
+    st = _swirl_stack(grid, ks, nu)
+    c_in = exp_weighted_prefix(grid, fv * st.w_I0, st.kk)
+    c_out = exp_weighted_suffix(grid, fv * st.w_K0, -st.kk)
+    # vbar = (g - G_grow(1) * int_1^inf f s^{1-nu} G_dec ds) / G_dec(1),
+    # held as its mantissa at shift +|k|
+    vbar = ((g - st.I0[:, 0] * c_out[:, 0]) / st.K0[:, 0])[:, None]
+    vals = (vbar * st.K0) * st.decay + st.K0 * c_in + st.I0 * c_out
+    d1 = (vbar * st.K1) * st.decay + st.K1 * c_in + st.I1 * c_out
+    d2 = ((vbar * st.K2) * st.decay + st.K2 * c_in + st.I2 * c_out) - fv
+    return vals, d1, d2
+
+
+def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
+                     fzv: np.ndarray, g_r, g_z) -> SimpleNamespace:
+    """Meridional solves of modes ks at once: forcing rows frv, fzv (R, n),
+    boundary values g_r, g_z (R,).
+
+    Returns v_r, v_z and phi as (values, d1, d2) and w as (values, d1),
+    each array (R, n), plus the per-row scalars phi_bar, w_bar (mantissas
+    at shift +|k|) and g_kf (shift -|k|).
+    """
+    st = _meridional_stack(grid, ks, nu)
+    r = grid.nodes
+    k = np.asarray(ks, dtype=float)[:, None]
+    ik = 1j * k
+    # f_r part of F = ik f_r - f_z', plus the integrated-by-parts f_z part
+    # carrying (s^{1-nu} J)' and (s^{1-nu} V)' against plain f_z values
+    b_in = ik * frv * st.w_J0 + fzv * st.dJ
+    b_out = ik * frv * st.w_V0 + fzv * st.dV
+    c_in = exp_weighted_prefix(grid, b_in, st.kk)
+    c_out = exp_weighted_suffix(grid, b_out, -st.kk)
+    bdry = st.J0[:, :1] * fzv[:, :1]  # boundary term of the integration by parts
+
+    # h(r): the w_bar-independent part of the vorticity, and its derivative
+    h_vals = st.V0 * c_in + st.J0 * c_out + bdry * st.V0d
+    dh_vals = st.V1 * c_in + st.J1 * c_out + bdry * st.V1d + fzv
+
+    # stream transforms of h; S1[0] = |k| K_1'(|k|), T1[0] = |k| I_1'(|k|)
+    p_h_in = exp_weighted_prefix(grid, h_vals * st.rT0, st.kk)
+    s_h_out = exp_weighted_suffix(grid, h_vals * st.rS0, -st.kk)
+
+    # closure: w_bar = D^{-1} (A g_r + B g_z - G); A, B and G are mantissas
+    # at shift -|k|, D at -2|k|, so w_bar is one at +|k|
+    g_kf = s_h_out[:, 0]
+    w_bar = (st.a_k * g_r + st.b_k * g_z - g_kf) / st.d_k
+    phi_bar = -(st.T0[:, 0] * g_z) - (st.T0[:, 0] + st.T1[:, 0]) * (g_r / ik[:, 0])
+    wb, pb = w_bar[:, None], phi_bar[:, None]
+
+    w_vals = wb * st.V0d + h_vals
+    dw_vals = wb * st.V1d + dh_vals
+    phi, d_phi, d2_phi = (
+        pb * Sd + wb * Q + S * p_h_in + T * s_h_out
+        for Sd, Q, S, T in ((st.Sd0, st.Q0, st.S0, st.T0),
+                            (st.Sd1, st.Q1, st.S1, st.T1),
+                            (st.Sd2, st.Q2, st.S2, st.T2)))
+    d2_phi = d2_phi - w_vals
+    return SimpleNamespace(
+        v_r=(-ik * phi, -ik * d_phi, -ik * d2_phi),
+        v_z=(d_phi + phi / r, d2_phi + d_phi / r - phi / r ** 2,
+             -dw_vals + k * k * d_phi),
+        w=(w_vals, dw_vals), phi=(phi, d_phi, d2_phi),
+        phi_bar=phi_bar, w_bar=w_bar, g_kf=g_kf)
+
+
+def solve_swirl_mode(grid: RadialGrid, k: int, nu: float, f, g_theta_k: complex,
+                     f_decay: float) -> RadialProfile:
+    """Nonzero-mode swirl solve of
+    -(v'' + (1-nu)/r v' - ((1+nu)/r^2 + k^2) v) = f,  v(1) = g, decaying.
+
+    The one-row case of the stacked solve that solve_linear_system runs.
+    """
+    if k == 0:
+        raise DomainError("use solve_zero_swirl for the zero mode")
+    _check_nonzero_mode(nu, f_decay)
     fv = _sample_forcing(f, grid)
-    vals, d1, d2 = _greens_solution(grid, k, nu, fv, g_theta_k, "swirl")
-    return RadialProfile(grid, vals, d1, d2)
+    vals, d1, d2 = _swirl_rows(grid, (k,), nu, fv[None],
+                               np.array([g_theta_k], dtype=complex))
+    return RadialProfile(grid, vals[0], d1[0], d2[0])
 
 
 def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
@@ -238,117 +411,64 @@ def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
     The closure and the stream transforms use the same discrete integrals, so
     the boundary conditions are reproduced to kernel accuracy.
 
-    Kernels and integrals are mantissas as in _greens_solution; the
+    Kernels and integrals are mantissas as in _swirl_rows; the
     boundary-anchored terms (those through bdry, w_bar and phi_bar) carry
-    decay = e^{|k|(1-r)}.
+    decay = e^{|k|(1-r)}.  The one-row case of the stacked solve that
+    solve_linear_system runs.
     """
     if k == 0:
         raise DomainError("use solve_zero_meridional for the zero mode")
-    if nu >= 0:
-        raise DomainError("background sink strength nu must be negative")
-    if f_decay <= 1.0:
-        raise NumericError("nonzero-mode forcing must decay faster than r^-1")
-    kk = float(abs(k))
-    r = grid.nodes
+    _check_nonzero_mode(nu, f_decay)
     frv = _sample_forcing(f_r, grid)
     fzv = _sample_forcing(f_z, grid)
+    sol = _meridional_rows(grid, (k,), nu, frv[None], fzv[None],
+                           np.array([g_r_k], dtype=complex),
+                           np.array([g_z_k], dtype=complex))
+    st = _meridional_stack(grid, (k,), nu)
+    kk = float(abs(k))
 
-    # vorticity kernels (order |1 - nu/2|) and stream kernels (order 1);
-    # the vorticity kernels' second derivatives are not needed
-    (V0, V1, _), (J0, J1, _) = _scaled_kernels(grid, k, nu, "vorticity")
-    (S0, S1, S2), (T0, T1, T2) = _scaled_kernels(grid, k, nu, "stream")
-    decay = np.exp(kk + (-kk) * r)
+    def profile(arrays):
+        return RadialProfile(grid, *(a[0] for a in arrays))
 
-    weight = r ** (1.0 - nu)
-    # f_r part of F = ik f_r - f_z', plus the integrated-by-parts f_z part
-    # carrying (s^{1-nu} J)' and (s^{1-nu} V)' against plain f_z values
-    dJ = (1.0 - nu) * r ** (-nu) * J0 + weight * J1
-    dV = (1.0 - nu) * r ** (-nu) * V0 + weight * V1
-    b_in = 1j * k * frv * weight * J0 + fzv * dJ
-    b_out = 1j * k * frv * weight * V0 + fzv * dV
-    c_in = exp_weighted_prefix(grid, b_in, kk)
-    c_out = exp_weighted_suffix(grid, b_out, -kk)
-    bdry = J0[0] * complex(fzv[0])  # boundary term of the integration by parts
-
-    # h(r): the w_bar-independent part of the vorticity, and its derivative
-    h_vals = V0 * c_in + J0 * c_out + (bdry * V0) * decay
-    dh_vals = V1 * c_in + J1 * c_out + (bdry * V1) * decay + fzv
-
-    # stream transforms; S1[0] = |k| K_1'(|k|), T1[0] = |k| I_1'(|k|)
-    p_v_in = exp_weighted_prefix(grid, r * T0 * V0, 0.0)
-    p_h_in = exp_weighted_prefix(grid, r * h_vals * T0, kk)
-    s_v_out = exp_weighted_suffix(grid, r * S0 * V0, -2.0 * kk)
-    s_h_out = exp_weighted_suffix(grid, r * h_vals * S0, -kk)
-
-    # closure: w_bar = D^{-1} (A g_r + B g_z - G); A, B and G are mantissas
-    # at shift -|k|, D at -2|k|, so w_bar is one at +|k|
-    a_k = (S0[0] + S1[0]) * (1.0 / (1j * k))
-    b_k = S0[0]
-    d_k = s_v_out[0]
-    g_kf = s_h_out[0]
-    if not np.isfinite(d_k) or abs(d_k) * kk ** 2 < 1e-12:
-        raise NumericError(f"meridional closure: D_k underflow at k={k}")
-    w_bar = (a_k * g_r_k + b_k * g_z_k - g_kf) / d_k
-
-    w_vals = (w_bar * V0) * decay + h_vals
-    dw_vals = (w_bar * V1) * decay + dh_vals
-
-    # phi_bar as its mantissa at shift +|k|
-    phi_bar = -(T0[0] * g_z_k) - (T0[0] + T1[0]) * (g_r_k / (1j * k))
-
-    def stream_combo(sk, tk):
-        return ((phi_bar * sk) * decay
-                + (w_bar * (sk * p_v_in)) * decay + sk * p_h_in
-                + (w_bar * (tk * s_v_out)) * decay + tk * s_h_out)
-
-    phi = stream_combo(S0, T0)
-    d_phi = stream_combo(S1, T1)
-    d2_phi = stream_combo(S2, T2) - w_vals
-
-    v_r = RadialProfile(grid, -1j * k * phi, -1j * k * d_phi, -1j * k * d2_phi)
-    v_z_vals = d_phi + phi / r
-    v_z_d1 = d2_phi + d_phi / r - phi / r ** 2
-    v_z_d2 = -dw_vals + k * k * d_phi
-    v_z = RadialProfile(grid, v_z_vals, v_z_d1, v_z_d2)
-    w_prof = RadialProfile(grid, w_vals, dw_vals)
-    phi_prof = RadialProfile(grid, phi, d_phi, d2_phi)
     with np.errstate(over="ignore", under="ignore"):
         closure = ClosureCoefficients(
-            A_k=complex(a_k * np.exp(-kk)), B_k=complex(b_k * np.exp(-kk)),
-            D_k=complex(d_k * np.exp(-2.0 * kk)),
-            G_kF=complex(g_kf * np.exp(-kk)))
+            A_k=complex(st.a_k[0] * np.exp(-kk)),
+            B_k=complex(st.b_k[0] * np.exp(-kk)),
+            D_k=complex(st.d_k[0] * np.exp(-2.0 * kk)),
+            G_kF=complex(sol.g_kf[0] * np.exp(-kk)))
         return MeridionalModeSolution(
-            v_r=v_r, v_z=v_z, w=w_prof, phi=phi_prof,
-            phi_bar=complex(phi_bar * np.exp(kk)),
-            w_bar=complex(w_bar * np.exp(kk)), closure=closure)
+            v_r=profile(sol.v_r), v_z=profile(sol.v_z), w=profile(sol.w),
+            phi=profile(sol.phi), phi_bar=complex(sol.phi_bar[0] * np.exp(kk)),
+            w_bar=complex(sol.w_bar[0] * np.exp(kk)), closure=closure)
 
 
 def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
                         rhs: dict, decays: dict, boundary):
     """Solve all modes |k| <= k_max of the linearized system.
 
-    rhs maps (component, k) for k >= 0 to forcing sample arrays (missing
-    entries are zero); decays provides tail exponents under the keys
-    ("theta", 0), ("z", 0) and "nonzero".  The rotation coupling feeds
-    2 mu v_theta,k / r^2 (with the freshly solved swirl mode) into each
-    meridional solve.  Modes k >= 1 are solved in turn; k < 0 follows from
-    conjugate symmetry.
+    rhs maps (component, k) for 0 <= k <= k_max to forcing sample arrays
+    (missing entries are zero); decays provides tail exponents under the
+    keys ("theta", 0), ("z", 0) and "nonzero".  The modes k = 1..K are
+    solved as one stack per stage: the swirl of every mode first, then the
+    meridional pair, which takes the rotation coupling 2 mu v_theta,k / r^2
+    from the fresh swirl.  Results go straight into the field's dense
+    array; k < 0 follows from conjugate symmetry.  Returns the field and the
+    MeridionalStacks (w, phi) of modes 1..K.
     """
-    from .fourier import FourierField
+    from .fourier import COMPONENTS, FourierField
 
     r = grid.nodes
-    zero = np.zeros(len(grid), dtype=complex)
-
-    def get(comp, k):
-        v = rhs.get((comp, k))
-        return zero if v is None else np.asarray(v, dtype=complex)
+    f = np.zeros((len(COMPONENTS), k_max + 1, len(grid)), dtype=complex)
+    for (comp, k), v in rhs.items():
+        if 0 <= k <= k_max:
+            f[COMPONENTS.index(comp), k] = v
+    f_r, f_theta, f_z = f
 
     field_out = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)
-
-    swirl0 = solve_zero_swirl(grid, nu, get("theta", 0),
+    swirl0 = solve_zero_swirl(grid, nu, f_theta[0],
                               boundary.coefficient("theta", 0),
                               decays[("theta", 0)])
-    v_r0, v_z0 = solve_zero_meridional(grid, nu, get("z", 0),
+    v_r0, v_z0 = solve_zero_meridional(grid, nu, f_z[0],
                                        boundary.coefficient("z", 0),
                                        decays[("z", 0)])
     field_out.set_mode(0, "theta", swirl0.v_regular)
@@ -356,20 +476,23 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
     field_out.set_mode(0, "z", v_z0)
     field_out.sigma = swirl0.sigma
 
-    lam = decays["nonzero"]
-    merid_by_k = {}
-    for k in range(1, k_max + 1):
-        v_theta = solve_swirl_mode(grid, k, nu, get("theta", k),
-                                   boundary.coefficient("theta", k), lam)
-        f_r_eff = get("r", k) + (2.0 * mu / r ** 2) * v_theta.values
-        merid = solve_meridional_mode(grid, k, nu, f_r_eff, get("z", k),
-                                      boundary.coefficient("r", k),
-                                      boundary.coefficient("z", k), lam)
-        field_out.set_mode(k, "theta", v_theta)
-        field_out.set_mode(k, "r", merid.v_r)
-        field_out.set_mode(k, "z", merid.v_z)
-        merid_by_k[k] = merid
-    return field_out, merid_by_k
+    _check_nonzero_mode(nu, decays["nonzero"])
+    ks = tuple(range(1, k_max + 1))
+
+    def bc(comp):
+        return np.array([boundary.coefficient(comp, k) for k in ks],
+                        dtype=complex)
+
+    swirl = _swirl_rows(grid, ks, nu, f_theta[1:], bc("theta"))
+    merid = _meridional_rows(grid, ks, nu,
+                             f_r[1:] + (2.0 * mu / r ** 2) * swirl[0],
+                             f_z[1:], bc("r"), bc("z"))
+    out = field_out.data[:, 1:]
+    for d in range(3):
+        out[0, :, d] = merid.v_r[d]
+        out[1, :, d] = swirl[d]
+        out[2, :, d] = merid.v_z[d]
+    return field_out, MeridionalStacks(w=merid.w[0], phi=merid.phi[0])
 
 
 def recover_pressure(grid: RadialGrid, k: int, nu: float, v_z: RadialProfile,

@@ -46,7 +46,7 @@ from .fourier import (
     enorm,
     vnorm,
 )
-from .modes import solve_linear_system
+from .modes import MeridionalStacks, solve_linear_system
 from .radial import RadialGrid
 
 __all__ = [
@@ -193,7 +193,7 @@ class SolutionBundle:
     boundary: BoundaryData
     rhs_final: Optional[RhsAssembly] = None
     residual_report: Optional[object] = None
-    meridional: Optional[Dict[int, object]] = None  # per-k stream/vorticity data
+    meridional: Optional[MeridionalStacks] = None  # w, phi of modes 1..K
 
     @property
     def sigma(self) -> Optional[float]:
@@ -317,6 +317,8 @@ def nonuniqueness_pair(grid: RadialGrid, nu: float, mu: float, k_max: int,
         raise ConfigError(
             "the non-uniqueness construction requires nu < -2 (whether the "
             "problem is non-unique for nu >= -2 is open)")
+    if not np.isfinite(delta_mu):
+        raise ConfigError(f"delta_mu must be finite, got {delta_mu!r}")
     first = picard_solve(grid, nu, mu, k_max, forcing, boundary,
                          **picard_kwargs)
     shifted = boundary.shifted_swirl_mean(-delta_mu)

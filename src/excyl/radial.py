@@ -12,9 +12,13 @@ factors.  Each cell integral is a dot product of the cell's 4 stencil values
 with a weight row cached per (grid, rate), anchored at the cell end where the
 exponential is largest; exp_weighted_prefix / exp_weighted_suffix chain those
 with the recurrence out_{c+1} = e^{-|rate| h_c} out_c + C_c, whose factors
-never exceed 1, and return plain mantissa arrays out with
-integral(r_j) = out_j * e^{rate r_j}, so a kernel mantissa at the opposite
-shift multiplies them with no exponential left over.
+(cached with the weights) never exceed 1, and return plain mantissa arrays
+out with integral(r_j) = out_j * e^{rate r_j}, so a kernel mantissa at the
+opposite shift multiplies them with no exponential left over.  They take one
+integrand or an (R, n+1) stack with one rate per row (the mode solvers pass
+all modes k = 1..K at once) and evaluate the recurrence as a doubling scan,
+ceil(log2 n) vectorised steps for every row together.  integrate_inner and
+integrate_outer run the same scan at rate 0.
 
 fd_bvp_solve is the independent verification path: a second-order
 finite-difference solution of the two-point problems
@@ -173,6 +177,11 @@ class RadialGrid:
         _cell_quadrature, which stays cached per subdivision count because
         the rates |k|, -|k| and -2|k| of a solve mostly share one.
         """
+        return self._cell_rule(rate)[:2]
+
+    def _cell_rule(self, rate: float):
+        """cell_weights(rate) plus the read-only per-cell factors
+        e^{-|rate| h_c} that chain the anchored cell integrals."""
         key = ("cellweights", float(rate))
         if key in self._cache:
             return self._cache[key]
@@ -181,9 +190,11 @@ class RadialGrid:
         anchor = self.nodes[1:] if rate > 0 else self.nodes[:-1]
         w = np.einsum("cg,cgj->cj", g_w * np.exp(rate * (g_r - anchor[:, None])),
                       interp)
-        w.setflags(write=False)
-        self._cache[key] = (idx, w)
-        return idx, w
+        decay = np.exp(-abs(rate) * np.diff(self.nodes))
+        for a in (w, decay):
+            a.setflags(write=False)
+        self._cache[key] = (idx, w, decay)
+        return idx, w, decay
 
     def _derivative_stencils(self, order: int):
         """5-point differentiation stencils: (indices (n+1,5), weights (n+1,5))."""
@@ -310,9 +321,7 @@ def _check_declared_tail(values, grid: RadialGrid, p: float, total) -> None:
 
 def integrate_inner(f, grid: RadialGrid, r: Optional[float] = None):
     """int_1^r f ds at grid nodes (all nodes when r is None)."""
-    vals = _sample(f, grid)
-    cells = grid.cell_integrals(vals)
-    prefix = np.concatenate(([0.0], np.cumsum(cells)))
+    prefix = _exp_weighted(grid, _sample(f, grid), 0.0, reverse=False)
     if r is None:
         return prefix
     return prefix[grid.node_index(r)]
@@ -322,8 +331,7 @@ def integrate_outer(f, grid: RadialGrid, r: Optional[float] = None,
                     decay_exponent: Optional[float] = None, check_tail: bool = True):
     """int_r^inf f ds = quadrature to r_max + analytic power-law tail."""
     vals = _sample(f, grid)
-    cells = grid.cell_integrals(vals)
-    suffix = np.concatenate((np.cumsum(cells[::-1])[::-1], [0.0]))
+    suffix = _exp_weighted(grid, vals, 0.0, reverse=True)
     if decay_exponent is None:
         raise NumericError("outer integrals need a declared decay exponent")
     tail = tail_closure(vals[-1], grid.r_max, decay_exponent)
@@ -339,48 +347,86 @@ def integrate_outer(f, grid: RadialGrid, r: Optional[float] = None,
 # exponentially weighted prefix/suffix integrals as mantissas
 
 
-def exp_weighted_prefix(grid: RadialGrid, b, rate: float) -> np.ndarray:
+def exp_weighted_prefix(grid: RadialGrid, b, rate) -> np.ndarray:
     """Mantissas out_j of P(r_j) = int_1^{r_j} b(s) e^{rate s} ds.
 
-    P(r_j) = out_j * e^{rate r_j}.  rate must be >= 0: in the Green's
-    representations the prefix integrands carry growing kernels.
+    P(r_j) = out_j * e^{rate r_j}.  b is one integrand (n+1,) or a stack
+    (R, n+1) with one rate per row (rate of shape (R,), or one rate for
+    all rows).  Every rate must be >= 0: in the Green's representations the
+    prefix integrands carry growing kernels.
     """
-    if rate < 0:
+    if not np.all(np.asarray(rate) >= 0):
         raise DomainError("exp_weighted_prefix expects rate >= 0")
     return _exp_weighted(grid, b, rate, reverse=False)
 
 
-def exp_weighted_suffix(grid: RadialGrid, b, rate: float) -> np.ndarray:
+def exp_weighted_suffix(grid: RadialGrid, b, rate) -> np.ndarray:
     """Mantissas out_j of S(r_j) = int_{r_j}^inf b(s) e^{rate s} ds.
 
-    S(r_j) = out_j * e^{rate r_j}.  rate must be < 0: the suffix integrands
+    S(r_j) = out_j * e^{rate r_j}; b and rate are laid out as for
+    exp_weighted_prefix.  Every rate must be < 0: the suffix integrands
     carry decaying kernels, whose exponential factor makes the [r_max, inf)
     remainder negligible, so no tail closure is added.
     """
-    if rate >= 0:
+    if not np.all(np.asarray(rate) < 0):
         raise DomainError("exp_weighted_suffix expects rate < 0")
     return _exp_weighted(grid, b, rate, reverse=True)
 
 
-def _exp_weighted(grid: RadialGrid, b, rate: float, reverse: bool) -> np.ndarray:
+def _exp_weighted(grid: RadialGrid, b, rate, reverse: bool) -> np.ndarray:
     """Chain the anchored cell integrals C_c of cell_weights(rate) from the
     left end (reverse=False) or the right end (reverse=True) by
 
-        out_0 = 0,  out_{c+1} = e^{-|rate| h_c} out_c + C_c,
+        out_0 = 0,  out_{c+1} = a_c out_c + C_c,  a_c = e^{-|rate| h_c},
 
-    which is stable because no factor exceeds 1; at rate 0 it is the plain
-    running sum, bitwise equal to integrate_inner.
+    for every row of a stack at once.  The first-order linear recurrence is
+    evaluated as a doubling (Hillis-Steele) scan: after the step of width s,
+    each entry holds the chain of the 2s cells ending at it and a the
+    product of their factors, so ceil(log2 n) vectorised steps finish every
+    row whatever the stack height.  No factor exceeds 1, so the scan is
+    stable; at rate 0 every factor is 1 and the scan is a plain sum (the
+    path of integrate_inner and integrate_outer).  Each row's arithmetic is
+    independent of the others, so a stacked call is bitwise equal to its
+    row-by-row calls.
     """
-    idx, w = grid.cell_weights(rate)
-    cells = np.einsum("cj,cj->c", w, _sample(b, grid)[idx])
-    decay = np.exp(-abs(rate) * np.diff(grid.nodes))
-    step = -1 if reverse else 1
-    acc = 0.0
-    out = [acc]
-    for d, c in zip(decay[::step].tolist(), cells[::step].tolist()):
-        acc = d * acc + c
-        out.append(acc)
-    return np.array(out, dtype=cells.dtype)[::step]
+    vals = _sample_rows(b, grid)
+    rows = vals.reshape(-1, vals.shape[-1])
+    rates = np.asarray(rate, dtype=float)
+    if rates.shape not in ((), rows.shape[:1]):
+        raise DomainError("exp-weighted integrals take one rate per row")
+    rules = [grid._cell_rule(x) for x in np.broadcast_to(rates, rows.shape[:1])]
+    # cells and factors as columns (n, R), so every scan step slices whole
+    # contiguous rows; complex columns are scanned as (re, im) float pairs
+    w = np.stack([rule[1] for rule in rules], axis=-1)
+    g = rows.T[rules[0][0]]
+    cells = (w[:, 0] * g[:, 0] + w[:, 1] * g[:, 1]
+             + w[:, 2] * g[:, 2] + w[:, 3] * g[:, 3])
+    a = np.stack([rule[2] for rule in rules], axis=-1)
+    acc = cells.view(float)
+    if acc.shape != a.shape:
+        a = np.repeat(a, 2, axis=1)
+    if reverse:
+        a, acc = a[::-1], acc[::-1]
+    n = len(acc)
+    s = 1
+    while s < n:
+        acc[s:] += a[s:] * acc[:-s]
+        a[s:] *= a[:-s]
+        s *= 2
+    out = np.zeros((n + 1, cells.shape[1]), cells.dtype)
+    if reverse:
+        out[:-1] = cells
+    else:
+        out[1:] = cells
+    return np.ascontiguousarray(out.T).reshape(vals.shape)
+
+
+def _sample_rows(b, grid: RadialGrid) -> np.ndarray:
+    """b sampled on the grid: one integrand (n+1,) or a stack (R, n+1)."""
+    arr = np.asarray(b(grid.nodes)) if callable(b) else np.asarray(b)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != len(grid):
+        raise DomainError("sampled integrand does not match the grid")
+    return arr
 
 
 # ----------------------------------------------------------------------------

@@ -143,6 +143,27 @@ def test_bad_grid_and_iteration_parameters_are_config_errors(tmp_path, capsys,
     assert line.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nu, mu", [
+    ("nan", "0.0"), ("-inf", "0.0"), ("-1.0", "nan"), ("-1.0", "inf"),
+    ("-1.0", "-inf")])
+def test_non_finite_nu_and_mu_are_config_errors(tmp_path, capsys, nu, mu):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[params]\nnu = {nu}\nmu = {mu}\n")
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("nu" if nu != "-1.0" else "mu") in err
+
+
+@pytest.mark.parametrize("delta_mu", ["nan", "inf", "-inf"])
+def test_non_finite_delta_mu_is_config_error(tmp_path, capsys, delta_mu):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[params]\nnu = -3.0\nmu = 1.0\nk_max = 2\nn_radial = 64\n")
+    rc = main(["nonunique", str(cfg), f"--delta-mu={delta_mu}",
+               "--output", str(tmp_path / "pair")])
+    assert rc == EXIT_CONFIG
+    assert "delta_mu" in capsys.readouterr().err
+
+
 def test_verify_roundtrip_and_tamper_detection(tmp_path):
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text(SMALL_RUN)

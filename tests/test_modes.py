@@ -387,11 +387,50 @@ def test_driver_mirrors_and_couples(grid):
     assert v_r_mu > 1e-8
 
 
+def test_driver_rows_equal_single_mode_solves(grid):
+    # the stacked driver and the public one-mode solvers share one core:
+    # every row is bitwise equal, with forcing on every mode and mu != 0
+    r = grid.nodes
+    k_max, nu, mu, lam = 3, -1.5, 2.0, 10.0
+    rhs = {}
+    for k in range(k_max + 1):
+        rhs[("theta", k)] = (1e-4 + 2e-5j * k) * r ** -6.0
+        rhs[("r", k)] = (3e-5 - 1e-5j) * r ** -5.0 * np.exp(-0.1 * k * (r - 1.0))
+        rhs[("z", k)] = -2e-5j * (k + 1) * r ** -7.0
+    boundary = BoundaryData(g_theta={1: 1e-3, 3: 2e-4j}, g_r={2: 5e-4},
+                            g_z={1: -3e-4j, 2: 1e-4})
+    decays = {("theta", 0): 6.0, ("z", 0): 7.0, "nonzero": lam}
+    field, merid = solve_linear_system(grid, nu, mu, k_max, rhs, decays,
+                                       boundary)
+    assert merid.w.shape == merid.phi.shape == (k_max, len(grid))
+    for k in range(1, k_max + 1):
+        swirl = solve_swirl_mode(grid, k, nu, rhs[("theta", k)],
+                                 boundary.coefficient("theta", k), lam)
+        f_r = rhs[("r", k)] + (2.0 * mu / r ** 2) * swirl.values
+        single = solve_meridional_mode(grid, k, nu, f_r, rhs[("z", k)],
+                                       boundary.coefficient("r", k),
+                                       boundary.coefficient("z", k), lam)
+        for comp, prof in (("theta", swirl), ("r", single.v_r),
+                           ("z", single.v_z)):
+            got = field.profile(comp, k)
+            for d in range(3):
+                assert np.array_equal(got.derivative(d), prof.derivative(d)), \
+                    (comp, k, d)
+        assert np.array_equal(merid.w[k - 1], single.w.values)
+        assert np.array_equal(merid.phi[k - 1], single.phi.values)
+
+
 # --- per-grid kernel cache ----------------------------------------------------
 
 
 def _kernel_entries(grid):
     return {key: val for key, val in grid._cache.items() if key[0] == "kernels"}
+
+
+def _stack_entries(grid):
+    """The stacked per-(modes, nu) caches of the swirl and meridional solves."""
+    return {key: val for key, val in grid._cache.items()
+            if key[0] in ("swirlstack", "meridionalstack")}
 
 
 def test_kernel_cache_is_per_grid():
@@ -419,6 +458,12 @@ def test_kernel_cache_separates_nu():
     fresh = solve_swirl_mode(fresh_grid, 1, -3.0, _zeros(fresh_grid), 1.0, 10.0)
     np.testing.assert_array_equal(reused.values, fresh.values)
     assert len(_kernel_entries(g)) == 2
+    stacks = _stack_entries(g)
+    assert set(stacks) == {("swirlstack", (1,), -1.0), ("swirlstack", (1,), -3.0)}
+    a, b = stacks.values()
+    for name in vars(a):
+        assert not np.shares_memory(getattr(a, name), getattr(b, name))
+    assert not np.array_equal(a.w_I0, b.w_I0)
 
 
 def test_kernel_cache_mantissas_read_only():
@@ -431,6 +476,13 @@ def test_kernel_cache_mantissas_read_only():
             assert not m.flags.writeable
             with pytest.raises(ValueError):
                 m[0] = 0.0
+    # the iterate-independent closure arrays (p_v_in, s_v_out, d_k, ...)
+    (key, stack), = _stack_entries(g).items()
+    assert key == ("meridionalstack", (2,), -1.0)
+    for name, arr in vars(stack).items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_fd_meridional_singular_system_is_numeric_error(grid, monkeypatch):

@@ -132,6 +132,34 @@ def test_rate_zero_prefix_is_integrate_inner(grid):
                               integrate_inner(b, grid))
 
 
+def test_stacked_exp_weighted_matches_row_by_row(grid):
+    # one scan over a stack, one rate per row, equals the single-row calls
+    r = grid.nodes
+    rates = np.array([0.5, 1.0, 3.0, 8.0, 40.0])
+    real = np.stack([r ** -p for p in (1.0, 2.0, 0.5, 3.0, 1.5)])
+    for stack in (real, (1.0 - 2.0j) * np.cos(real) + 1j * real):
+        pre = exp_weighted_prefix(grid, stack, rates)
+        suf = exp_weighted_suffix(grid, stack, -rates)
+        assert pre.shape == suf.shape == stack.shape
+        for i, rate in enumerate(rates):
+            assert np.array_equal(pre[i], exp_weighted_prefix(grid, stack[i], rate))
+            assert np.array_equal(suf[i], exp_weighted_suffix(grid, stack[i], -rate))
+    # one rate for every row
+    zero = exp_weighted_prefix(grid, real, 0.0)
+    for i in range(len(real)):
+        assert np.array_equal(zero[i], integrate_inner(real[i], grid))
+
+
+def test_stacked_exp_weighted_rejects_any_wrong_sign(grid):
+    stack = np.ones((3, len(grid)))
+    with pytest.raises(DomainError):
+        exp_weighted_prefix(grid, stack, np.array([1.0, -1.0, 2.0]))
+    with pytest.raises(DomainError):
+        exp_weighted_suffix(grid, stack, np.array([-1.0, 0.0, -2.0]))
+    with pytest.raises(DomainError):
+        exp_weighted_suffix(grid, stack, np.array([-1.0, -2.0]))  # 2 rates, 3 rows
+
+
 def test_cell_weights_cached_read_only_per_rate():
     g = RadialGrid.graded(64, 50.0, 2.0)
     idx, w = g.cell_weights(3.0)
