@@ -25,7 +25,8 @@ Runs are described by a flat INI document with three sections:
     r,1 = power_exp_decay(1e-3, 2, 1.0)  # amp * r^-p * exp(-c (r-1))
 
 Subcommands: solve, verify, nonunique, bessel, oracle, calibrate.
-Exit codes: 0 ok, 1 config, 2 numeric, 3 convergence, 4 io.
+Exit codes: 0 ok, 1 config (command-line usage errors too), 2 numeric,
+3 convergence, 4 io.
 All numeric output is written with 17 significant digits, and identical
 configurations reproduce bit-identical files.
 """
@@ -245,8 +246,12 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def _write_csv(path: Path, header: List[str], columns: List[np.ndarray]):
-    np.savetxt(path, np.column_stack(columns), fmt=_FMT, delimiter=",",
-               header=",".join(header), comments="")
+    """The bytes np.savetxt(fmt=_FMT, delimiter=",") writes, from one
+    %-format over the whole table."""
+    table = np.column_stack(columns)
+    row = ",".join([_FMT] * table.shape[1]) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    path.write_text(",".join(header) + "\n" + body)
 
 
 def _write_mode_csv(path: Path, grid: RadialGrid, profs: Dict[str, np.ndarray]):
@@ -502,8 +507,17 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which is EXIT_NUMERIC here; report
+    it as a ConfigError (exit 1) after the usual usage text instead."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="excyl",
         description="Spectral solver for axisymmetric stationary Navier-Stokes "
                     "flow outside a periodic cylinder")
@@ -543,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,8 +17,9 @@ out with integral(r_j) = out_j * e^{rate r_j}, so a kernel mantissa at the
 opposite shift multiplies them with no exponential left over.  They take one
 integrand or an (R, n+1) stack with one rate per row (the mode solvers pass
 all modes k = 1..K at once) and evaluate the recurrence as a doubling scan,
-ceil(log2 n) vectorised steps for every row together.  integrate_inner and
-integrate_outer run the same scan at rate 0.
+ceil(log2 n) vectorised steps for every row together, whose step factors are
+cached per (grid, rates, direction).  integrate_inner and integrate_outer
+run the same scan at rate 0.
 
 fd_bvp_solve is the independent verification path: a second-order
 finite-difference solution of the two-point problems
@@ -130,13 +131,11 @@ class RadialGrid:
         onto its 4m Gauss nodes (m panels of 4-point Gauss per cell).
         Exponential weights are applied at the Gauss nodes, so the cubic
         interpolant is the only approximation; subdividing keeps the
-        per-panel exponential variation |rate| dx below ~1.
+        per-panel exponential variation |rate| dx below ~1.  Only idx and
+        interp are cached per subdivision count: the Gauss radii and weights
+        are cheap to recompute and only a cell_weights build reads them.
         """
-        key = ("cellquad", subdiv)
-        if key in self._cache:
-            return self._cache[key]
         r = self.nodes
-        n = self.n_cells
         xi4 = np.array([-0.8611363115940526, -0.3399810435848563,
                         0.3399810435848563, 0.8611363115940526])
         om4 = np.array([0.3478548451374538, 0.6521451548625461,
@@ -145,18 +144,20 @@ class RadialGrid:
         xi = np.concatenate([(-1.0 + (2.0 * p + 1.0 + xi4) / subdiv)
                              for p in range(subdiv)])
         om = np.tile(om4 / subdiv, subdiv)
-        j0 = np.clip(np.arange(n) - 1, 0, len(r) - 4)
-        idx = j0[:, None] + np.arange(4)
-        pts = r[idx]
         c = (0.5 * (r[:-1] + r[1:]))[:, None]
         hw = (0.5 * (r[1:] - r[:-1]))[:, None]
-        scale = np.maximum(pts.max(axis=1) - pts.min(axis=1), 1e-30)[:, None]
         g_r = c + hw * xi
         g_w = om * hw
-        vp = _vander((pts - c) / scale, 4)
-        vg = _vander((g_r - c) / scale, 4)
-        interp = vg @ np.linalg.inv(vp)
-        self._cache[key] = (idx, g_r, g_w, interp)
+        key = ("cellquad", subdiv)
+        if key not in self._cache:
+            j0 = np.clip(np.arange(self.n_cells) - 1, 0, len(r) - 4)
+            idx = j0[:, None] + np.arange(4)
+            pts = r[idx]
+            scale = np.maximum(pts.max(axis=1) - pts.min(axis=1), 1e-30)[:, None]
+            vp = _vander((pts - c) / scale, 4)
+            vg = _vander((g_r - c) / scale, 4)
+            self._cache[key] = (idx, vg @ np.linalg.inv(vp))
+        idx, interp = self._cache[key]
         return idx, g_r, g_w, interp
 
     def subdivision_for_rate(self, rate_mag: float) -> int:
@@ -381,11 +382,16 @@ def _exp_weighted(grid: RadialGrid, b, rate, reverse: bool) -> np.ndarray:
 
     for every row of a stack at once.  The first-order linear recurrence is
     evaluated as a doubling (Hillis-Steele) scan: after the step of width s,
-    each entry holds the chain of the 2s cells ending at it and a the
-    product of their factors, so ceil(log2 n) vectorised steps finish every
-    row whatever the stack height.  No factor exceeds 1, so the scan is
-    stable; at rate 0 every factor is 1 and the scan is a plain sum (the
-    path of integrate_inner and integrate_outer).  Each row's arithmetic is
+    each entry holds the chain of the 2s cells ending at it, so ceil(log2 n)
+    vectorised steps finish every row whatever the stack height.  The step
+    factors (products of 2s consecutive a_c) depend only on the grid, the
+    rates and the direction, so _scan_factors builds them once and each call
+    only gathers, sums the 4-term cell integrals in scan order (a suffix
+    gathers its cells right to left, so both directions scan contiguous
+    memory) and runs acc[:, s:] += A_s acc[:, :-s] on (re, im) planes of
+    shape (planes, n, R).  No factor exceeds 1, so the scan is stable; at
+    rate 0 every factor is 1 and the scan is a plain sum (the path of
+    integrate_inner and integrate_outer).  Each row's arithmetic is
     independent of the others, so a stacked call is bitwise equal to its
     row-by-row calls.
     """
@@ -394,31 +400,62 @@ def _exp_weighted(grid: RadialGrid, b, rate, reverse: bool) -> np.ndarray:
     rates = np.asarray(rate, dtype=float)
     if rates.shape not in ((), rows.shape[:1]):
         raise DomainError("exp-weighted integrals take one rate per row")
-    rules = [grid._cell_rule(x) for x in np.broadcast_to(rates, rows.shape[:1])]
-    # cells and factors as columns (n, R), so every scan step slices whole
-    # contiguous rows; complex columns are scanned as (re, im) float pairs
-    w = np.stack([rule[1] for rule in rules], axis=-1)
-    g = rows.T[rules[0][0]]
+    rates = tuple(np.broadcast_to(rates, rows.shape[:1]).tolist())
+    if len(set(rates)) == 1:
+        rates = rates[:1]
+    rules = [grid._cell_rule(x) for x in rates]
+    idx = rules[0][0]
+    w = np.stack([rule[1] for rule in rules], axis=-1)  # (n, 4, 1 or R)
+    if reverse:
+        idx, w = idx[::-1], w[::-1]
+    g = rows.T[idx]
     cells = (w[:, 0] * g[:, 0] + w[:, 1] * g[:, 1]
              + w[:, 2] * g[:, 2] + w[:, 3] * g[:, 3])
-    a = np.stack([rule[2] for rule in rules], axis=-1)
-    acc = cells.view(float)
-    if acc.shape != a.shape:
-        a = np.repeat(a, 2, axis=1)
-    if reverse:
-        a, acc = a[::-1], acc[::-1]
-    n = len(acc)
-    s = 1
-    while s < n:
-        acc[s:] += a[s:] * acc[:-s]
-        a[s:] *= a[:-s]
-        s *= 2
-    out = np.zeros((n + 1, cells.shape[1]), cells.dtype)
-    if reverse:
-        out[:-1] = cells
+    # a real weight times a complex value is a complex product, whose zero
+    # signs differ from separate products with the real and imaginary parts,
+    # so the cells are summed in complex and only the scan runs on planes
+    out = np.zeros((len(rows), len(grid)), cells.dtype)
+    if np.iscomplexobj(cells):
+        acc = np.stack((cells.real, cells.imag))
+        parts = (out.real, out.imag)
     else:
-        out[1:] = cells
-    return np.ascontiguousarray(out.T).reshape(vals.shape)
+        acc, parts = cells[None], (out,)
+    s = 1
+    for factor in _scan_factors(grid, rates, reverse):
+        acc[:, s:] += factor * acc[:, :-s]
+        s *= 2
+    for part, plane in zip(parts, acc):
+        if reverse:
+            part[:, :-1] = plane[::-1].T
+        else:
+            part[:, 1:] = plane.T
+    return out.reshape(vals.shape)
+
+
+def _scan_factors(grid: RadialGrid, rates: tuple, reverse: bool):
+    """Read-only step factors of the doubling scan for one row per rate
+    (one column when all rows share a rate), cached per (rates, direction).
+
+    Entry j, of shape (n - s, len(rates)) with s = 2^j, multiplies the
+    partial chains at scan positions s..n-1 in step j: the product of the
+    2^j factors a_c ending at each position, in scan order.
+    """
+    key = ("scanfactors", rates, reverse)
+    steps = grid._cache.get(key)
+    if steps is None:
+        a = np.stack([grid._cell_rule(x)[2] for x in rates], axis=-1)
+        if reverse:
+            a = a[::-1].copy()
+        steps = []
+        s = 1
+        while s < len(a):
+            steps.append(a[s:].copy())
+            a[s:] *= a[:-s]
+            s *= 2
+        for step in steps:
+            step.setflags(write=False)
+        steps = grid._cache[key] = tuple(steps)
+    return steps
 
 
 def _sample_rows(b, grid: RadialGrid) -> np.ndarray:

@@ -11,6 +11,7 @@ from excyl.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    _write_csv,
     main,
     parse_config,
     render_config,
@@ -121,6 +122,27 @@ def test_exit_codes(tmp_path):
     assert main(["bessel", "--order", "1", "--x", "1e10"]) == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["bessel", "--order", "1", "--x", "abc"],
+    # argparse reads -inf as an option, so --delta-mu has no value
+    ["nonunique", "run.ini", "--delta-mu", "-inf"],
+])
+def test_usage_errors_are_config_errors(argv, capsys):
+    # argparse's own usage exit status (2) would read as EXIT_NUMERIC
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: excyl {argv[0]}")
+    assert "config error" in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: excyl solve")
+
+
 def test_non_finite_boundary_is_numeric_error(tmp_path, capsys):
     cfg = tmp_path / "nan.ini"
     cfg.write_text(SMALL_RUN.replace("theta,1 = 1e-3", "theta,1 = nan"))
@@ -162,6 +184,21 @@ def test_non_finite_delta_mu_is_config_error(tmp_path, capsys, delta_mu):
                "--output", str(tmp_path / "pair")])
     assert rc == EXIT_CONFIG
     assert "delta_mu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[0.0, -0.0, 5e-324], [1e300, np.nan, np.inf],
+              [-np.inf, 1.0 / 3.0, -2.5e-310]]),
+    np.array([[1.0, -0.0, np.pi]]),
+])
+def test_write_csv_matches_savetxt(tmp_path, table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    ref = tmp_path / "ref.csv"
+    np.savetxt(ref, table, fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="")
+    got = tmp_path / "got.csv"
+    _write_csv(got, header, list(table.T))
+    assert got.read_bytes() == ref.read_bytes()
 
 
 def test_verify_roundtrip_and_tamper_detection(tmp_path):

@@ -332,6 +332,16 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
+def _cached_bytes(entry) -> int:
+    if isinstance(entry, np.ndarray):
+        return entry.nbytes
+    if isinstance(entry, (tuple, list)):
+        return sum(_cached_bytes(e) for e in entry)
+    if hasattr(entry, "__dict__"):
+        return sum(_cached_bytes(e) for e in vars(entry).values())
+    return 0
+
+
 def test_kernel_cache_shared_across_iterations_and_solves(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     g = RadialGrid.graded(256, 60.0, 2.0)
@@ -342,8 +352,14 @@ def test_kernel_cache_shared_across_iterations_and_solves(monkeypatch):
                 for name in ("kernel_K_derivs", "kernel_I_derivs")
                 for k in (1, 2) for kind in ("swirl", "vorticity", "stream")}
     assert calls == expected
+    keys = set(g._cache)
+    size = _cached_bytes(list(g._cache.values()))
+    assert any(key[0] == "scanfactors" for key in keys)
     nonuniqueness_pair(g, -3.0, 0.5, 2, ForcingData(), b, 0.02)
     assert calls == expected
+    # a warm grid gains no cache entry and no cached bytes
+    assert set(g._cache) == keys
+    assert _cached_bytes(list(g._cache.values())) == size
 
 
 def test_kernel_cache_hit_is_bit_identical():

@@ -15,6 +15,7 @@ from excyl.radial import (
     fd_meridional_solve,
     integrate_inner,
     integrate_outer,
+    tail_closure,
     weighted_sup,
 )
 
@@ -171,6 +172,107 @@ def test_cell_weights_cached_read_only_per_rate():
     _, w_minus = g.cell_weights(-3.0)
     assert w_minus is not w and not np.array_equal(w_minus, w)
     assert sum(key[0] == "cellweights" for key in g._cache) == 2
+
+
+def _reference_scan(grid, b, rate, reverse):
+    """The doubling scan as first written: weights and factors stacked on
+    every call, factors doubled for complex rows, a suffix scanned through
+    reversed views, and the factor products updated in the loop."""
+    vals = np.asarray(b)
+    rows = vals.reshape(-1, vals.shape[-1])
+    rates = np.broadcast_to(np.asarray(rate, dtype=float), rows.shape[:1])
+    rules = [grid._cell_rule(x) for x in rates]
+    w = np.stack([rule[1] for rule in rules], axis=-1)
+    g = rows.T[rules[0][0]]
+    cells = (w[:, 0] * g[:, 0] + w[:, 1] * g[:, 1]
+             + w[:, 2] * g[:, 2] + w[:, 3] * g[:, 3])
+    a = np.stack([rule[2] for rule in rules], axis=-1)
+    acc = cells.view(float)
+    if acc.shape != a.shape:
+        a = np.repeat(a, 2, axis=1)
+    if reverse:
+        a, acc = a[::-1], acc[::-1]
+    s = 1
+    while s < len(acc):
+        acc[s:] += a[s:] * acc[:-s]
+        a[s:] *= a[:-s]
+        s *= 2
+    out = np.zeros((len(acc) + 1, cells.shape[1]), cells.dtype)
+    if reverse:
+        out[:-1] = cells
+    else:
+        out[1:] = cells
+    return out.T.reshape(vals.shape)
+
+
+def _assert_same_bits(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_scan_bitwise_equal_to_reference(n):
+    g = RadialGrid.graded(n, 80.0, 2.0)
+    rng = np.random.default_rng(n)
+    ks = np.arange(1.0, 9.0)
+    real = rng.standard_normal((len(ks), len(g))) * g.nodes ** -2.0
+    real[4:, ::7] = -0.0
+    cplx = real + 1j * rng.standard_normal(real.shape)
+    cplx[4, ::5] = complex(0.0, -0.0)
+    cplx[5, ::3] = complex(-0.0, 1.0)
+    # rows of zeros with random signs: the sign of a zero cell integral
+    # depends on how each product w * b is formed (a real weight times a
+    # complex value is a complex product, whose zero signs differ from
+    # separate products with the real and imaginary parts)
+    signs = rng.standard_normal((2, 4, len(g)))
+    real[:4] = np.copysign(0.0, signs[0])
+    cplx.real[:4] = np.copysign(0.0, signs[0])
+    cplx.imag[:4] = np.copysign(0.0, signs[1])
+    for stack in (real, cplx):
+        for rate in (0.0, ks):
+            _assert_same_bits(exp_weighted_prefix(g, stack, rate),
+                              _reference_scan(g, stack, rate, False))
+        for rate in (-ks, -2.0 * ks):
+            _assert_same_bits(exp_weighted_suffix(g, stack, rate),
+                              _reference_scan(g, stack, rate, True))
+        for i, k in enumerate(ks):
+            row = stack[i]
+            _assert_same_bits(exp_weighted_prefix(g, row, k),
+                              _reference_scan(g, row, k, False))
+            _assert_same_bits(exp_weighted_suffix(g, row, -2.0 * k),
+                              _reference_scan(g, row, -2.0 * k, True))
+            _assert_same_bits(integrate_inner(row, g),
+                              _reference_scan(g, row, 0.0, False))
+            tail = tail_closure(row[-1], g.r_max, 3.0)
+            _assert_same_bits(
+                integrate_outer(row, g, decay_exponent=3.0, check_tail=False),
+                _reference_scan(g, row, 0.0, True) + tail)
+
+
+def test_scan_factors_cached_read_only_per_rates_and_direction():
+    g = RadialGrid.graded(64, 50.0, 2.0)
+    stack = np.ones((3, len(g)))
+    rates = np.array([1.0, 2.0, 3.0])
+    exp_weighted_prefix(g, stack, rates)
+    exp_weighted_prefix(g, 1j * stack, rates)  # complex rows share the entry
+    exp_weighted_suffix(g, stack, -rates)
+    # one shared rate, given once or per row, and a single row at that rate
+    exp_weighted_prefix(g, stack, 2.0)
+    exp_weighted_prefix(g, stack, np.full(3, 2.0))
+    exp_weighted_prefix(g, stack[0], 2.0)
+    entries = {key[1:]: val for key, val in g._cache.items()
+               if key[0] == "scanfactors"}
+    assert set(entries) == {((1.0, 2.0, 3.0), False),
+                            ((-1.0, -2.0, -3.0), True), ((2.0,), False)}
+    for (rate_key, _), steps in entries.items():
+        assert len(steps) == 6  # ceil(log2 64) doubling steps
+        for j, step in enumerate(steps):
+            assert step.shape == (g.n_cells - 2 ** j, len(rate_key))
+            assert not step.flags.writeable
+    with pytest.raises(ValueError):
+        entries[((2.0,), False)][0][0, 0] = 1.0
 
 
 def test_exp_weighted_rate_signs(grid):
