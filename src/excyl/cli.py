@@ -405,6 +405,12 @@ def cmd_nonunique(args) -> int:
     print(f"first residual max = {first.residual_report.max_momentum:.3e}")
     print(f"second residual max = {second.residual_report.max_momentum:.3e}")
     print(f"wrote {out_dir / 'separation.csv'}")
+    unconverged = [f"{name} solve after {b.iterations} iterations (last "
+                   f"distance {b.diff_history[-1]:.3e})"
+                   for name, b in (("first", first), ("second", second))
+                   if not b.converged]
+    if unconverged:
+        raise ConvergenceError("not converged: " + "; ".join(unconverged))
     return EXIT_OK
 
 

@@ -225,6 +225,15 @@ class ForcingData:
                                "on the grid")
         return vals
 
+    def sample_stack(self, k_max: int, r: np.ndarray) -> np.ndarray:
+        """f_{c,k} at r for the components c of COMPONENTS and k = 0..K, as
+        one (3, K+1, n) array (absent modes are zero rows)."""
+        out = np.zeros((len(COMPONENTS), k_max + 1, len(r)), dtype=complex)
+        for k in range(k_max + 1):
+            for c, comp in enumerate(COMPONENTS):
+                out[c, k] = self.sample(comp, k, r)
+        return out
+
     @classmethod
     def from_grid_arrays(cls, grid, arrays, decay: float = 10.0,
                          lambda_theta: float = 10.0, lambda_z: float = 10.0,
@@ -261,21 +270,25 @@ class ForcingData:
 # mode convolution (quadratic terms) and synthesis
 
 
-def convolve_product(a: np.ndarray, b: np.ndarray, k_max: int) -> np.ndarray:
+def convolve_product(a: np.ndarray, b: np.ndarray, k_max: int,
+                     with_tail: bool = True) -> np.ndarray:
     """Rows k = 0..2K of the mode convolution (a * b)_k = sum_l a_{k-l} b_l.
 
     a and b stack the modes k = -K..K (K = k_max) along their first axis, as
     FourierField.stack returns them.  Rows 0..K are the Galerkin-truncated
-    product and rows K+1..2K the tail the truncation discards; rows k < 0
-    are the conjugates of rows -k for real fields and are not formed.  Each
-    l adds a_{k-l} b_l to a slice of rows, l in increasing order, so every
-    row sums its terms in the same order.
+    product and rows K+1..2K the tail the truncation discards; with_tail
+    False forms rows 0..K only.  Rows k < 0 are the conjugates of rows -k
+    for real fields and are not formed.  Each l adds a_{k-l} b_l to a slice
+    of rows, l in increasing order, so every row sums its terms in the same
+    order whether or not the tail is formed.
     """
     if a.shape != b.shape or a.shape[0] != 2 * k_max + 1:
         raise DomainError("convolution inputs differ in grid size or truncation")
-    out = np.zeros(a.shape, dtype=np.result_type(a, b))
+    n_rows = 2 * k_max + 1 if with_tail else k_max + 1
+    out = np.zeros((n_rows,) + a.shape[1:], dtype=np.result_type(a, b))
     for i, b_l in enumerate(b):  # l = i - K reaches rows 0..i from a_{K-i}..a_K
-        out[:i + 1] += a[2 * k_max - i:] * b_l
+        m = min(i + 1, n_rows)
+        out[:m] += a[2 * k_max - i:2 * k_max - i + m] * b_l
     return out
 
 

@@ -281,7 +281,9 @@ def _meridional_stack(grid: RadialGrid, ks, nu: float) -> SimpleNamespace:
         kk, decay = _rates_and_decay(grid, ks)
         weight = r ** (1.0 - nu)
         p_v_in = exp_weighted_prefix(grid, r * T[0] * V0, 0.0)
-        s_v_out = exp_weighted_suffix(grid, r * S[0] * V0, -2.0 * kk)
+        # read once per grid, so its -2|k| scan factors are not kept
+        s_v_out = exp_weighted_suffix(grid, r * S[0] * V0, -2.0 * kk,
+                                      keep_factors=False)
         d_k = s_v_out[:, 0]
         bad = ~np.isfinite(d_k) | (np.abs(d_k) * kk ** 2 < 1e-12)
         if np.any(bad):

@@ -94,9 +94,10 @@ def compute_tau(nu: float, lambda_theta: float, lambda_z: float,
 class RhsAssembly:
     """Per-mode forcing arrays for k >= 0 plus bookkeeping.
 
-    rhs maps (component, k) to sampled arrays; absorbed_fr0 is the audit copy
-    of the zero radial mode (quadratics + sigma and rotation couplings +
-    external forcing) that the solver drops into the pressure.
+    rhs maps (component, k) to sampled arrays (rows of one (K+1, n) array
+    per component); absorbed_fr0 is the audit copy of the zero radial mode
+    (quadratics + sigma and rotation couplings + external forcing) that the
+    solver drops into the pressure.
     """
 
     rhs: Dict[Tuple[str, int], np.ndarray]
@@ -106,50 +107,64 @@ class RhsAssembly:
 
 
 def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
-                 nu: float) -> RhsAssembly:
-    """Quadratic + external forcing for one linearized solve."""
+                 nu: float, forcing_samples: Optional[np.ndarray] = None
+                 ) -> RhsAssembly:
+    """Quadratic + external forcing for one linearized solve.
+
+    forcing_samples is forcing.sample_stack(K, r); picard_solve samples it
+    once per solve, and it is sampled here when not given.  Only the
+    products a solve reads are formed: rows 0..K of each, plus the
+    discarded rows K+1..2K of the two that the convolution_tail diagnostic
+    reads.  On the zero iterate every product row is exactly +0 (each row
+    starts at +0.0, +0.0 + (+-0.0) = +0.0, and every factor is finite), so
+    nothing is convolved.
+    """
     grid = vbar.grid
     r = grid.nodes
     k_max = vbar.k_max
     with_sigma = -2.0 <= nu < 0.0
     sigma_bar = vbar.sigma if (with_sigma and vbar.sigma is not None) else 0.0
+    if forcing_samples is None:
+        forcing_samples = forcing.sample_stack(k_max, r)
 
     vr, vth, vz = (vbar.stack(c) for c in COMPONENTS)
     d_vr, d_vth, d_vz = (vbar.stack(c, 1) for c in COMPONENTS)
     il = 1j * np.arange(-k_max, k_max + 1)[:, None]
     il_vth, il_vz, il_vr = il * vth, il * vz, il * vr
+    zero_iterate = not vbar.data.any()
 
-    # product rows k = 0..2K; rows above K are the discarded tail
-    conv = lambda a, b: convolve_product(a, b, k_max)
-    adv_th = conv(vr, d_vth)
+    def conv(a, b, with_tail=False):
+        if zero_iterate:
+            rows = 2 * k_max + 1 if with_tail else k_max + 1
+            return np.zeros((rows, len(grid)), dtype=complex)
+        return convolve_product(a, b, k_max, with_tail)
+
+    adv_th = conv(vr, d_vth, with_tail=True)
     rot_th = conv(vz, il_vth)
     str_th = conv(vr, vth)
     adv_z = conv(vr, d_vz)
     rot_z = conv(vz, il_vz)
     adv_r = conv(vr, d_vr)
     rot_r = conv(vz, il_vr)
-    cen_r = conv(vth, vth)
+    cen_r = conv(vth, vth, with_tail=True)
 
-    rhs: Dict[Tuple[str, int], np.ndarray] = {}
-    for k in range(0, k_max + 1):
-        f_th = (-(adv_th[k] + rot_th[k] + str_th[k] / r)
-                + forcing.sample("theta", k, r))
-        f_z = (-(adv_z[k] + rot_z[k])
-               + forcing.sample("z", k, r))
-        f_r = (-(adv_r[k] + rot_r[k] - cen_r[k] / r)
-               + forcing.sample("r", k, r))
-        if with_sigma:
-            f_r = f_r + 2.0 * sigma_bar * vth[k_max + k] / r ** 2
-        rhs[("theta", k)] = f_th
-        rhs[("z", k)] = f_z
-        rhs[("r", k)] = f_r
+    kept = slice(0, k_max + 1)
+    f_r, f_th, f_z = forcing_samples
+    f_th = -(adv_th[kept] + rot_th + str_th / r) + f_th
+    f_z = -(adv_z + rot_z) + f_z
+    f_r = -(adv_r + rot_r - cen_r[kept] / r) + f_r
+    if with_sigma:
+        f_r = f_r + 2.0 * sigma_bar * vth[k_max:] / r ** 2
 
     # absorb the zero radial mode into the pressure; audit the full profile,
     # including the pieces the split representation keeps implicit
-    absorbed = rhs[("r", 0)] + (sigma_bar ** 2) / r ** 3 \
+    absorbed = f_r[0] + (sigma_bar ** 2) / r ** 3 \
         + 2.0 * mu * (vth[k_max] + sigma_bar / r) / r ** 2
-    rhs[("r", 0)] = np.zeros(len(grid), dtype=complex)
+    f_r[0] = 0.0
     absorbed_decay = min(3.0, forcing.decay("r", 0))
+    rhs = {(comp, k): rows[k]
+           for k in range(k_max + 1)
+           for comp, rows in zip(COMPONENTS, (f_r, f_th, f_z))}
 
     tail = max(convolution_tail_norm(adv_th, k_max),
                convolution_tail_norm(cen_r, k_max))
@@ -235,11 +250,14 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
     decays = {("theta", 0): min(forcing.lambda_theta, 3.0 + 2.0 * tau.tau),
               ("z", 0): min(forcing.lambda_z, 3.0 + 2.0 * tau.tau),
               "nonzero": min(forcing.lambda_, 3.0 + 2.0 * tau.tau)}
+    # the forcing does not depend on the iterate: sample it once per solve
+    samples = forcing.sample_stack(k_max, grid.nodes)
+    samples.setflags(write=False)
     converged = False
     rhs_final = None
     merid_final = None
     for it in range(1, max_iters + 1):
-        rhs = assemble_rhs(state.v_current, forcing, mu, nu)
+        rhs = assemble_rhs(state.v_current, forcing, mu, nu, samples)
         v_new, merid_final = solve_linear_system(grid, nu, mu, k_max, rhs.rhs,
                                                  decays, boundary)
         if relaxation != 1.0:

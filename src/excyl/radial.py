@@ -361,20 +361,24 @@ def exp_weighted_prefix(grid: RadialGrid, b, rate) -> np.ndarray:
     return _exp_weighted(grid, b, rate, reverse=False)
 
 
-def exp_weighted_suffix(grid: RadialGrid, b, rate) -> np.ndarray:
+def exp_weighted_suffix(grid: RadialGrid, b, rate,
+                        keep_factors: bool = True) -> np.ndarray:
     """Mantissas out_j of S(r_j) = int_{r_j}^inf b(s) e^{rate s} ds.
 
     S(r_j) = out_j * e^{rate r_j}; b and rate are laid out as for
     exp_weighted_prefix.  Every rate must be < 0: the suffix integrands
     carry decaying kernels, whose exponential factor makes the [r_max, inf)
-    remainder negligible, so no tail closure is added.
+    remainder negligible, so no tail closure is added.  keep_factors False
+    leaves no new scan-factor table in the grid cache, for a rate tuple that
+    no later call reads.
     """
     if not np.all(np.asarray(rate) < 0):
         raise DomainError("exp_weighted_suffix expects rate < 0")
-    return _exp_weighted(grid, b, rate, reverse=True)
+    return _exp_weighted(grid, b, rate, reverse=True, keep_factors=keep_factors)
 
 
-def _exp_weighted(grid: RadialGrid, b, rate, reverse: bool) -> np.ndarray:
+def _exp_weighted(grid: RadialGrid, b, rate, reverse: bool,
+                  keep_factors: bool = True) -> np.ndarray:
     """Chain the anchored cell integrals C_c of cell_weights(rate) from the
     left end (reverse=False) or the right end (reverse=True) by
 
@@ -421,7 +425,7 @@ def _exp_weighted(grid: RadialGrid, b, rate, reverse: bool) -> np.ndarray:
     else:
         acc, parts = cells[None], (out,)
     s = 1
-    for factor in _scan_factors(grid, rates, reverse):
+    for factor in _scan_factors(grid, rates, reverse, keep_factors):
         acc[:, s:] += factor * acc[:, :-s]
         s *= 2
     for part, plane in zip(parts, acc):
@@ -432,9 +436,11 @@ def _exp_weighted(grid: RadialGrid, b, rate, reverse: bool) -> np.ndarray:
     return out.reshape(vals.shape)
 
 
-def _scan_factors(grid: RadialGrid, rates: tuple, reverse: bool):
+def _scan_factors(grid: RadialGrid, rates: tuple, reverse: bool,
+                  keep: bool = True):
     """Read-only step factors of the doubling scan for one row per rate
-    (one column when all rows share a rate), cached per (rates, direction).
+    (one column when all rows share a rate), cached per (rates, direction)
+    unless keep is False.
 
     Entry j, of shape (n - s, len(rates)) with s = 2^j, multiplies the
     partial chains at scan positions s..n-1 in step j: the product of the
@@ -454,7 +460,9 @@ def _scan_factors(grid: RadialGrid, rates: tuple, reverse: bool):
             s *= 2
         for step in steps:
             step.setflags(write=False)
-        steps = grid._cache[key] = tuple(steps)
+        steps = tuple(steps)
+        if keep:
+            grid._cache[key] = steps
     return steps
 
 

@@ -4,9 +4,11 @@ The Bessel oracles sum the defining power series of I_a directly in mpmath;
 K_a comes from the (pi/2)(I_{-a} - I_a)/sin(a pi) combination, with the
 order nudged off integers (removable singularity) -- the arbitrary working
 precision absorbs the cancellation that rules this formula out in doubles.
+assert_same_bits is the bitwise check against test-local reference copies.
 """
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -64,3 +66,13 @@ def mp_bessel_k_prime(alpha, x, dps=50):
         a = mp.mpf(alpha)
         z = mp.mpf(x)
         return (a / z) * mp_bessel_k(alpha, x, dps) - mp_bessel_k(alpha + 1, x, dps)
+
+
+def assert_same_bits(got, ref):
+    """Same shape, dtype and values, and the same sign on every zero (real
+    and imaginary parts)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))

@@ -291,3 +291,24 @@ def test_nonunique_subcommand(tmp_path, capsys):
                    for ln in lines) == 1, which
     data = np.genfromtxt(out / "separation.csv", delimiter=",", names=True)
     assert data["r_times_dutheta"][-1] == pytest.approx(-0.05, rel=0.05)
+
+
+@pytest.mark.parametrize("boundary, unconverged", [
+    ("", ("second",)),  # zero data: the first solve is exact at once
+    ("[boundary]\ntheta,1 = 1e-3\n", ("first", "second")),
+])
+def test_nonunique_unconverged_is_convergence_failure(tmp_path, capsys,
+                                                      boundary, unconverged):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text("[params]\nnu = -3.0\nmu = 1.0\nk_max = 2\n"
+                        "n_radial = 256\nmax_iters = 1\n" + boundary)
+    out = tmp_path / "pair"
+    rc = main(["nonunique", str(cfg_file), "--delta-mu", "0.05",
+               "--output", str(out)])
+    assert rc == EXIT_CONVERGENCE
+    assert (out / "separation.csv").exists()  # written before the failure
+    err = capsys.readouterr().err
+    assert err.startswith("convergence failure: not converged")
+    for which in ("first", "second"):
+        assert (f"{which} solve after 1 iterations" in err) == (
+            which in unconverged), which

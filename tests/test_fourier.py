@@ -19,6 +19,8 @@ from excyl.fourier import (
 )
 from excyl.radial import RadialGrid, RadialProfile
 
+from oracles import assert_same_bits
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -86,6 +88,22 @@ def test_convolution_matches_pseudo_spectral_oracle(grid):
     wide_b = _random_stack(grid, range(k_max + 1), k_max, rng)
     np.testing.assert_array_equal(convolve_product(wide_a, wide_b, k_max),
                                   _direct_sum(wide_a, wide_b, k_max))
+
+
+@pytest.mark.parametrize("k_max", [1, 4, 7])
+def test_product_without_tail_is_rows_of_full_product(grid, k_max):
+    rng = np.random.default_rng(10 + k_max)
+    a = _random_stack(grid, range(k_max + 1), k_max, rng)
+    b = _random_stack(grid, range(0, k_max + 1, 2), k_max, rng)
+    # signed zeros: a zero product row's sign depends on how its terms are
+    # added, so every row must sum the same terms in the same order
+    a[k_max + 1, ::3] = complex(-0.0, -0.0)
+    b[0, ::2] = complex(-0.0, 0.0)
+    for x, y in ((a, b), (b, a), (b, b), (a, -a)):
+        got = convolve_product(x, y, k_max, with_tail=False)
+        assert got.shape == (k_max + 1, len(grid))
+        assert_same_bits(got, convolve_product(x, y, k_max)[:k_max + 1])
+        assert_same_bits(got, _direct_sum(x, y, k_max)[:k_max + 1])
 
 
 def test_convolution_symmetry_and_linearity(grid):

@@ -14,6 +14,8 @@ from excyl.picard import (
 )
 from excyl.radial import RadialGrid, RadialProfile
 
+from oracles import assert_same_bits
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -171,6 +173,112 @@ def test_rhs_matches_pseudo_spectral_oracle(grid):
             want = oracle.get((comp, k), 0.0 * r)
             np.testing.assert_allclose(rhs.rhs[(comp, k)], want, atol=1e-9,
                                        err_msg=f"{comp},{k}")
+
+
+def _full_product(a, b, k_max):
+    """Rows 0..2K of sum_l a_{k-l} b_l, l ascending (shift-and-add)."""
+    out = np.zeros(a.shape, dtype=complex)
+    for i, b_l in enumerate(b):
+        out[:i + 1] += a[2 * k_max - i:] * b_l
+    return out
+
+
+def _reference_assembly(vbar, forcing, mu, nu):
+    """The assembly before its products were truncated: all 8 products over
+    rows 0..2K, also on the zero iterate, and the forcing sampled per k."""
+    r = vbar.grid.nodes
+    k_max = vbar.k_max
+    with_sigma = -2.0 <= nu < 0.0
+    sigma_bar = vbar.sigma if (with_sigma and vbar.sigma is not None) else 0.0
+    vr, vth, vz = (vbar.stack(c) for c in COMPONENTS)
+    d_vr, d_vth, d_vz = (vbar.stack(c, 1) for c in COMPONENTS)
+    il = 1j * np.arange(-k_max, k_max + 1)[:, None]
+    il_vth, il_vz, il_vr = il * vth, il * vz, il * vr
+    conv = lambda a, b: _full_product(a, b, k_max)
+    adv_th, rot_th, str_th = conv(vr, d_vth), conv(vz, il_vth), conv(vr, vth)
+    adv_z, rot_z = conv(vr, d_vz), conv(vz, il_vz)
+    adv_r, rot_r, cen_r = conv(vr, d_vr), conv(vz, il_vr), conv(vth, vth)
+    rhs = {}
+    for k in range(0, k_max + 1):
+        f_th = (-(adv_th[k] + rot_th[k] + str_th[k] / r)
+                + forcing.sample("theta", k, r))
+        f_z = -(adv_z[k] + rot_z[k]) + forcing.sample("z", k, r)
+        f_r = (-(adv_r[k] + rot_r[k] - cen_r[k] / r)
+               + forcing.sample("r", k, r))
+        if with_sigma:
+            f_r = f_r + 2.0 * sigma_bar * vth[k_max + k] / r ** 2
+        rhs[("theta", k)], rhs[("z", k)], rhs[("r", k)] = f_th, f_z, f_r
+    absorbed = rhs[("r", 0)] + (sigma_bar ** 2) / r ** 3 \
+        + 2.0 * mu * (vth[k_max] + sigma_bar / r) / r ** 2
+    rhs[("r", 0)] = np.zeros(len(r), dtype=complex)
+    tail = max(float(np.max(np.abs(p[k_max + 1:]), initial=0.0))
+               for p in (adv_th, cen_r))
+    return rhs, absorbed, tail
+
+
+def _several_mode_forcing():
+    return ForcingData(modes={
+        ("theta", 0): ForcingMode(lambda s: 1e-3 * s ** -10.0, 10.0),
+        ("z", 0): ForcingMode(lambda s: -5e-4 * s ** -8.0, 8.0),
+        ("r", 0): ForcingMode(lambda s: 3e-4 * s ** -6.0, 6.0),
+        ("theta", 2): ForcingMode(lambda s: (2e-4 - 1e-4j) * s ** -6.0, 6.0),
+        ("r", -1): ForcingMode(lambda s: (1e-4 + 3e-5j) * s ** -5.0, 5.0),
+        ("z", 3): ForcingMode(lambda s: -1e-4j * s ** -5.0, 5.0),
+    })
+
+
+@pytest.mark.parametrize("case", ["zero", "zero-sigma", "nu=-1", "nu=-3"])
+def test_assembly_bitwise_equal_to_full_products(grid, case):
+    nu = -3.0 if case == "nu=-3" else -1.0
+    k_max = 4
+    vbar = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)
+    if case == "zero-sigma":
+        vbar.sigma = 0.2
+    if case.startswith("nu="):
+        rng = np.random.default_rng(17)
+        decay = np.exp(-(grid.nodes - 1.0)) / grid.nodes
+        shape = vbar.data.shape
+        vbar.data[:] = decay * (rng.standard_normal(shape)
+                                + 1j * rng.standard_normal(shape)) * 1e-2
+        vbar.data[:, 0] = vbar.data[:, 0].real  # real zero modes
+        vbar.data[0, 0] = 0.0                  # no zero radial mode
+        vbar.data[1, 3, :, ::4] = complex(-0.0, 0.0)
+        if vbar.sigma is not None:
+            vbar.sigma = 0.3
+    forcing = _several_mode_forcing()
+    got = assemble_rhs(vbar, forcing, 0.7, nu)
+    rhs, absorbed, tail = _reference_assembly(vbar, forcing, 0.7, nu)
+    assert set(got.rhs) == set(rhs)
+    for key, want in rhs.items():
+        assert_same_bits(got.rhs[key], want)
+    assert_same_bits(got.absorbed_fr0, absorbed)
+    assert got.convolution_tail == tail
+    assert (tail == 0.0) == case.startswith("zero")
+    # the forcing sampled once by the caller gives the same bits
+    again = assemble_rhs(vbar, forcing, 0.7, nu,
+                         forcing.sample_stack(k_max, grid.nodes))
+    for key, want in rhs.items():
+        assert_same_bits(again.rhs[key], want)
+
+
+def test_forcing_sampled_once_per_solve(grid):
+    calls = []
+
+    def f(r):
+        calls.append(len(r))
+        return 1e-4 * r ** -10.0
+
+    forcing = ForcingData(modes={("theta", 0): ForcingMode(f, 10.0),
+                                 ("z", 1): ForcingMode(f, 10.0)})
+    b = BoundaryData(g_theta={1: 1e-3})
+    counts = []
+    for max_iters in (1, 4):
+        calls.clear()
+        bundle = picard_solve(grid, -1.0, 1.0, 2, forcing, b, tol=1e-30,
+                              max_iters=max_iters)
+        assert bundle.iterations == max_iters
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # --- the fixed-point loop -------------------------------------------------------
@@ -360,6 +468,18 @@ def test_kernel_cache_shared_across_iterations_and_solves(monkeypatch):
     # a warm grid gains no cache entry and no cached bytes
     assert set(g._cache) == keys
     assert _cached_bytes(list(g._cache.values())) == size
+
+
+def test_closure_scan_factors_not_kept():
+    # s_v_out, the one suffix at rates -2|k|, runs once per grid; its
+    # scan-factor table is not kept, while the tables iterations read are
+    g = RadialGrid.graded(256, 60.0, 2.0)
+    b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
+    picard_solve(g, -1.0, 1.0, 3, ForcingData(), b)
+    tables = {key[1:] for key in g._cache if key[0] == "scanfactors"}
+    assert ((-2.0, -4.0, -6.0), True) not in tables
+    assert ((-1.0, -2.0, -3.0), True) in tables
+    assert ((1.0, 2.0, 3.0), False) in tables
 
 
 def test_kernel_cache_hit_is_bit_identical():

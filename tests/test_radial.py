@@ -19,6 +19,8 @@ from excyl.radial import (
     weighted_sup,
 )
 
+from oracles import assert_same_bits
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -205,13 +207,6 @@ def _reference_scan(grid, b, rate, reverse):
     return out.T.reshape(vals.shape)
 
 
-def _assert_same_bits(got, ref):
-    assert got.shape == ref.shape and got.dtype == ref.dtype
-    assert np.array_equal(got, ref)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
-
-
 @pytest.mark.parametrize("n", [64, 512])
 def test_scan_bitwise_equal_to_reference(n):
     g = RadialGrid.graded(n, 80.0, 2.0)
@@ -232,21 +227,21 @@ def test_scan_bitwise_equal_to_reference(n):
     cplx.imag[:4] = np.copysign(0.0, signs[1])
     for stack in (real, cplx):
         for rate in (0.0, ks):
-            _assert_same_bits(exp_weighted_prefix(g, stack, rate),
-                              _reference_scan(g, stack, rate, False))
+            assert_same_bits(exp_weighted_prefix(g, stack, rate),
+                             _reference_scan(g, stack, rate, False))
         for rate in (-ks, -2.0 * ks):
-            _assert_same_bits(exp_weighted_suffix(g, stack, rate),
-                              _reference_scan(g, stack, rate, True))
+            assert_same_bits(exp_weighted_suffix(g, stack, rate),
+                             _reference_scan(g, stack, rate, True))
         for i, k in enumerate(ks):
             row = stack[i]
-            _assert_same_bits(exp_weighted_prefix(g, row, k),
-                              _reference_scan(g, row, k, False))
-            _assert_same_bits(exp_weighted_suffix(g, row, -2.0 * k),
-                              _reference_scan(g, row, -2.0 * k, True))
-            _assert_same_bits(integrate_inner(row, g),
-                              _reference_scan(g, row, 0.0, False))
+            assert_same_bits(exp_weighted_prefix(g, row, k),
+                             _reference_scan(g, row, k, False))
+            assert_same_bits(exp_weighted_suffix(g, row, -2.0 * k),
+                             _reference_scan(g, row, -2.0 * k, True))
+            assert_same_bits(integrate_inner(row, g),
+                             _reference_scan(g, row, 0.0, False))
             tail = tail_closure(row[-1], g.r_max, 3.0)
-            _assert_same_bits(
+            assert_same_bits(
                 integrate_outer(row, g, decay_exponent=3.0, check_tail=False),
                 _reference_scan(g, row, 0.0, True) + tail)
 
@@ -273,6 +268,24 @@ def test_scan_factors_cached_read_only_per_rates_and_direction():
             assert not step.flags.writeable
     with pytest.raises(ValueError):
         entries[((2.0,), False)][0][0, 0] = 1.0
+
+
+def test_suffix_without_kept_factors_is_bitwise_equal():
+    g = RadialGrid.graded(64, 50.0, 2.0)
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((3, len(g))) + 1j * rng.standard_normal((3, len(g)))
+    rates = np.array([-2.0, -4.0, -6.0])
+    key = ("scanfactors", (-2.0, -4.0, -6.0), True)
+    once = exp_weighted_suffix(g, stack, rates, keep_factors=False)
+    assert key not in g._cache
+    kept = exp_weighted_suffix(g, stack, rates)
+    assert key in g._cache
+    assert_same_bits(once, kept)
+    # a table that is already cached is read, and stays
+    steps = g._cache[key]
+    assert_same_bits(exp_weighted_suffix(g, stack, rates, keep_factors=False),
+                     kept)
+    assert g._cache[key] is steps
 
 
 def test_exp_weighted_rate_signs(grid):
