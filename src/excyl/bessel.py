@@ -23,7 +23,16 @@ Derivatives come from the recurrences
     K_a'(x) = (a/x) K_a(x) - K_{a+1}(x)
     I_a'(x) = (a/x) I_a(x) + I_{a+1}(x)
 
-applied once or twice; they are never finite-differenced.
+so a kernel triple (G, G', G'') reads the orders a, a+1 and a+2; they are
+never finite-differenced.  The kernels of one grid share their scipy
+evaluations: kernel_K_derivs and kernel_I_derivs take a caller-kept dict of
+the mantissas already computed, keyed by (K or I, order, |k|), so orders
+that coincide across the swirl, vorticity and stream kernels (at nu = -1
+the swirl's 1.5 and 2.5 are the vorticity's a and a+1) are evaluated once,
+and the powers r^c, r^{c-1}, r^{c-2} are computed once per kind.  Only
+orders that are the same float share an evaluation, so the kernels do not
+change in any bit.  A caller that reads only (G, G') asks for upto=1, and
+the order a+2 is then not evaluated at all.
 """
 
 from __future__ import annotations
@@ -66,7 +75,8 @@ class ScaledValue:
     def __init__(self, mantissa, exp_shift=0.0):
         m = np.asarray(mantissa)
         s = np.asarray(exp_shift, dtype=float)
-        m, s = np.broadcast_arrays(m, s)
+        if m.shape != s.shape:
+            m, s = np.broadcast_arrays(m, s)
         self.mantissa = np.array(m)
         self.exp_shift = np.array(s)
 
@@ -171,9 +181,8 @@ def bessel_i(order, x) -> ScaledValue:
 
     Defined for 0 < x <= 2^30 ~ 1.07e9; larger x raises NumericError.
     """
-    alpha = _as_order(order)
     arr = _as_positive(x)
-    return ScaledValue(_finite(ive(alpha, arr), "I", alpha), arr)
+    return ScaledValue(_i_mantissa(_as_order(order), arr), arr)
 
 
 def bessel_k(order, x) -> ScaledValue:
@@ -181,16 +190,25 @@ def bessel_k(order, x) -> ScaledValue:
 
     Defined for 0 < x <= 2^30 ~ 1.07e9; larger x raises NumericError.
     """
-    alpha = _as_order(order)
     arr = _as_positive(x)
+    return ScaledValue(_k_mantissa(_as_order(order), arr), -arr)
+
+
+_K_ORDER_FLOOR = 1e-100
+
+
+def _i_mantissa(alpha, x):
+    """ive(alpha, x) = I_alpha(x) e^{-x} for a checked order and argument."""
+    return _finite(ive(alpha, x), "I", alpha)
+
+
+def _k_mantissa(alpha, x):
+    """kve(alpha, x) = K_alpha(x) e^{+x} for a checked order and argument."""
     # kve returns NaN for subnormal orders; K_a is even in a, so
     # K_a = K_0 (1 + O(a^2)) and orders this small are exactly K_0.
     if alpha < _K_ORDER_FLOOR:
         alpha = 0.0
-    return ScaledValue(_finite(kve(alpha, arr), "K", alpha), -arr)
-
-
-_K_ORDER_FLOOR = 1e-100
+    return _finite(kve(alpha, x), "K", alpha)
 
 
 def _finite(mantissa, name, alpha):
@@ -260,35 +278,56 @@ def kernel_I(k, nu, r, kind="swirl") -> ScaledValue:
     return np.power(r, half_nu) * bessel_i(alpha, kk * r)
 
 
-def kernel_K_derivs(k, nu, r, kind="swirl"):
-    """(G, G', G'') for G(r) = r^{nu/2} K_a(|k| r), all via order recurrences."""
-    alpha, kk, r, half_nu = _kernel_setup(k, nu, r, kind)
-    x = kk * r
-    b0 = bessel_k(alpha, x)
-    b1 = bessel_k(alpha + 1.0, x)
-    b2 = bessel_k(alpha + 2.0, x)
-    return _assemble_kernel_derivs(r, half_nu, alpha, kk, b0, b1, b2, sign=-1.0)
+def kernel_K_derivs(k, nu, r, kind="swirl", upto=2, shared=None):
+    """(G, G', G'') for G(r) = r^{nu/2} K_a(|k| r), all via order recurrences.
+
+    upto=1 returns (G, G') only and skips the order a+2.  shared is an
+    optional dict that the caller keeps while it builds the kernels of one
+    grid r: it maps ("K", order, |k|) to the scaled mantissa kve(order, |k| r)
+    (and ("r^", c) to the powers r^c, r^{c-1}, r^{c-2}), and what is already
+    in it is not evaluated again.
+    """
+    return _kernel_derivs("K", k, nu, r, kind, upto, shared)
 
 
-def kernel_I_derivs(k, nu, r, kind="swirl"):
-    """(G, G', G'') for G(r) = r^{nu/2} I_a(|k| r)."""
-    alpha, kk, r, half_nu = _kernel_setup(k, nu, r, kind)
-    x = kk * r
-    b0 = bessel_i(alpha, x)
-    b1 = bessel_i(alpha + 1.0, x)
-    b2 = bessel_i(alpha + 2.0, x)
-    return _assemble_kernel_derivs(r, half_nu, alpha, kk, b0, b1, b2, sign=+1.0)
+def kernel_I_derivs(k, nu, r, kind="swirl", upto=2, shared=None):
+    """(G, G', G'') for G(r) = r^{nu/2} I_a(|k| r); upto and shared as in
+    kernel_K_derivs, with keys ("I", order, |k|) for ive(order, |k| r)."""
+    return _kernel_derivs("I", k, nu, r, kind, upto, shared)
 
 
-def _assemble_kernel_derivs(r, half_nu, alpha, kk, b0, b1, b2, sign):
-    # With c = half_nu, sign = +1 for I and -1 for K (from B_a' = (a/x)B_a +- B_{a+1}):
+# the scaled mantissa of B_a and the sign in B_a' = (a/x) B_a +- B_{a+1}
+_KERNEL_BESSEL = {"K": (_k_mantissa, -1.0), "I": (_i_mantissa, +1.0)}
+
+
+def _kernel_derivs(name, k, nu, r, kind, upto, shared):
+    # With c = half_nu, sign = +1 for I and -1 for K:
     #   G   = r^c B_a(kr)
     #   G'  = (c+a) r^{c-1} B_a + sign k r^c B_{a+1}
     #   G'' = (c+a)(c+a-1) r^{c-2} B_a + sign (2c+2a+1) k r^{c-1} B_{a+1} + k^2 r^c B_{a+2}
-    c = half_nu
-    g0 = np.power(r, c) * b0
-    g1 = (c + alpha) * np.power(r, c - 1.0) * b0 + sign * kk * np.power(r, c) * b1
-    g2 = ((c + alpha) * (c + alpha - 1.0) * np.power(r, c - 2.0) * b0
-          + sign * (2.0 * c + 2.0 * alpha + 1.0) * kk * np.power(r, c - 1.0) * b1
-          + kk * kk * np.power(r, c) * b2)
-    return g0, g1, g2
+    # Every term carries the same factor e^{sign |k| r}, so the sums run on
+    # the scaled mantissas b of B_a, B_{a+1}, B_{a+2} alone, term by term in
+    # the order of the formulas above.
+    if upto not in (1, 2):
+        raise DomainError(f"kernel derivatives go up to order 1 or 2, got {upto}")
+    mantissa, sign = _KERNEL_BESSEL[name]
+    alpha, kk, r, c = _kernel_setup(k, nu, r, kind)
+    x = _as_positive(kk * r)
+    shared = {} if shared is None else shared
+    b = []
+    for order in (alpha, alpha + 1.0, alpha + 2.0)[:upto + 1]:
+        key = (name, order, kk)
+        if key not in shared:
+            shared[key] = mantissa(order, x)
+        b.append(shared[key])
+    if ("r^", c) not in shared:
+        shared["r^", c] = (np.power(r, c), np.power(r, c - 1.0),
+                           np.power(r, c - 2.0))
+    rc, rc1, rc2 = shared["r^", c]
+    g = [rc * b[0], (c + alpha) * rc1 * b[0] + sign * kk * rc * b[1]]
+    if upto == 2:
+        g.append((c + alpha) * (c + alpha - 1.0) * rc2 * b[0]
+                 + sign * (2.0 * c + 2.0 * alpha + 1.0) * kk * rc1 * b[1]
+                 + kk * kk * rc * b[2])
+    shift = sign * x
+    return tuple(ScaledValue(m, shift) for m in g)

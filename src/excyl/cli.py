@@ -478,12 +478,18 @@ def cmd_calibrate(args) -> int:
     """Bisect the empirical smallness threshold for one (nu, mu) pair.
 
     Scales a single swirl boundary mode until the iteration stops
-    converging; the bracket midpoint is reported and cached to a file.
+    converging; the bracket midpoint is reported and cached to a file.  If
+    no trial diverged within --steps, the file is still written and the
+    command fails with ConvergenceError: there is no threshold to report.
     """
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if not (np.isfinite(args.start) and args.start > 0.0):
+        raise ConfigError(f"--start must be finite and > 0, got {args.start!r}")
     cfg = parse_config(Path(args.config).read_text())
     grid = cfg.grid()
     forcing = cfg.forcing_data()
-    lo, hi = 0.0, args.start
+    lo, hi = 0.0, np.inf
     amp = args.start
     import warnings as _w
     for _ in range(args.steps):
@@ -499,7 +505,7 @@ def cmd_calibrate(args) -> int:
             ok = False
         if ok:
             lo = amp
-            amp = amp * 2.0 if hi <= lo else 0.5 * (lo + hi)
+            amp = amp * 2.0 if hi == np.inf else 0.5 * (lo + hi)
         else:
             hi = amp
             amp = 0.5 * (lo + hi)
@@ -507,9 +513,12 @@ def cmd_calibrate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     text = (f"nu = {cfg.nu!r}\nmu = {cfg.mu!r}\n"
             f"largest_converged_amplitude = {lo!r}\n"
-            f"smallest_diverged_amplitude = {hi if hi > lo else float('inf')!r}\n")
+            f"smallest_diverged_amplitude = {hi!r}\n")
     (out_dir / "calibration.txt").write_text(text)
     print(text, end="")
+    if hi == np.inf:
+        raise ConvergenceError(f"no trial diverged in {args.steps} steps "
+                               f"(largest amplitude tried {lo!r})")
     return EXIT_OK
 
 

@@ -184,7 +184,8 @@ def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
     return RadialProfile.zero(grid), v_z
 
 
-def _scaled_kernels(grid: RadialGrid, k: int, nu: float, kind: str):
+def _scaled_kernels(grid: RadialGrid, k: int, nu: float, kind: str,
+                    shared=None):
     """Kernel derivative mantissas of one mode at shifts -|k|r and +|k|r.
 
     Returns ((G_dec, G_dec', G_dec''), (G_grow, G_grow', G_grow'')) with
@@ -193,18 +194,22 @@ def _scaled_kernels(grid: RadialGrid, k: int, nu: float, kind: str):
     only (G, G'), since their second derivatives are never read.  The
     kernels depend only on the grid, |k|, nu and the kind -- not on the
     iterate or on mu -- so the mantissas are computed once per grid and kept
-    read-only in the grid's operator cache.
+    read-only in the grid's operator cache.  shared is the transient dict of
+    Bessel evaluations that kernel_K_derivs/kernel_I_derivs reuse across
+    kinds (see _build_stacks); it is never cached.
     """
     r = grid.nodes
     kk = abs(k)
     key = ("kernels", kk, nu, kind)
     mantissas = grid._cache.get(key)
     if mantissas is None:
-        keep = 2 if kind == "vorticity" else 3
-        dec = tuple(g.with_shift(-kk * r).mantissa
-                    for g in kernel_K_derivs(k, nu, r, kind)[:keep])
-        gro = tuple(g.with_shift(kk * r).mantissa
-                    for g in kernel_I_derivs(k, nu, r, kind)[:keep])
+        upto = 1 if kind == "vorticity" else 2
+        # the kernels come back at exactly the shifts -|k|r and +|k|r, so
+        # their mantissas are read as they are
+        dec = tuple(g.mantissa for g in kernel_K_derivs(
+            k, nu, r, kind, upto=upto, shared=shared))
+        gro = tuple(g.mantissa for g in kernel_I_derivs(
+            k, nu, r, kind, upto=upto, shared=shared))
         for m in dec + gro:
             m.setflags(write=False)
         mantissas = grid._cache[key] = (dec, gro)
@@ -223,11 +228,11 @@ def _cached_stack(grid: RadialGrid, key, build) -> SimpleNamespace:
     return stack
 
 
-def _kernel_rows(grid: RadialGrid, ks, nu: float, kind: str):
+def _kernel_rows(grid: RadialGrid, ks, nu: float, kind: str, shared=None):
     """The _scaled_kernels mantissas of modes ks as read-only (len(ks), n)
     stacks.  The per-mode cache entries are re-pointed at rows of the
     stacks, so each mantissa is held in memory once."""
-    per_k = [_scaled_kernels(grid, k, nu, kind) for k in ks]
+    per_k = [_scaled_kernels(grid, k, nu, kind, shared) for k in ks]
     dec, gro = (tuple(np.stack(rows) for rows in zip(*side))
                 for side in zip(*per_k))
     for m in dec + gro:
@@ -245,14 +250,16 @@ def _rates_and_decay(grid: RadialGrid, ks):
     return kk, np.exp(col + (-col) * grid.nodes)
 
 
-def _swirl_stack(grid: RadialGrid, ks, nu: float) -> SimpleNamespace:
+def _swirl_stack(grid: RadialGrid, ks, nu: float,
+                 shared=None) -> SimpleNamespace:
     """Iterate-independent arrays of the swirl solves of modes ks.
 
     kk (R,), decay and the kernel mantissas K0..K2, I0..I2 (R, n), and the
     integrand factors w_K0 = r^{1-nu} K0, w_I0 = r^{1-nu} I0.
     """
     def build():
-        (K0, K1, K2), (I0, I1, I2) = _kernel_rows(grid, ks, nu, "swirl")
+        (K0, K1, K2), (I0, I1, I2) = _kernel_rows(grid, ks, nu, "swirl",
+                                                  shared)
         kk, decay = _rates_and_decay(grid, ks)
         weight = grid.nodes ** (1.0 - nu)
         return dict(kk=kk, decay=decay, K0=K0, K1=K1, K2=K2, I0=I0, I1=I1,
@@ -260,7 +267,8 @@ def _swirl_stack(grid: RadialGrid, ks, nu: float) -> SimpleNamespace:
     return _cached_stack(grid, ("swirlstack", ks, nu), build)
 
 
-def _meridional_stack(grid: RadialGrid, ks, nu: float) -> SimpleNamespace:
+def _meridional_stack(grid: RadialGrid, ks, nu: float,
+                      shared=None) -> SimpleNamespace:
     """Iterate-independent arrays of the meridional solves of modes ks.
 
     Besides the vorticity (V, J) and stream (S, T) kernel mantissas this
@@ -276,8 +284,8 @@ def _meridional_stack(grid: RadialGrid, ks, nu: float) -> SimpleNamespace:
     def build():
         r = grid.nodes
         # vorticity kernels (order |1 - nu/2|) and stream kernels (order 1)
-        (V0, V1), (J0, J1) = _kernel_rows(grid, ks, nu, "vorticity")
-        S, T = _kernel_rows(grid, ks, nu, "stream")
+        (V0, V1), (J0, J1) = _kernel_rows(grid, ks, nu, "vorticity", shared)
+        S, T = _kernel_rows(grid, ks, nu, "stream", shared)
         kk, decay = _rates_and_decay(grid, ks)
         weight = r ** (1.0 - nu)
         p_v_in = exp_weighted_prefix(grid, r * T[0] * V0, 0.0)
@@ -303,6 +311,18 @@ def _meridional_stack(grid: RadialGrid, ks, nu: float) -> SimpleNamespace:
             out[f"Q{j}"] = (S[j] * p_v_in + T[j] * s_v_out) * decay
         return out
     return _cached_stack(grid, ("meridionalstack", ks, nu), build)
+
+
+def _build_stacks(grid: RadialGrid, ks, nu: float) -> None:
+    """Build (or find cached) the swirl and meridional stacks of modes ks.
+
+    The swirl, vorticity and stream kernels share every Bessel evaluation
+    whose (K or I, order, |k|) coincides, through one dict that lives only
+    while the two stacks are built; it adds nothing to the grid's cache.
+    """
+    shared = {}
+    _swirl_stack(grid, ks, nu, shared)
+    _meridional_stack(grid, ks, nu, shared)
 
 
 def _check_nonzero_mode(nu: float, f_decay: float) -> None:
@@ -485,6 +505,7 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
         return np.array([boundary.coefficient(comp, k) for k in ks],
                         dtype=complex)
 
+    _build_stacks(grid, ks, nu)
     swirl = _swirl_rows(grid, ks, nu, f_theta[1:], bc("theta"))
     merid = _meridional_rows(grid, ks, nu,
                              f_r[1:] + (2.0 * mu / r ** 2) * swirl[0],

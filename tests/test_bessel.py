@@ -21,7 +21,7 @@ from excyl.bessel import (
 )
 from excyl.errors import DomainError, NumericError
 
-from oracles import mp_bessel_i, mp_bessel_k
+from oracles import assert_same_bits, mp_bessel_i, mp_bessel_k
 
 
 # Frozen oracle values (direct mpmath summation of the defining series,
@@ -246,3 +246,54 @@ def test_scaled_value_arithmetic():
     w = a.with_shift(0.0)
     assert w.exp_shift == 0.0
     assert w.mantissa == pytest.approx(2.0 * math.exp(10.0))
+
+
+# --- shared Bessel evaluations across the kernel kinds -------------------------
+
+
+def _reference_kernel_derivs(bessel, sign, k, nu, r, kind):
+    """The kernel triple in ScaledValue arithmetic with one Bessel evaluation
+    per order, re-expressed at shift sign*|k|r as the mode solvers read it
+    (the assembly before evaluations were shared across kinds)."""
+    alpha = {"swirl": abs(1.0 + 0.5 * nu), "vorticity": abs(1.0 - 0.5 * nu),
+             "stream": 1.0}[kind]
+    kk = abs(int(k))
+    c = 0.0 if kind == "stream" else 0.5 * nu
+    x = kk * r
+    b0, b1, b2 = bessel(alpha, x), bessel(alpha + 1.0, x), bessel(alpha + 2.0, x)
+    g0 = np.power(r, c) * b0
+    g1 = (c + alpha) * np.power(r, c - 1.0) * b0 + sign * kk * np.power(r, c) * b1
+    g2 = ((c + alpha) * (c + alpha - 1.0) * np.power(r, c - 2.0) * b0
+          + sign * (2.0 * c + 2.0 * alpha + 1.0) * kk * np.power(r, c - 1.0) * b1
+          + kk * kk * np.power(r, c) * b2)
+    return tuple(g.with_shift(sign * kk * r).mantissa for g in (g0, g1, g2))
+
+
+@pytest.mark.parametrize("nu", [-0.5, -1.0, -2.0, -2.2, -3.0, -4.0])
+def test_shared_kernel_evaluations_keep_every_bit(nu):
+    # nu = -2 puts the swirl at order 0 (kve's order-0 path); at nu = -1 and
+    # -3 swirl and vorticity share orders, at nu = -2 and -4 every kind shares
+    # orders with another, at nu = -2.2 the swirl's a+2 is the vorticity's a,
+    # and at nu = -0.5 no order is shared
+    r = np.geomspace(1.0, 90.0, 300)
+    for derivs, bessel, sign, name in ((kernel_K_derivs, bessel_k, -1.0, "K"),
+                                       (kernel_I_derivs, bessel_i, +1.0, "I")):
+        shared = {}
+        for k in (1, 3):
+            for kind in ("swirl", "vorticity", "stream"):
+                ref = _reference_kernel_derivs(bessel, sign, k, nu, r, kind)
+                upto = 1 if kind == "vorticity" else 2
+                full = derivs(k, nu, r, kind)
+                part = derivs(k, nu, r, kind, upto=upto, shared=shared)
+                assert len(full) == 3 and len(part) == upto + 1
+                for got in (full, part):
+                    for g, m in zip(got, ref):
+                        assert_same_bits(g.exp_shift, sign * k * r)
+                        assert_same_bits(g.mantissa, m)
+        # the dict holds this side's Bessel evaluations and powers of r only
+        assert {key[0] for key in shared} == {name, "r^"}
+
+
+def test_kernel_derivs_upto_is_checked():
+    with pytest.raises(DomainError):
+        kernel_K_derivs(1, -1.0, np.array([1.0, 2.0]), upto=3)

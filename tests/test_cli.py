@@ -312,3 +312,49 @@ def test_nonunique_unconverged_is_convergence_failure(tmp_path, capsys,
     for which in ("first", "second"):
         assert (f"{which} solve after 1 iterations" in err) == (
             which in unconverged), which
+
+
+CALIBRATE_RUN = """
+[params]
+nu = -1.0
+mu = 1.0
+k_max = 2
+n_radial = 64
+r_max = 60.0
+"""
+
+
+def _calibrate(tmp_path, *extra):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CALIBRATE_RUN)
+    return main(["calibrate", str(cfg), "--output", str(tmp_path / "cal"),
+                 *extra])
+
+
+def test_calibrate_brackets_the_threshold(tmp_path):
+    # 20 diverges, 10 diverges, 5 converges
+    assert _calibrate(tmp_path, "--start", "20", "--steps", "3") == EXIT_OK
+    text = (tmp_path / "cal" / "calibration.txt").read_text()
+    assert "largest_converged_amplitude = 5.0\n" in text
+    assert "smallest_diverged_amplitude = 10.0\n" in text
+
+
+def test_calibrate_without_a_diverged_trial_is_convergence_failure(tmp_path,
+                                                                  capsys):
+    # 0.02 and 0.04 both converge, so there is no threshold to report
+    assert _calibrate(tmp_path, "--steps", "2") == EXIT_CONVERGENCE
+    text = (tmp_path / "cal" / "calibration.txt").read_text()
+    assert "largest_converged_amplitude = 0.04\n" in text
+    assert "smallest_diverged_amplitude = inf\n" in text
+    assert "no trial diverged in 2 steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, name", [
+    (("--steps", "0"), "--steps"), (("--steps", "-1"), "--steps"),
+    (("--start", "0"), "--start"), (("--start=-0.5",), "--start"),
+    (("--start", "nan"), "--start"), (("--start", "inf"), "--start")])
+def test_calibrate_bad_arguments_are_config_errors(tmp_path, capsys, extra,
+                                                   name):
+    assert _calibrate(tmp_path, *extra) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "cal").exists()

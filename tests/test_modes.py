@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from excyl.bessel import kernel_K
+from excyl.bessel import kernel_I_derivs, kernel_K, kernel_K_derivs
 from excyl.errors import DomainError, NumericError
 from excyl.fourier import BoundaryData
 from excyl.modes import (
@@ -15,6 +15,8 @@ from excyl.modes import (
     solve_zero_swirl,
 )
 from excyl.radial import RadialGrid, RadialProfile, fd_bvp_solve, fd_meridional_solve
+
+from oracles import assert_same_bits
 
 
 @pytest.fixture(scope="module")
@@ -464,6 +466,43 @@ def test_kernel_cache_separates_nu():
     for name in vars(a):
         assert not np.shares_memory(getattr(a, name), getattr(b, name))
     assert not np.array_equal(a.w_I0, b.w_I0)
+
+
+@pytest.mark.parametrize("nu, distinct", [
+    (-1.0, 6),   # swirl 0.5 1.5 2.5, vorticity 1.5 2.5, stream 1 2 3
+    (-3.0, 7),   # swirl 0.5 1.5 2.5, vorticity 2.5 3.5, stream 1 2 3
+    (-2.0, 4),   # swirl 0 1 2, vorticity 2 3, stream 1 2 3
+    (-4.0, 4),   # swirl 1 2 3, vorticity 3 4, stream 1 2 3
+    (-0.5, 8),   # swirl 0.75 1.75 2.75, vorticity 1.25 2.25, stream 1 2 3
+])
+def test_fresh_grid_evaluates_each_distinct_bessel_order_once(monkeypatch, nu,
+                                                              distinct):
+    import excyl.bessel
+
+    calls = []
+    for name in ("ive", "kve"):
+        def counting(order, x, name=name, original=getattr(excyl.bessel, name)):
+            calls.append((name, order, x[0]))  # x[0] = |k| r_0 = |k|
+            return original(order, x)
+        monkeypatch.setattr(excyl.bessel, name, counting)
+    g = RadialGrid.graded(128, 60.0, 2.0)
+    k_max = 3
+    decays = {("theta", 0): 10.0, ("z", 0): 10.0, "nonzero": 10.0}
+    b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
+    solve_linear_system(g, nu, 1.0, k_max, {}, decays, b)
+    assert len(calls) == len(set(calls)) == 2 * k_max * distinct
+    calls.clear()
+    solve_linear_system(g, nu, 0.5, k_max, {}, decays, b)
+    assert calls == []
+    # the cached mantissas are those of the kernels evaluated on their own
+    entries = _kernel_entries(g)
+    assert len(entries) == 3 * k_max
+    for (_, kk, _, kind), (dec, gro) in entries.items():
+        for side, derivs in ((dec, kernel_K_derivs), (gro, kernel_I_derivs)):
+            alone = derivs(kk, nu, g.nodes, kind)
+            assert len(side) == (2 if kind == "vorticity" else 3)
+            for m, ref in zip(side, alone):
+                assert_same_bits(m, ref.mantissa)
 
 
 def test_kernel_cache_mantissas_read_only():

@@ -428,10 +428,10 @@ def _count_kernel_calls(monkeypatch):
     def counting(name):
         original = getattr(excyl.modes, name)
 
-        def wrapper(k, nu, r, kind="swirl"):
+        def wrapper(k, nu, r, kind="swirl", **kwargs):
             key = (name, abs(k), kind)
             calls[key] = calls.get(key, 0) + 1
-            return original(k, nu, r, kind)
+            return original(k, nu, r, kind, **kwargs)
 
         monkeypatch.setattr(excyl.modes, name, wrapper)
 
