@@ -217,6 +217,11 @@ def _parse_forcing_item(key: str, raw: str):
     want = 2 if family == "power_decay" else 3
     if len(args) != want:
         raise ConfigError(f"{family} takes {want} arguments, got {len(args)}")
+    # a non-finite amplitude is caught when the forcing is sampled
+    if not np.all(np.isfinite(args[1:])):
+        raise ConfigError(f"forcing exponents must be finite in {raw!r}")
+    if family == "power_exp_decay" and args[2] < 0:
+        raise ConfigError(f"power_exp_decay needs c >= 0 in {raw!r}")
     return comp, k, family, args
 
 

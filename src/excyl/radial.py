@@ -10,8 +10,10 @@ stencils (4th order interior, one-sided at the ends).
 For the k != 0 Green's formulas the integrands carry e^{+|k|s} or e^{-|k|s}
 factors.  Each cell integral is a dot product of the cell's 4 stencil values
 with a weight row cached per (grid, rate), anchored at the cell end where the
-exponential is largest; exp_weighted_prefix / exp_weighted_suffix chain those
-with the recurrence out_{c+1} = e^{-|rate| h_c} out_c + C_c, whose factors
+exponential is largest, that integrates the cell's cubic against the
+exponential exactly at every rate (closed-form moments, see cell_weights).
+exp_weighted_prefix / exp_weighted_suffix chain the cell integrals with the
+recurrence out_{c+1} = e^{-|rate| h_c} out_c + C_c, whose factors
 (cached with the weights) never exceed 1, and return plain mantissa arrays
 out with integral(r_j) = out_j * e^{rate r_j}, so a kernel mantissa at the
 opposite shift multiplies them with no exponential left over.  They take one
@@ -77,6 +79,30 @@ def _local_weights(points: np.ndarray, x0, order: int) -> np.ndarray:
     return np.linalg.solve(v, rhs[..., None])[..., 0]
 
 
+def _phi_functions(z: np.ndarray) -> np.ndarray:
+    """phi_j(z) = sum_{i>=0} z^i / (i+j)! for j = 1..4 at z <= 0, as (4, n).
+
+    For |z| < 2 phi_4 is a 22-term Horner sum and phi_j = 1/j! + z phi_{j+1};
+    elsewhere phi_{j+1} = (phi_j - 1/j!) / z runs up from phi_0 = e^z (its
+    cancellation would cost phi_4 about five bits if it started at |z| = 1).
+    """
+    series = np.empty((4,) + z.shape)
+    acc = np.full_like(z, 1.0 / math.factorial(25))
+    for i in range(20, -1, -1):
+        acc *= z
+        acc += 1.0 / math.factorial(i + 4)
+    series[3] = acc
+    for j in (2, 1, 0):
+        series[j] = 1.0 / math.factorial(j + 1) + z * series[j + 1]
+    small = np.abs(z) < 2.0
+    zr = np.where(small, -2.0, z)
+    rec = np.empty_like(series)
+    acc = np.exp(zr)
+    for j in range(4):
+        acc = rec[j] = (acc - 1.0 / math.factorial(j)) / zr
+    return np.where(small, series, rec)
+
+
 class RadialGrid:
     """Strictly increasing nodes r_0 = 1 < ... < r_n = r_max."""
 
@@ -123,60 +149,20 @@ class RadialGrid:
 
     # -- cached discrete operators ------------------------------------------
 
-    def _cell_quadrature(self, subdiv: int = 1):
-        """Cubic-interpolated Gauss cell quadrature, optionally subdivided.
-
-        Returns (stencil idx (n,4), gauss radii (n,4m), gauss weights (n,4m),
-        interp (n,4m,4)) where interp[c] maps the 4 stencil values of cell c
-        onto its 4m Gauss nodes (m panels of 4-point Gauss per cell).
-        Exponential weights are applied at the Gauss nodes, so the cubic
-        interpolant is the only approximation; subdividing keeps the
-        per-panel exponential variation |rate| dx below ~1.  Only idx and
-        interp are cached per subdivision count: the Gauss radii and weights
-        are cheap to recompute and only a cell_weights build reads them.
-        """
-        r = self.nodes
-        xi4 = np.array([-0.8611363115940526, -0.3399810435848563,
-                        0.3399810435848563, 0.8611363115940526])
-        om4 = np.array([0.3478548451374538, 0.6521451548625461,
-                        0.6521451548625461, 0.3478548451374538])
-        # panel-subdivided reference rule on [-1, 1]
-        xi = np.concatenate([(-1.0 + (2.0 * p + 1.0 + xi4) / subdiv)
-                             for p in range(subdiv)])
-        om = np.tile(om4 / subdiv, subdiv)
-        c = (0.5 * (r[:-1] + r[1:]))[:, None]
-        hw = (0.5 * (r[1:] - r[:-1]))[:, None]
-        g_r = c + hw * xi
-        g_w = om * hw
-        key = ("cellquad", subdiv)
-        if key not in self._cache:
-            j0 = np.clip(np.arange(self.n_cells) - 1, 0, len(r) - 4)
-            idx = j0[:, None] + np.arange(4)
-            pts = r[idx]
-            scale = np.maximum(pts.max(axis=1) - pts.min(axis=1), 1e-30)[:, None]
-            vp = _vander((pts - c) / scale, 4)
-            vg = _vander((g_r - c) / scale, 4)
-            self._cache[key] = (idx, vg @ np.linalg.inv(vp))
-        idx, interp = self._cache[key]
-        return idx, g_r, g_w, interp
-
-    def subdivision_for_rate(self, rate_mag: float) -> int:
-        """Gauss panels per cell so that rate * panel width stays ~<= 1."""
-        dmax = float(np.max(np.diff(self.nodes)))
-        m = 1
-        while m < 32 and rate_mag * dmax / m > 1.0:
-            m *= 2
-        return m
-
     def cell_weights(self, rate: float):
         """(stencil idx (n,4), read-only weights W (n,4)), cached per rate.
 
         W[c] . b[idx[c]] = int_{cell c} p_c(s) e^{rate (s - a_c)} ds, where p_c
         is the cubic through the 4 stencil values and the anchor a_c is the
         cell's right end for rate > 0 and its left end otherwise, so every
-        exponential factor is <= 1.  Built from the subdivided Gauss rule of
-        _cell_quadrature, which stays cached per subdivision count because
-        the rates |k|, -|k| and -2|k| of a solve mostly share one.
+        exponential factor is <= 1.  The rule is exact (Filon-type): with
+        theta = (s - far)/(a_c - far) running from 0 at the other cell end to
+        1 at the anchor and z = -|rate| h_c, the moments are
+
+            int_{cell c} theta^i e^{z (1 - theta)} ds = h_c i! phi_{i+1}(z),
+
+        and W[c] is that row times the stencil's inverse Vandermonde matrix
+        in theta, kept read-only with idx under ("cellbasis", rate > 0).
         """
         return self._cell_rule(rate)[:2]
 
@@ -186,12 +172,22 @@ class RadialGrid:
         key = ("cellweights", float(rate))
         if key in self._cache:
             return self._cache[key]
-        idx, g_r, g_w, interp = self._cell_quadrature(
-            self.subdivision_for_rate(abs(rate)))
-        anchor = self.nodes[1:] if rate > 0 else self.nodes[:-1]
-        w = np.einsum("cg,cgj->cj", g_w * np.exp(rate * (g_r - anchor[:, None])),
-                      interp)
-        decay = np.exp(-abs(rate) * np.diff(self.nodes))
+        r = self.nodes
+        h = np.diff(r)
+        basis_key = ("cellbasis", rate > 0)
+        if basis_key not in self._cache:
+            j0 = np.clip(np.arange(self.n_cells) - 1, 0, len(r) - 4)
+            idx = j0[:, None] + np.arange(4)
+            theta = (r[idx] - r[:-1, None]) / h[:, None]
+            basis = np.linalg.inv(_vander(theta if rate > 0 else 1.0 - theta, 4))
+            for a in (idx, basis):
+                a.setflags(write=False)
+            self._cache[basis_key] = (idx, basis)
+        idx, basis = self._cache[basis_key]
+        z = -abs(rate) * h
+        moments = h * _phi_functions(z) * np.array([1.0, 1.0, 2.0, 6.0])[:, None]
+        w = np.einsum("ic,cij->cj", moments, basis)
+        decay = np.exp(z)
         for a in (w, decay):
             a.setflags(write=False)
         self._cache[key] = (idx, w, decay)

@@ -154,6 +154,29 @@ def test_non_finite_boundary_is_numeric_error(tmp_path, capsys):
     assert "(r, 0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("item", [
+    "r,1 = power_exp_decay(1e-3, 2, -5)",  # a growing exponential
+    "r,1 = power_exp_decay(1e-3, 2, nan)",
+    "r,1 = power_exp_decay(1e-3, inf, 1.0)",
+    "theta,0 = power_decay(1e-3, nan)",
+    "theta,0 = power_decay(1e-3, -inf)"])
+def test_bad_forcing_arguments_are_config_errors(tmp_path, capsys, item):
+    with pytest.raises(ConfigError, match="forcing exponents|c >= 0"):
+        parse_config(MINIMAL + "[forcing]\n" + item + "\n")
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(MINIMAL + "[forcing]\n" + item + "\n")
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_forcing_amplitude_is_numeric_error(tmp_path, capsys):
+    # the amplitude is left to the sampling check, which names the mode
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(MINIMAL + "[forcing]\nr,1 = power_exp_decay(nan, 2, 1.0)\n")
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "forcing (r, " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", [
     "r_max = nan", "r_max = inf", "r_max = 1.0", "grid_gamma = nan",
     "grid_gamma = -1", "tol_picard = nan", "tol_picard = 0", "max_iters = 0"])

@@ -18,6 +18,7 @@ from excyl.radial import (
     tail_closure,
     weighted_sup,
 )
+from excyl.radial import _phi_functions
 
 from oracles import assert_same_bits
 
@@ -122,11 +123,89 @@ def test_exp_weighted_no_overflow_huge_rate(grid, rate):
     suf = exp_weighted_suffix(grid, np.ones(len(grid)), -rate)
     assert np.all(np.isfinite(pre))
     assert np.all(np.isfinite(suf))
-    if rate > 40.0:
-        return  # the 32-panel subdivision cap limits accuracy at rate 2000
     # int_1^r e^{ks} ds * e^{-kr} -> 1/k ; int_r^inf-ish e^{-ks} e^{+kr} -> 1/k
-    np.testing.assert_allclose(pre[len(grid) // 2], 1 / 40.0, rtol=1e-6)
-    np.testing.assert_allclose(suf[len(grid) // 2], 1 / 40.0, rtol=1e-6)
+    np.testing.assert_allclose(pre[len(grid) // 2], 1 / rate, rtol=1e-6)
+    np.testing.assert_allclose(suf[len(grid) // 2], 1 / rate, rtol=1e-6)
+
+
+def _exact_mantissas(coef, rate, nodes, suffix):
+    """Mantissas of the prefix (rate >= 0) or suffix (rate < 0) integrals of
+    q(s) e^{rate s} on [1, r_max] for the polynomial q with coefficients
+    coef, in closed form (mpmath): an antiderivative is
+    e^{rate s} sum_i (-1)^i q^(i)(s) / rate^(i+1)."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        q = np.polynomial.Polynomial(coef)
+        derivs = [q.deriv(i).coef[::-1].tolist() for i in range(len(coef))]
+        xs = [mp.mpf(float(x)) for x in nodes]
+        rate = mp.mpf(rate)
+
+        def anti(s, ref):
+            if rate == 0:
+                return mp.fsum(c * s ** (i + 1) / (i + 1)
+                               for i, c in enumerate(coef))
+            terms = (mp.polyval(d, s) * (-1) ** i / rate ** (i + 1)
+                     for i, d in enumerate(derivs))
+            return mp.fsum(terms) * mp.exp(rate * (s - ref))
+
+        if suffix:
+            vals = [anti(xs[-1], x) - anti(x, x) for x in xs]
+        else:
+            vals = [anti(x, x) - anti(xs[0], x) for x in xs]
+        return np.array([float(v) for v in vals])
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-3, 0.5, 1.0, 2.0, 16.0, 64.0, 84.0,
+                                  128.0, 200.0, 2000.0])
+def test_exp_weighted_exact_on_cubics_at_every_rate(grid, rate):
+    # the cell rule integrates each cell's cubic against the exponential in
+    # closed form, so a global cubic has no quadrature error at any rate
+    for coef in ([1.0], [0.7, -0.3, 0.02, -5e-4]):
+        b = np.polynomial.Polynomial(coef)(grid.nodes)
+        got = [(exp_weighted_prefix(grid, b, rate),
+                _exact_mantissas(coef, rate, grid.nodes, False))]
+        if rate > 0:
+            got.append((exp_weighted_suffix(grid, b, -rate),
+                        _exact_mantissas(coef, -rate, grid.nodes, True)))
+        for value, exact in got:
+            scale = np.max(np.abs(exact))
+            assert np.max(np.abs(value - exact)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("z", [0.0, -1e-8, -0.5, -0.999, -1.0, -1.001, -1.999,
+                               -2.0, -2.001, -40.0, -800.0])
+def test_phi_functions_match_mpmath(z):
+    # both sides of the switch between the series and the recurrence
+    import mpmath as mp
+
+    got = _phi_functions(np.array([z]))[:, 0]
+    with mp.workdps(50):
+        zm = mp.mpf(z)
+        for j in range(1, 5):
+            # phi_j(z) = (e^z - sum_{i<j} z^i/i!) / z^j, or 1/j! at z = 0
+            ref = (1 / mp.factorial(j) if z == 0 else
+                   (mp.exp(zm) - mp.fsum(zm ** i / mp.factorial(i)
+                                         for i in range(j))) / zm ** j)
+            assert abs(got[j - 1] - ref) <= 1e-15 * abs(ref)
+
+
+def test_cell_rule_cache_after_wide_solve():
+    # a K=32 solve reads every rate up to 2K; the exact rule keeps one
+    # inverse Vandermonde stack per anchor side and no quadrature tables
+    from excyl.fourier import BoundaryData, ForcingData
+    from excyl.picard import picard_solve
+
+    g = RadialGrid.graded(128, 60.0, 2.0)
+    boundary = BoundaryData(g_theta={k: 4e-4 / k ** 2 for k in range(1, 33)})
+    picard_solve(g, -1.0, 1.0, 32, ForcingData(), boundary)
+    assert not any(key[0] == "cellquad" for key in g._cache)
+    bases = {key: val for key, val in g._cache.items() if key[0] == "cellbasis"}
+    assert set(bases) == {("cellbasis", True), ("cellbasis", False)}
+    for idx, basis in bases.values():
+        assert basis.shape == (g.n_cells, 4, 4) and idx.shape == (g.n_cells, 4)
+        assert not basis.flags.writeable and not idx.flags.writeable
+    assert any(key == ("cellweights", -64.0) for key in g._cache)
 
 
 def test_rate_zero_prefix_is_integrate_inner(grid):

@@ -4,6 +4,7 @@ solutions through both the linear and nonlinear paths."""
 import numpy as np
 import pytest
 
+from excyl.errors import NumericError
 from excyl.fourier import BoundaryData, ForcingData, ForcingMode, FourierField
 from excyl.modes import solve_linear_system
 from excyl.picard import picard_solve
@@ -216,3 +217,13 @@ def test_forcing_given_at_minus_k_is_counted_once(grid):
         assert getattr(reports[1], name) == pytest.approx(
             getattr(reports[0], name), rel=1e-12, abs=1e-300), name
     assert reports[1].momentum_theta < 1e-7
+
+
+def test_non_conjugate_forcing_pair_is_not_real(grid):
+    # f_{z,-1} given beside f_{z,1} but not its conjugate states no real
+    # forcing; the audit samples each k on its own, so it must refuse it
+    f = ForcingData({("z", 1): ForcingMode(lambda r: 1e-4j * r ** -10.0, 10.0),
+                     ("z", -1): ForcingMode(lambda r: 1e-4j * r ** -10.0, 10.0)})
+    field = FourierField.zero(grid, 2, with_sigma=False)
+    with pytest.raises(NumericError, match="f_z synthesis is not real"):
+        residual_asns(field, -1.0, 1.0, forcing=f)

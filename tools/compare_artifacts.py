@@ -6,11 +6,13 @@ Usage:
     python tools/compare_artifacts.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `excyl` package (the
-`src` directory of a checkout).  The script runs `excyl solve` on two small
+`src` directory of a checkout).  The script runs `excyl solve` on three small
 built-in configurations under each tree: nu = -1 with a forcing that gives
-a nonzero 1/r tail coefficient sigma, and nu = -3.  For every artifact it
-prints "identical" when the bytes agree, or else the largest deviation of
-the file's numbers relative to the largest magnitude in the base file.
+a nonzero 1/r tail coefficient sigma, nu = -3, and nu = -1 at K = 40 with
+boundary data up to mode 40, whose exp-weighted suffixes run at rates up to
+2K = 80.  For every artifact it prints "identical" when the bytes agree, or
+else the largest deviation of the file's numbers relative to the largest
+magnitude in the base file.
 
 Exit status: 0 when every artifact is byte-identical, 1 when some differ.
 A change to the numerics legitimately moves the artifacts, so the exit
@@ -56,6 +58,21 @@ r_max = 60.0
 theta,1 = 1e-3
 z,1 = 5e-4
 r,2 = 5e-4
+""",
+    "nu-1-wide": """\
+[params]
+nu = -1.0
+mu = 1.0
+k_max = 40
+n_radial = 256
+r_max = 60.0
+
+[boundary]
+theta,1 = 1e-3
+z,2 = 5e-4
+theta,17 = 2e-5
+r,33 = 1e-5
+theta,40 = 1e-5
 """,
 }
 
