@@ -64,6 +64,7 @@ from .radial import (
     RadialGrid,
     RadialProfile,
     WeightedNorm,
+    exp_weighted_integrals,
     exp_weighted_prefix,
     exp_weighted_suffix,
     fd_bvp_solve,

@@ -48,7 +48,8 @@ from .bessel import (bessel_i, bessel_i_prime, bessel_k, bessel_k_prime,
                      wronskian_check)
 from .errors import ConfigError, ConvergenceError, ExcylError, NumericError
 from .fourier import BoundaryData, ForcingData, ForcingMode, FourierField
-from .picard import compute_tau, nonuniqueness_pair, picard_solve
+from .picard import (check_iteration_settings, compute_tau, nonuniqueness_pair,
+                     picard_solve)
 from .radial import RadialGrid, RadialProfile, fd_bvp_solve
 from .residuals import attach_residual_report, residual_asns
 
@@ -96,18 +97,14 @@ class RunConfig:
             raise ConfigError("hypothesis violated: lambda_z > 2 required")
         if not self.lambda_ > 1.5:
             raise ConfigError("hypothesis violated: lambda > 3/2 required")
-        if not (0.0 < self.relaxation <= 1.0):
-            raise ConfigError("relaxation must lie in (0, 1]")
+        check_iteration_settings(self.tol_picard, self.max_iters,
+                                 self.relaxation)
         if self.k_max < 1 or self.n_radial < 8:
             raise ConfigError("need k_max >= 1 and n_radial >= 8")
         if not (np.isfinite(self.r_max) and self.r_max > 1.0):
             raise ConfigError("r_max must be finite and > 1")
         if not (np.isfinite(self.grid_gamma) and self.grid_gamma > 0.0):
             raise ConfigError("grid_gamma must be finite and > 0")
-        if not (np.isfinite(self.tol_picard) and self.tol_picard > 0.0):
-            raise ConfigError("tol_picard must be finite and > 0")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
         # BoundaryData rejects non-finite values (NumericError) before the
         # g_{r,0} normalization (ConfigError)
         self.boundary_data()

@@ -36,9 +36,11 @@ representation, and recovers v_r = -ik phi, v_z = phi' + phi/r.
 
 Stacked layout: the nonzero modes differ only in the rate |k| of their
 kernels, so every nonzero-mode solve runs on (R, n) stacks, one row per
-mode, and each exp-weighted integral is one stacked prefix/suffix call.
-solve_linear_system solves k = 1..K as one stack per stage (swirl first,
-then the meridional pair, which needs the fresh swirl through
+mode.  Each stage (swirl, meridional forcing, stream transforms) takes its
+prefix at +|k| and suffix at -|k| from one exp_weighted_integrals scan, as
+each zero-mode solve takes its (inner, outer) pair: five scans an iteration
+at nu < -2.  solve_linear_system solves k = 1..K as one stack per stage
+(swirl first, then the meridional pair, which needs the fresh swirl through
 2 mu v_theta,k / r^2); solve_swirl_mode and solve_meridional_mode are the
 one-row case of the same core.  Everything in a stage that depends only on
 (grid, nu, modes) -- the kernel mantissas, the integrand factors, the
@@ -61,9 +63,10 @@ from .errors import DomainError, NumericError
 from .radial import (
     RadialGrid,
     RadialProfile,
+    exp_weighted_integrals,
     exp_weighted_prefix,
     exp_weighted_suffix,
-    integrate_inner,
+    integrate_inner,  # unused here; the span tracer wraps it by this name
     integrate_outer,
 )
 
@@ -139,8 +142,9 @@ def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
     fv = _sample_forcing(f, grid)
 
     if nu < -2.0:
-        c_in = integrate_inner(fv * r ** (-nu), grid)
-        s_out = integrate_outer(fv * r ** 2, grid, decay_exponent=f_decay - 2.0)
+        c_in, s_out = exp_weighted_integrals(
+            grid, fv * r ** (-nu), 0.0, fv * r ** 2, 0.0,
+            decay_exponent=f_decay - 2.0)
         a = -1.0 / (nu + 2.0)
         const = g_theta0 + s_out[0] / (nu + 2.0)
         vals = a * (r ** (nu + 1.0) * c_in + s_out / r) + const * r ** (nu + 1.0)
@@ -174,8 +178,9 @@ def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
         raise NumericError("zero-mode vertical forcing must decay faster than r^-2")
     r = grid.nodes
     fv = _sample_forcing(f, grid)
-    c_in = integrate_inner(fv * r ** (1.0 - nu), grid)
-    s_out = integrate_outer(fv * r, grid, decay_exponent=f_decay - 1.0)
+    c_in, s_out = exp_weighted_integrals(grid, fv * r ** (1.0 - nu), 0.0,
+                                         fv * r, 0.0,
+                                         decay_exponent=f_decay - 1.0)
     const = g_z0 + s_out[0] / nu
     vals = const * r ** nu - (r ** nu * c_in + s_out) / nu
     d1 = const * nu * r ** (nu - 1.0) - r ** (nu - 1.0) * c_in
@@ -289,9 +294,9 @@ def _meridional_stack(grid: RadialGrid, ks, nu: float,
         kk, decay = _rates_and_decay(grid, ks)
         weight = r ** (1.0 - nu)
         p_v_in = exp_weighted_prefix(grid, r * T[0] * V0, 0.0)
-        # read once per grid, so its -2|k| scan factors are not kept
+        # read once per grid, so its -2|k| scan plan is not kept
         s_v_out = exp_weighted_suffix(grid, r * S[0] * V0, -2.0 * kk,
-                                      keep_factors=False)
+                                      keep_plan=False)
         d_k = s_v_out[:, 0]
         bad = ~np.isfinite(d_k) | (np.abs(d_k) * kk ** 2 < 1e-12)
         if np.any(bad):
@@ -343,8 +348,8 @@ def _swirl_rows(grid: RadialGrid, ks, nu: float, fv: np.ndarray, g):
     decay = e^{|k|(1-r)}.
     """
     st = _swirl_stack(grid, ks, nu)
-    c_in = exp_weighted_prefix(grid, fv * st.w_I0, st.kk)
-    c_out = exp_weighted_suffix(grid, fv * st.w_K0, -st.kk)
+    c_in, c_out = exp_weighted_integrals(grid, fv * st.w_I0, st.kk,
+                                         fv * st.w_K0, -st.kk)
     # vbar = (g - G_grow(1) * int_1^inf f s^{1-nu} G_dec ds) / G_dec(1),
     # held as its mantissa at shift +|k|
     vbar = ((g - st.I0[:, 0] * c_out[:, 0]) / st.K0[:, 0])[:, None]
@@ -371,8 +376,7 @@ def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
     # carrying (s^{1-nu} J)' and (s^{1-nu} V)' against plain f_z values
     b_in = ik * frv * st.w_J0 + fzv * st.dJ
     b_out = ik * frv * st.w_V0 + fzv * st.dV
-    c_in = exp_weighted_prefix(grid, b_in, st.kk)
-    c_out = exp_weighted_suffix(grid, b_out, -st.kk)
+    c_in, c_out = exp_weighted_integrals(grid, b_in, st.kk, b_out, -st.kk)
     bdry = st.J0[:, :1] * fzv[:, :1]  # boundary term of the integration by parts
 
     # h(r): the w_bar-independent part of the vorticity, and its derivative
@@ -380,8 +384,8 @@ def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
     dh_vals = st.V1 * c_in + st.J1 * c_out + bdry * st.V1d + fzv
 
     # stream transforms of h; S1[0] = |k| K_1'(|k|), T1[0] = |k| I_1'(|k|)
-    p_h_in = exp_weighted_prefix(grid, h_vals * st.rT0, st.kk)
-    s_h_out = exp_weighted_suffix(grid, h_vals * st.rS0, -st.kk)
+    p_h_in, s_h_out = exp_weighted_integrals(grid, h_vals * st.rT0, st.kk,
+                                             h_vals * st.rS0, -st.kk)
 
     # closure: w_bar = D^{-1} (A g_r + B g_z - G); A, B and G are mantissas
     # at shift -|k|, D at -2|k|, so w_bar is one at +|k|
@@ -465,25 +469,25 @@ def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
 
 
 def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
-                        rhs: dict, decays: dict, boundary):
+                        rhs: np.ndarray, decays: dict, boundary):
     """Solve all modes |k| <= k_max of the linearized system.
 
-    rhs maps (component, k) for 0 <= k <= k_max to forcing sample arrays
-    (missing entries are zero); decays provides tail exponents under the
-    keys ("theta", 0), ("z", 0) and "nonzero".  The modes k = 1..K are
-    solved as one stack per stage: the swirl of every mode first, then the
-    meridional pair, which takes the rotation coupling 2 mu v_theta,k / r^2
-    from the fresh swirl.  Results go straight into the field's dense
-    array; k < 0 follows from conjugate symmetry.  Returns the field and the
-    MeridionalStacks (w, phi) of modes 1..K.
+    rhs is the (3, K+1, n) forcing f_{c,k} of the components c of
+    COMPONENTS (r, theta, z) and k = 0..K (RhsAssembly.rhs); decays
+    provides tail exponents under the keys ("theta", 0), ("z", 0) and
+    "nonzero".  The modes k = 1..K are solved as one stack per stage: the
+    swirl of every mode first, then the meridional pair, which takes the
+    rotation coupling 2 mu v_theta,k / r^2 from the fresh swirl.  Results
+    go straight into the field's dense array; k < 0 follows from conjugate
+    symmetry.  Returns the field and the MeridionalStacks (w, phi) of
+    modes 1..K.
     """
     from .fourier import COMPONENTS, FourierField
 
     r = grid.nodes
-    f = np.zeros((len(COMPONENTS), k_max + 1, len(grid)), dtype=complex)
-    for (comp, k), v in rhs.items():
-        if 0 <= k <= k_max:
-            f[COMPONENTS.index(comp), k] = v
+    f = np.asarray(rhs, dtype=complex)
+    if f.shape != (len(COMPONENTS), k_max + 1, len(grid)):
+        raise DomainError("forcing must be a (3, k_max + 1, n) array")
     f_r, f_theta, f_z = f
 
     field_out = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)

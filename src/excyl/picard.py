@@ -28,9 +28,10 @@ and iterate distances are measured in the tau-weighted solution norm.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
     "IterationState",
     "SolutionBundle",
     "picard_solve",
+    "check_iteration_settings",
     "nonuniqueness_pair",
     "SeparationReport",
 ]
@@ -94,13 +96,14 @@ def compute_tau(nu: float, lambda_theta: float, lambda_z: float,
 class RhsAssembly:
     """Per-mode forcing arrays for k >= 0 plus bookkeeping.
 
-    rhs maps (component, k) to sampled arrays (rows of one (K+1, n) array
-    per component); absorbed_fr0 is the audit copy of the zero radial mode
-    (quadratics + sigma and rotation couplings + external forcing) that the
-    solver drops into the pressure.
+    rhs is the (3, K+1, n) forcing f_{c,k} of the components c of
+    COMPONENTS (r, theta, z) and k = 0..K, as solve_linear_system takes it;
+    absorbed_fr0 is the audit copy of the zero radial mode (quadratics +
+    sigma and rotation couplings + external forcing) that the solver drops
+    into the pressure, whose row rhs[0, 0] is zero.
     """
 
-    rhs: Dict[Tuple[str, int], np.ndarray]
+    rhs: np.ndarray
     absorbed_fr0: np.ndarray
     absorbed_fr0_decay: float
     convolution_tail: float
@@ -149,12 +152,13 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
     cen_r = conv(vth, vth, with_tail=True)
 
     kept = slice(0, k_max + 1)
-    f_r, f_th, f_z = forcing_samples
-    f_th = -(adv_th[kept] + rot_th + str_th / r) + f_th
-    f_z = -(adv_z + rot_z) + f_z
-    f_r = -(adv_r + rot_r - cen_r[kept] / r) + f_r
+    rhs = np.empty((len(COMPONENTS), k_max + 1, len(grid)), dtype=complex)
+    f_r, f_th, f_z = rhs
+    np.add(-(adv_r + rot_r - cen_r[kept] / r), forcing_samples[0], out=f_r)
+    np.add(-(adv_th[kept] + rot_th + str_th / r), forcing_samples[1], out=f_th)
+    np.add(-(adv_z + rot_z), forcing_samples[2], out=f_z)
     if with_sigma:
-        f_r = f_r + 2.0 * sigma_bar * vth[k_max:] / r ** 2
+        f_r += 2.0 * sigma_bar * vth[k_max:] / r ** 2
 
     # absorb the zero radial mode into the pressure; audit the full profile,
     # including the pieces the split representation keeps implicit
@@ -162,9 +166,6 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
         + 2.0 * mu * (vth[k_max] + sigma_bar / r) / r ** 2
     f_r[0] = 0.0
     absorbed_decay = min(3.0, forcing.decay("r", 0))
-    rhs = {(comp, k): rows[k]
-           for k in range(k_max + 1)
-           for comp, rows in zip(COMPONENTS, (f_r, f_th, f_z))}
 
     tail = max(convolution_tail_norm(adv_th, k_max),
                convolution_tail_norm(cen_r, k_max))
@@ -218,6 +219,17 @@ class SolutionBundle:
 SMALLNESS_WARN = 0.25
 
 
+def check_iteration_settings(tol: float, max_iters: int,
+                             relaxation: float) -> None:
+    """Reject Picard loop settings outside their bounds (ConfigError)."""
+    if not (0.0 < relaxation <= 1.0):
+        raise ConfigError("relaxation must lie in (0, 1]")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigError("tol_picard (tol) must be finite and > 0")
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
+        raise ConfigError("max_iters must be an integer >= 1")
+
+
 def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
                  forcing: ForcingData, boundary: BoundaryData,
                  tol: float = 1e-10, max_iters: int = 25,
@@ -229,8 +241,10 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
     iterates are closer than tol in the tau-weighted norm.  Distances growing
     three steps in a row abort with a diagnostic; a non-finite distance
     raises NumericError naming the first non-finite block; hitting max_iters
-    returns the partial result flagged as unconverged.
+    returns the partial result flagged as unconverged.  Settings out of
+    bounds raise ConfigError (check_iteration_settings).
     """
+    check_iteration_settings(tol, max_iters, relaxation)
     tau = compute_tau(nu, forcing.lambda_theta, forcing.lambda_z,
                       forcing.lambda_)
     data_norm = enorm(forcing, grid) + vnorm(boundary)

@@ -9,19 +9,19 @@ stencils (4th order interior, one-sided at the ends).
 
 For the k != 0 Green's formulas the integrands carry e^{+|k|s} or e^{-|k|s}
 factors.  Each cell integral is a dot product of the cell's 4 stencil values
-with a weight row cached per (grid, rate), anchored at the cell end where the
-exponential is largest, that integrates the cell's cubic against the
-exponential exactly at every rate (closed-form moments, see cell_weights).
-exp_weighted_prefix / exp_weighted_suffix chain the cell integrals with the
-recurrence out_{c+1} = e^{-|rate| h_c} out_c + C_c, whose factors
-(cached with the weights) never exceed 1, and return plain mantissa arrays
+with a weight row, anchored at the cell end where the exponential is
+largest, that integrates the cell's cubic against the exponential exactly
+at every rate (closed-form moments, see cell_weights).
+exp_weighted_integrals chain the cell integrals of a prefix (rates >= 0)
+and of a suffix (rates < 0) with the recurrence out_{c+1} = e^{-|rate| h_c}
+out_c + C_c, whose factors never exceed 1, and return plain mantissa arrays
 out with integral(r_j) = out_j * e^{rate r_j}, so a kernel mantissa at the
-opposite shift multiplies them with no exponential left over.  They take one
-integrand or an (R, n+1) stack with one rate per row (the mode solvers pass
-all modes k = 1..K at once) and evaluate the recurrence as a doubling scan,
-ceil(log2 n) vectorised steps for every row together, whose step factors are
-cached per (grid, rates, direction).  integrate_inner and integrate_outer
-run the same scan at rate 0.
+opposite shift multiplies them with no exponential left over.  Each side is
+one integrand or an (R, n+1) stack with one rate per row (the mode solvers
+pass all modes k = 1..K at once); both sides run as one doubling scan, from
+a read-only plan of cell weights and step factors cached per (prefix rates,
+suffix rates).  exp_weighted_prefix, exp_weighted_suffix, integrate_inner
+and integrate_outer (at rate 0) are its one-sided cases.
 
 fd_bvp_solve is the independent verification path: a second-order
 finite-difference solution of the two-point problems
@@ -52,6 +52,7 @@ __all__ = [
     "integrate_outer",
     "exp_weighted_prefix",
     "exp_weighted_suffix",
+    "exp_weighted_integrals",
     "tail_closure",
     "fd_bvp_solve",
     "fd_meridional_solve",
@@ -170,28 +171,38 @@ class RadialGrid:
         """cell_weights(rate) plus the read-only per-cell factors
         e^{-|rate| h_c} that chain the anchored cell integrals."""
         key = ("cellweights", float(rate))
-        if key in self._cache:
-            return self._cache[key]
+        if key not in self._cache:
+            w, decay = self._cell_rules(np.array([float(rate)]))
+            for a in (w, decay):
+                a.setflags(write=False)
+            idx = self._cache[("cellbasis", rate > 0)][0]
+            self._cache[key] = (idx, w[0], decay[0])
+        return self._cache[key]
+
+    def _cell_rules(self, rates: np.ndarray):
+        """Weights (R, n, 4) and chain factors e^{-|rate| h_c} (R, n) of
+        cell_weights for every rate of rates (R,) at once, not cached."""
         r = self.nodes
         h = np.diff(r)
-        basis_key = ("cellbasis", rate > 0)
-        if basis_key not in self._cache:
-            j0 = np.clip(np.arange(self.n_cells) - 1, 0, len(r) - 4)
-            idx = j0[:, None] + np.arange(4)
-            theta = (r[idx] - r[:-1, None]) / h[:, None]
-            basis = np.linalg.inv(_vander(theta if rate > 0 else 1.0 - theta, 4))
-            for a in (idx, basis):
-                a.setflags(write=False)
-            self._cache[basis_key] = (idx, basis)
-        idx, basis = self._cache[basis_key]
-        z = -abs(rate) * h
-        moments = h * _phi_functions(z) * np.array([1.0, 1.0, 2.0, 6.0])[:, None]
-        w = np.einsum("ic,cij->cj", moments, basis)
-        decay = np.exp(z)
-        for a in (w, decay):
-            a.setflags(write=False)
-        self._cache[key] = (idx, w, decay)
-        return idx, w, decay
+        z = -np.abs(rates)[:, None] * h
+        # one rate at a time, so the phi-function temporaries stay (4, n)
+        moments = np.stack([h * _phi_functions(zr) * np.array(
+            [1.0, 1.0, 2.0, 6.0])[:, None] for zr in z], axis=1)
+        w = np.empty(z.shape + (4,))
+        for right in (True, False):
+            basis_key = ("cellbasis", right)
+            if basis_key not in self._cache:
+                j0 = np.clip(np.arange(self.n_cells) - 1, 0, len(r) - 4)
+                idx = j0[:, None] + np.arange(4)
+                theta = (r[idx] - r[:-1, None]) / h[:, None]
+                basis = np.linalg.inv(_vander(theta if right else 1.0 - theta, 4))
+                for a in (idx, basis):
+                    a.setflags(write=False)
+                self._cache[basis_key] = (idx, basis)
+            rows = (rates > 0) == right
+            w[rows] = np.einsum("irc,cij->rcj", moments[:, rows],
+                                self._cache[basis_key][1])
+        return w, np.exp(z)
 
     def _derivative_stencils(self, order: int):
         """5-point differentiation stencils: (indices (n+1,5), weights (n+1,5))."""
@@ -318,7 +329,7 @@ def _check_declared_tail(values, grid: RadialGrid, p: float, total) -> None:
 
 def integrate_inner(f, grid: RadialGrid, r: Optional[float] = None):
     """int_1^r f ds at grid nodes (all nodes when r is None)."""
-    prefix = _exp_weighted(grid, _sample(f, grid), 0.0, reverse=False)
+    prefix = exp_weighted_integrals(grid, _sample(f, grid), 0.0, None, None)[0]
     if r is None:
         return prefix
     return prefix[grid.node_index(r)]
@@ -327,14 +338,11 @@ def integrate_inner(f, grid: RadialGrid, r: Optional[float] = None):
 def integrate_outer(f, grid: RadialGrid, r: Optional[float] = None,
                     decay_exponent: Optional[float] = None, check_tail: bool = True):
     """int_r^inf f ds = quadrature to r_max + analytic power-law tail."""
-    vals = _sample(f, grid)
-    suffix = _exp_weighted(grid, vals, 0.0, reverse=True)
     if decay_exponent is None:
         raise NumericError("outer integrals need a declared decay exponent")
-    tail = tail_closure(vals[-1], grid.r_max, decay_exponent)
-    if check_tail:
-        _check_declared_tail(vals, grid, decay_exponent, suffix[0] + tail)
-    out = suffix + tail
+    out = exp_weighted_integrals(grid, None, None, _sample(f, grid), 0.0,
+                                 decay_exponent=decay_exponent,
+                                 check_tail=check_tail)[1]
     if r is None:
         return out
     return out[grid.node_index(r)]
@@ -350,116 +358,155 @@ def exp_weighted_prefix(grid: RadialGrid, b, rate) -> np.ndarray:
     P(r_j) = out_j * e^{rate r_j}.  b is one integrand (n+1,) or a stack
     (R, n+1) with one rate per row (rate of shape (R,), or one rate for
     all rows).  Every rate must be >= 0: in the Green's representations the
-    prefix integrands carry growing kernels.
+    prefix integrands carry growing kernels.  The one-sided case of
+    exp_weighted_integrals.
     """
-    if not np.all(np.asarray(rate) >= 0):
-        raise DomainError("exp_weighted_prefix expects rate >= 0")
-    return _exp_weighted(grid, b, rate, reverse=False)
+    return exp_weighted_integrals(grid, b, rate, None, None)[0]
 
 
 def exp_weighted_suffix(grid: RadialGrid, b, rate,
-                        keep_factors: bool = True) -> np.ndarray:
+                        keep_plan: bool = True) -> np.ndarray:
     """Mantissas out_j of S(r_j) = int_{r_j}^inf b(s) e^{rate s} ds.
 
     S(r_j) = out_j * e^{rate r_j}; b and rate are laid out as for
     exp_weighted_prefix.  Every rate must be < 0: the suffix integrands
     carry decaying kernels, whose exponential factor makes the [r_max, inf)
-    remainder negligible, so no tail closure is added.  keep_factors False
-    leaves no new scan-factor table in the grid cache, for a rate tuple that
-    no later call reads.
+    remainder negligible, so no tail closure is added.  The one-sided case
+    of exp_weighted_integrals.
     """
-    if not np.all(np.asarray(rate) < 0):
-        raise DomainError("exp_weighted_suffix expects rate < 0")
-    return _exp_weighted(grid, b, rate, reverse=True, keep_factors=keep_factors)
+    return exp_weighted_integrals(grid, None, None, b, rate,
+                                  keep_plan=keep_plan)[1]
 
 
-def _exp_weighted(grid: RadialGrid, b, rate, reverse: bool,
-                  keep_factors: bool = True) -> np.ndarray:
-    """Chain the anchored cell integrals C_c of cell_weights(rate) from the
-    left end (reverse=False) or the right end (reverse=True) by
+def exp_weighted_integrals(grid: RadialGrid, b_in, rate_in, b_out, rate_out,
+                           *, decay_exponent: Optional[float] = None,
+                           check_tail: bool = True, keep_plan: bool = True):
+    """(prefix of b_in at rate_in, suffix of b_out at rate_out) in one scan.
 
-        out_0 = 0,  out_{c+1} = a_c out_c + C_c,  a_c = e^{-|rate| h_c},
-
-    for every row of a stack at once.  The first-order linear recurrence is
-    evaluated as a doubling (Hillis-Steele) scan: after the step of width s,
-    each entry holds the chain of the 2s cells ending at it, so ceil(log2 n)
-    vectorised steps finish every row whatever the stack height.  The step
-    factors (products of 2s consecutive a_c) depend only on the grid, the
-    rates and the direction, so _scan_factors builds them once and each call
-    only gathers, sums the 4-term cell integrals in scan order (a suffix
-    gathers its cells right to left, so both directions scan contiguous
-    memory) and runs acc[:, s:] += A_s acc[:, :-s] on (re, im) planes of
-    shape (planes, n, R).  No factor exceeds 1, so the scan is stable; at
-    rate 0 every factor is 1 and the scan is a plain sum (the path of
-    integrate_inner and integrate_outer).  Each row's arithmetic is
-    independent of the others, so a stacked call is bitwise equal to its
-    row-by-row calls.
+    Each side is laid out as for exp_weighted_prefix / exp_weighted_suffix,
+    or None (and its result None) for a one-sided call.  A suffix at rate 0
+    is integrate_outer's: it needs decay_exponent, whose power-law tail
+    beyond r_max it adds (fitted slope checked when check_tail).  keep_plan
+    False leaves no new plan in the grid cache, for one-shot rates.
     """
-    vals = _sample_rows(b, grid)
-    rows = vals.reshape(-1, vals.shape[-1])
-    rates = np.asarray(rate, dtype=float)
-    if rates.shape not in ((), rows.shape[:1]):
-        raise DomainError("exp-weighted integrals take one rate per row")
-    rates = tuple(np.broadcast_to(rates, rows.shape[:1]).tolist())
-    if len(set(rates)) == 1:
-        rates = rates[:1]
-    rules = [grid._cell_rule(x) for x in rates]
-    idx = rules[0][0]
-    w = np.stack([rule[1] for rule in rules], axis=-1)  # (n, 4, 1 or R)
-    if reverse:
-        idx, w = idx[::-1], w[::-1]
-    g = rows.T[idx]
-    cells = (w[:, 0] * g[:, 0] + w[:, 1] * g[:, 1]
-             + w[:, 2] * g[:, 2] + w[:, 3] * g[:, 3])
-    # a real weight times a complex value is a complex product, whose zero
-    # signs differ from separate products with the real and imaginary parts,
-    # so the cells are summed in complex and only the scan runs on planes
-    out = np.zeros((len(rows), len(grid)), cells.dtype)
-    if np.iscomplexobj(cells):
-        acc = np.stack((cells.real, cells.imag))
-        parts = (out.real, out.imag)
-    else:
-        acc, parts = cells[None], (out,)
-    s = 1
-    for factor in _scan_factors(grid, rates, reverse, keep_factors):
-        acc[:, s:] += factor * acc[:, :-s]
-        s *= 2
-    for part, plane in zip(parts, acc):
-        if reverse:
-            part[:, :-1] = plane[::-1].T
-        else:
-            part[:, 1:] = plane.T
-    return out.reshape(vals.shape)
+    one_sided = b_in is None or b_out is None
+    sides, rates = [], {False: (), True: ()}
+    for b, rate, reverse in ((b_in, rate_in, False), (b_out, rate_out, True)):
+        if b is None:
+            continue
+        vals = _sample_rows(b, grid)
+        rows = vals.reshape(-1, vals.shape[-1])
+        x = np.asarray(rate, dtype=float)
+        if x.shape not in ((), rows.shape[:1]):
+            raise DomainError("exp-weighted integrals take one rate per row")
+        tail = reverse and decay_exponent is not None and not x.any()
+        if not (tail or (x < 0 if reverse else x >= 0).all()):
+            raise DomainError("exp-weighted integrals take prefix rates >= 0 "
+                              "and suffix rates < 0 (or 0 with a tail)")
+        rates[reverse] = tuple(x.tolist()) if x.ndim else (float(x),) * len(rows)
+        if one_sided and len(set(rates[reverse])) == 1:
+            rates[reverse] = rates[reverse][:1]  # one plan column for all rows
+        sides.append((vals, rows, reverse, tail))
+    weights, steps = _scan_plan(grid, rates[False], rates[True], keep_plan)
+    outs = _scan([(rows, reverse) for _, rows, reverse, _ in sides],
+                 weights, steps)
+    result = {False: None, True: None}
+    for (vals, rows, reverse, tail), out in zip(sides, outs):
+        if tail:
+            closure = tail_closure(rows[:, -1], grid.r_max, decay_exponent)
+            if check_tail:
+                for row, total in zip(rows, out[:, 0] + closure):
+                    _check_declared_tail(row, grid, decay_exponent, total)
+            out = out + closure[:, None]
+        result[reverse] = out.reshape(vals.shape)
+    return result[False], result[True]
 
 
-def _scan_factors(grid: RadialGrid, rates: tuple, reverse: bool,
-                  keep: bool = True):
-    """Read-only step factors of the doubling scan for one row per rate
-    (one column when all rows share a rate), cached per (rates, direction)
-    unless keep is False.
-
-    Entry j, of shape (n - s, len(rates)) with s = 2^j, multiplies the
-    partial chains at scan positions s..n-1 in step j: the product of the
-    2^j factors a_c ending at each position, in scan order.
+def _scan_plan(grid: RadialGrid, in_rates: tuple, out_rates: tuple,
+               keep: bool):
+    """Read-only (weights, steps) of a scan over prefix rows at in_rates
+    and suffix rows at out_rates, one column per rate, cached unless keep
+    is False.  weights (4, n, R) holds the cell_weights by stencil index in
+    cell order; steps[j] (n - 2^j, R) holds the products of the 2^j factors
+    a_c ending at scan positions 2^j..n-1 (a suffix scans right to left).
     """
-    key = ("scanfactors", rates, reverse)
-    steps = grid._cache.get(key)
-    if steps is None:
-        a = np.stack([grid._cell_rule(x)[2] for x in rates], axis=-1)
-        if reverse:
-            a = a[::-1].copy()
+    key = ("scanplan", in_rates, out_rates)
+    plan = grid._cache.get(key)
+    if plan is None:
+        w, a = grid._cell_rules(np.array(in_rates + out_rates))
+        m = len(in_rates)
+        a[m:] = a[m:, ::-1]
+        a = a.T.copy()
         steps = []
         s = 1
         while s < len(a):
             steps.append(a[s:].copy())
             a[s:] *= a[:-s]
             s *= 2
-        for step in steps:
-            step.setflags(write=False)
-        steps = tuple(steps)
+        plan = (np.ascontiguousarray(w.transpose(2, 1, 0)), tuple(steps))
+        for arr in (plan[0],) + plan[1]:
+            arr.setflags(write=False)
         if keep:
-            grid._cache[key] = steps
-    return steps
+            grid._cache[key] = plan
+    return plan
+
+
+def _scan(sides, weights: np.ndarray, steps) -> list:
+    """Chain the anchored cell integrals C_c of every row of sides, the
+    prefix and/or the suffix as (rows (R_i, n+1), reverse) in plan order,
+    from the left end (reverse False) or the right end (reverse True) by
+
+        out_0 = 0,  out_{c+1} = a_c out_c + C_c,  a_c = e^{-|rate| h_c},
+
+    all rows at once, as a doubling (Hillis-Steele) scan: after the step of
+    width s each entry holds the chain of the 2s cells ending at it, so
+    ceil(log2 n) vectorised steps finish every row.  The cell integrals
+    come from four shifted slices of the (n+1, R) values; a suffix column
+    enters the (re, im) planes (planes, n, R) right to left, so the steps
+    acc[:, s:] += A_s acc[:, :-s] run over contiguous memory.  No factor
+    exceeds 1, so the scan is stable.  Each column's arithmetic is
+    independent of the others, so a stacked or two-sided call is bitwise
+    equal to its row-by-row calls.
+    """
+    n = weights.shape[1]
+    vals = np.concatenate([rows.T for rows, _ in sides], axis=1)
+    spans = [slice(0, len(sides[0][0])), slice(len(sides[0][0]), None)]
+    cells = np.empty((n, vals.shape[1]), np.result_type(vals, weights))
+    term = np.empty((n - 2, vals.shape[1]), cells.dtype)
+    # stencil term j of cell c reads node c - 1 + j inside, and nodes j and
+    # n - 3 + j at the clipped cells c = 0 and c = n - 1; the terms are
+    # added in stencil order.  A real weight times a complex value is a
+    # complex product, whose zero signs differ from separate products with
+    # the real and imaginary parts, so the cells are summed in complex and
+    # only the scan runs on planes
+    for cols, stride in ((slice(1, -1), 1), (slice(None, None, n - 1), n - 3)):
+        part = cells[cols]
+        np.multiply(weights[0, cols], vals[:n - 2:stride], out=part)
+        for j in (1, 2, 3):
+            t = np.multiply(weights[j, cols], vals[j:j + n - 2:stride],
+                            out=term[:len(part)])
+            part += t
+    parts = (cells.real, cells.imag) if np.iscomplexobj(cells) else (cells,)
+    acc = np.empty((len(parts), n, vals.shape[1]))
+    for plane, part in zip(acc, parts):
+        for span, (_, reverse) in zip(spans, sides):
+            plane[:, span] = part[::-1, span] if reverse else part[:, span]
+    prod = cells.view(float).reshape(acc.shape)  # the cells are in acc now
+    s = 1
+    for factor in steps:
+        acc[:, s:] += np.multiply(factor, acc[:, :-s], out=prod[:, s:])
+        s *= 2
+    outs = []
+    for span, (rows, reverse) in zip(spans, sides):
+        out = np.zeros((len(rows), n + 1), np.result_type(rows, weights))
+        planes = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
+        for part, plane in zip(planes, acc[:, :, span]):
+            if reverse:
+                part[:, :-1] = plane[::-1].T
+            else:
+                part[:, 1:] = plane.T
+        outs.append(out)
+    return outs
 
 
 def _sample_rows(b, grid: RadialGrid) -> np.ndarray:

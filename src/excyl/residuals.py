@@ -248,12 +248,11 @@ def attach_residual_report(bundle) -> ResidualReport:
                               bundle.rhs_final.absorbed_fr0,
                               bundle.rhs_final.absorbed_fr0_decay)
         pressure[0] = p0.values
+        f_z = bundle.rhs_final.rhs[2]
         for k in range(1, bundle.v.k_max + 1):
             vz = bundle.v.profile("z", k)
-            fz = bundle.rhs_final.rhs.get(("z", k))
-            if fz is None:
-                fz = np.zeros(len(grid), dtype=complex)
-            pressure[k] = recover_pressure(grid, k, bundle.nu, vz, fz).values
+            pressure[k] = recover_pressure(grid, k, bundle.nu, vz,
+                                           f_z[k]).values
     report = residual_asns(bundle.v, bundle.nu, bundle.mu,
                            forcing=bundle.forcing,
                            pressure=pressure or None,

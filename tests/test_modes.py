@@ -28,6 +28,11 @@ def _zeros(grid):
     return np.zeros(len(grid), dtype=complex)
 
 
+def _no_forcing(grid, k_max):
+    """solve_linear_system's (3, K+1, n) forcing, all zero."""
+    return np.zeros((3, k_max + 1, len(grid)), dtype=complex)
+
+
 # --- zero-mode swirl ----------------------------------------------------------
 
 
@@ -371,7 +376,7 @@ def test_pressure_radial_momentum_residual(grid):
 
 def test_driver_mirrors_and_couples(grid):
     boundary = BoundaryData(g_theta={1: 1e-2}, g_r={1: 5e-3}, g_z={1: -2e-3j})
-    rhs = {}
+    rhs = _no_forcing(grid, 2)
     decays = {("theta", 0): 10.0, ("z", 0): 10.0, "nonzero": 10.0}
     field, merid = solve_linear_system(grid, -1.0, 2.0, 2, rhs, decays,
                                        boundary)
@@ -394,11 +399,11 @@ def test_driver_rows_equal_single_mode_solves(grid):
     # every row is bitwise equal, with forcing on every mode and mu != 0
     r = grid.nodes
     k_max, nu, mu, lam = 3, -1.5, 2.0, 10.0
-    rhs = {}
+    rhs = _no_forcing(grid, k_max)  # rows r, theta, z
     for k in range(k_max + 1):
-        rhs[("theta", k)] = (1e-4 + 2e-5j * k) * r ** -6.0
-        rhs[("r", k)] = (3e-5 - 1e-5j) * r ** -5.0 * np.exp(-0.1 * k * (r - 1.0))
-        rhs[("z", k)] = -2e-5j * (k + 1) * r ** -7.0
+        rhs[1, k] = (1e-4 + 2e-5j * k) * r ** -6.0
+        rhs[0, k] = (3e-5 - 1e-5j) * r ** -5.0 * np.exp(-0.1 * k * (r - 1.0))
+        rhs[2, k] = -2e-5j * (k + 1) * r ** -7.0
     boundary = BoundaryData(g_theta={1: 1e-3, 3: 2e-4j}, g_r={2: 5e-4},
                             g_z={1: -3e-4j, 2: 1e-4})
     decays = {("theta", 0): 6.0, ("z", 0): 7.0, "nonzero": lam}
@@ -406,10 +411,10 @@ def test_driver_rows_equal_single_mode_solves(grid):
                                        boundary)
     assert merid.w.shape == merid.phi.shape == (k_max, len(grid))
     for k in range(1, k_max + 1):
-        swirl = solve_swirl_mode(grid, k, nu, rhs[("theta", k)],
+        swirl = solve_swirl_mode(grid, k, nu, rhs[1, k],
                                  boundary.coefficient("theta", k), lam)
-        f_r = rhs[("r", k)] + (2.0 * mu / r ** 2) * swirl.values
-        single = solve_meridional_mode(grid, k, nu, f_r, rhs[("z", k)],
+        f_r = rhs[0, k] + (2.0 * mu / r ** 2) * swirl.values
+        single = solve_meridional_mode(grid, k, nu, f_r, rhs[2, k],
                                        boundary.coefficient("r", k),
                                        boundary.coefficient("z", k), lam)
         for comp, prof in (("theta", swirl), ("r", single.v_r),
@@ -489,10 +494,10 @@ def test_fresh_grid_evaluates_each_distinct_bessel_order_once(monkeypatch, nu,
     k_max = 3
     decays = {("theta", 0): 10.0, ("z", 0): 10.0, "nonzero": 10.0}
     b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
-    solve_linear_system(g, nu, 1.0, k_max, {}, decays, b)
+    solve_linear_system(g, nu, 1.0, k_max, _no_forcing(g, k_max), decays, b)
     assert len(calls) == len(set(calls)) == 2 * k_max * distinct
     calls.clear()
-    solve_linear_system(g, nu, 0.5, k_max, {}, decays, b)
+    solve_linear_system(g, nu, 0.5, k_max, _no_forcing(g, k_max), decays, b)
     assert calls == []
     # the cached mantissas are those of the kernels evaluated on their own
     entries = _kernel_entries(g)

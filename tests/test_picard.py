@@ -75,10 +75,11 @@ def test_rhs_zero_iterate_returns_forcing(grid):
     })
     vbar = FourierField.zero(grid, 2, with_sigma=True)
     rhs = assemble_rhs(vbar, forcing, 1.0, -1.0)
-    np.testing.assert_allclose(rhs.rhs[("theta", 0)], r ** -4.0)
-    np.testing.assert_allclose(rhs.rhs[("z", 1)], (0.1 + 0.2j) * r ** -3.0)
+    np.testing.assert_allclose(rhs.rhs[COMPONENTS.index("theta"), 0], r ** -4.0)
+    np.testing.assert_allclose(rhs.rhs[COMPONENTS.index("z"), 1],
+                               (0.1 + 0.2j) * r ** -3.0)
     # the zero radial mode is absorbed (audited), not solved
-    assert np.all(rhs.rhs[("r", 0)] == 0.0)
+    assert np.all(rhs.rhs[COMPONENTS.index("r"), 0] == 0.0)
     np.testing.assert_allclose(rhs.absorbed_fr0, r ** -2.0)
 
 
@@ -90,15 +91,15 @@ def test_rhs_swirl_only_support(grid):
     vbar.set_mode(1, "theta", c)
     rhs = assemble_rhs(vbar, ForcingData(), 0.0, -3.0)
     r = grid.nodes
-    np.testing.assert_allclose(rhs.rhs[("r", 2)], c.values ** 2 / r,
-                               rtol=1e-12)
-    assert np.all(rhs.rhs[("r", 0)] == 0.0)
+    np.testing.assert_allclose(rhs.rhs[COMPONENTS.index("r"), 2],
+                               c.values ** 2 / r, rtol=1e-12)
+    assert np.all(rhs.rhs[COMPONENTS.index("r"), 0] == 0.0)
     # audit keeps the absorbed centrifugal zero mode 2|c|^2/r
     np.testing.assert_allclose(rhs.absorbed_fr0,
                                2.0 * np.abs(c.values) ** 2 / r, rtol=1e-12)
     # no sigma coupling for nu < -2 and no theta/z quadratics from pure swirl
-    assert np.max(np.abs(rhs.rhs[("theta", 1)])) == 0.0
-    assert np.max(np.abs(rhs.rhs[("z", 1)])) == 0.0
+    assert np.max(np.abs(rhs.rhs[COMPONENTS.index("theta"), 1])) == 0.0
+    assert np.max(np.abs(rhs.rhs[COMPONENTS.index("z"), 1])) == 0.0
 
 
 def test_rhs_sigma_coupling(grid):
@@ -108,7 +109,7 @@ def test_rhs_sigma_coupling(grid):
     vbar.set_mode(1, "theta", c)
     rhs = assemble_rhs(vbar, ForcingData(), 0.0, -1.0)
     r = grid.nodes
-    np.testing.assert_allclose(rhs.rhs[("r", 1)],
+    np.testing.assert_allclose(rhs.rhs[COMPONENTS.index("r"), 1],
                                2.0 * 0.3 * c.values / r ** 2, rtol=1e-12)
 
 
@@ -171,7 +172,8 @@ def test_rhs_matches_pseudo_spectral_oracle(grid):
             if comp == "r" and k == 0:
                 continue
             want = oracle.get((comp, k), 0.0 * r)
-            np.testing.assert_allclose(rhs.rhs[(comp, k)], want, atol=1e-9,
+            np.testing.assert_allclose(rhs.rhs[COMPONENTS.index(comp), k],
+                                       want, atol=1e-9,
                                        err_msg=f"{comp},{k}")
 
 
@@ -248,17 +250,18 @@ def test_assembly_bitwise_equal_to_full_products(grid, case):
     forcing = _several_mode_forcing()
     got = assemble_rhs(vbar, forcing, 0.7, nu)
     rhs, absorbed, tail = _reference_assembly(vbar, forcing, 0.7, nu)
-    assert set(got.rhs) == set(rhs)
-    for key, want in rhs.items():
-        assert_same_bits(got.rhs[key], want)
+    assert got.rhs.shape == (len(COMPONENTS), k_max + 1, len(grid))
+    assert len(rhs) == got.rhs.shape[0] * got.rhs.shape[1]
+    for (comp, k), want in rhs.items():
+        assert_same_bits(got.rhs[COMPONENTS.index(comp), k], want)
     assert_same_bits(got.absorbed_fr0, absorbed)
     assert got.convolution_tail == tail
     assert (tail == 0.0) == case.startswith("zero")
     # the forcing sampled once by the caller gives the same bits
     again = assemble_rhs(vbar, forcing, 0.7, nu,
                          forcing.sample_stack(k_max, grid.nodes))
-    for key, want in rhs.items():
-        assert_same_bits(again.rhs[key], want)
+    for (comp, k), want in rhs.items():
+        assert_same_bits(again.rhs[COMPONENTS.index(comp), k], want)
 
 
 def test_forcing_sampled_once_per_solve(grid):
@@ -338,6 +341,30 @@ def test_picard_sigma_structure(grid):
     sub = picard_solve(grid, -1.0, 1.0, 4, ForcingData(), b)
     assert sub.sigma is not None
     assert sub.sigma == pytest.approx(1e-3, rel=1e-3)  # dominated by g_theta0
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("relaxation", 0.0), ("relaxation", -0.5), ("relaxation", 1.5),
+    ("relaxation", float("nan")), ("tol", float("nan")), ("tol", 0.0),
+    ("tol", -1e-10), ("tol", float("inf")), ("max_iters", 0),
+    ("max_iters", -2), ("max_iters", 2.5)])
+def test_picard_rejects_out_of_bounds_settings(grid, setting, value):
+    # the bounds RunConfig.validate puts on a config file hold for library
+    # callers too: relaxation 0 would return the zero field as converged,
+    # max_iters 0 a bundle with no forcing, tol nan would never converge and
+    # a fractional max_iters would fail in range()
+    b = BoundaryData(g_theta={1: 1e-3})
+    with pytest.raises(ConfigError, match=setting):
+        picard_solve(grid, -1.0, 1.0, 2, ForcingData(), b, **{setting: value})
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("relaxation", 0.0), ("tol", float("nan")), ("max_iters", 0)])
+def test_nonuniqueness_pair_passes_settings_to_picard(grid, setting, value):
+    b = BoundaryData(g_theta={1: 1e-3})
+    with pytest.raises(ConfigError, match=setting):
+        nonuniqueness_pair(grid, -3.0, 1.0, 2, ForcingData(), b, 0.05,
+                           **{setting: value})
 
 
 def test_picard_large_data_warns(grid):
@@ -440,14 +467,25 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
-def _cached_bytes(entry) -> int:
-    if isinstance(entry, np.ndarray):
-        return entry.nbytes
-    if isinstance(entry, (tuple, list)):
-        return sum(_cached_bytes(e) for e in entry)
-    if hasattr(entry, "__dict__"):
-        return sum(_cached_bytes(e) for e in vars(entry).values())
-    return 0
+def _cached_array_bytes(grid) -> int:
+    """Bytes of the arrays in a grid's cache, each counted once, a view
+    through its base."""
+    bases = {}
+
+    def visit(entry):
+        if isinstance(entry, np.ndarray):
+            while isinstance(entry.base, np.ndarray):
+                entry = entry.base
+            bases[id(entry)] = entry
+        elif isinstance(entry, (tuple, list)):
+            for e in entry:
+                visit(e)
+        elif hasattr(entry, "__dict__"):
+            for e in vars(entry).values():
+                visit(e)
+
+    visit(list(grid._cache.values()))
+    return sum(a.nbytes for a in bases.values())
 
 
 def test_kernel_cache_shared_across_iterations_and_solves(monkeypatch):
@@ -461,25 +499,63 @@ def test_kernel_cache_shared_across_iterations_and_solves(monkeypatch):
                 for k in (1, 2) for kind in ("swirl", "vorticity", "stream")}
     assert calls == expected
     keys = set(g._cache)
-    size = _cached_bytes(list(g._cache.values()))
-    assert any(key[0] == "scanfactors" for key in keys)
+    size = _cached_array_bytes(g)
+    assert any(key[0] == "scanplan" for key in keys)
     nonuniqueness_pair(g, -3.0, 0.5, 2, ForcingData(), b, 0.02)
     assert calls == expected
     # a warm grid gains no cache entry and no cached bytes
     assert set(g._cache) == keys
-    assert _cached_bytes(list(g._cache.values())) == size
+    assert _cached_array_bytes(g) == size
 
 
 def test_closure_scan_factors_not_kept():
-    # s_v_out, the one suffix at rates -2|k|, runs once per grid; its
-    # scan-factor table is not kept, while the tables iterations read are
+    # s_v_out, the one suffix at rates -2|k|, runs once per grid; its scan
+    # plan is not kept, nor are per-rate cell weights, while the two-sided
+    # plan that every nonzero stage of an iteration reads is
     g = RadialGrid.graded(256, 60.0, 2.0)
     b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
     picard_solve(g, -1.0, 1.0, 3, ForcingData(), b)
-    tables = {key[1:] for key in g._cache if key[0] == "scanfactors"}
-    assert ((-2.0, -4.0, -6.0), True) not in tables
-    assert ((-1.0, -2.0, -3.0), True) in tables
-    assert ((1.0, 2.0, 3.0), False) in tables
+    plans = {key[1:] for key in g._cache if key[0] == "scanplan"}
+    assert ((), (-2.0, -4.0, -6.0)) not in plans
+    assert ((1.0, 2.0, 3.0), (-1.0, -2.0, -3.0)) in plans
+    assert not any(key[0] == "cellweights" for key in g._cache)
+
+
+def test_wide_solve_cache_bytes_bounded():
+    # the benchmark's wide-k solve (n = 512, K = 32, nu = -1): the scan
+    # plans stack the cell weights of all their rates once and keep no
+    # per-rate copies, so the grid cache holds no more than the 8321040
+    # bytes (7.94 MiB) of the per-rate weights and factor tables before them
+    g = RadialGrid.graded(512, 100.0, 2.0)
+    b = BoundaryData(g_theta={k: 4e-4 / k ** 2 for k in range(1, 33)})
+    picard_solve(g, -1.0, 1.0, 32, ForcingData(), b)
+    assert _cached_array_bytes(g) <= 8321040
+
+
+@pytest.mark.parametrize("nu, two_sided, one_sided", [(-3.0, 5, 0),
+                                                      (-1.0, 4, 2)])
+def test_scan_passes_per_iteration(monkeypatch, nu, two_sided, one_sided):
+    # each nonzero stage (swirl, meridional forcing, stream transforms)
+    # takes its prefix and suffix from one scan, and so does each zero-mode
+    # solve, except the nested outer integrals of the swirl at -2 <= nu < 0
+    import excyl.radial
+
+    g = RadialGrid.graded(128, 60.0, 2.0)
+    b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
+    picard_solve(g, nu, 1.0, 2, ForcingData(), b)  # builds the grid's cache
+    calls = []
+    scan = excyl.radial._scan
+
+    def counting(sides, weights, steps):
+        calls.append(len(sides))
+        return scan(sides, weights, steps)
+
+    monkeypatch.setattr(excyl.radial, "_scan", counting)
+    bundle = picard_solve(g, nu, 1.0, 2, ForcingData(), b)
+    assert bundle.iterations > 1
+    assert calls.count(2) == two_sided * bundle.iterations
+    assert calls.count(1) == one_sided * bundle.iterations
+    assert len(calls) == (two_sided + one_sided) * bundle.iterations
 
 
 def test_kernel_cache_hit_is_bit_identical():

@@ -9,6 +9,7 @@ from excyl.errors import DomainError, NumericError
 from excyl.radial import (
     RadialGrid,
     RadialProfile,
+    exp_weighted_integrals,
     exp_weighted_prefix,
     exp_weighted_suffix,
     fd_bvp_solve,
@@ -192,7 +193,8 @@ def test_phi_functions_match_mpmath(z):
 
 def test_cell_rule_cache_after_wide_solve():
     # a K=32 solve reads every rate up to 2K; the exact rule keeps one
-    # inverse Vandermonde stack per anchor side and no quadrature tables
+    # inverse Vandermonde stack per anchor side and no quadrature tables,
+    # and the scan plans hold the weights of the rates the iterations read
     from excyl.fourier import BoundaryData, ForcingData
     from excyl.picard import picard_solve
 
@@ -205,7 +207,13 @@ def test_cell_rule_cache_after_wide_solve():
     for idx, basis in bases.values():
         assert basis.shape == (g.n_cells, 4, 4) and idx.shape == (g.n_cells, 4)
         assert not basis.flags.writeable and not idx.flags.writeable
-    assert any(key == ("cellweights", -64.0) for key in g._cache)
+    assert not any(key[0] == "cellweights" for key in g._cache)
+    ks = tuple(float(k) for k in range(1, 33))
+    weights, _ = g._cache[("scanplan", ks, tuple(-k for k in ks))]
+    assert weights.shape == (4, g.n_cells, 64)
+    # rate -2K is read once per grid, by the closure, and not kept
+    assert not any(-64.0 in key[1] + key[2]
+                   for key in g._cache if key[0] == "scanplan")
 
 
 def test_rate_zero_prefix_is_integrate_inner(grid):
@@ -326,27 +334,45 @@ def test_scan_bitwise_equal_to_reference(n):
 
 
 def test_scan_factors_cached_read_only_per_rates_and_direction():
+    # one plan per (prefix rates, suffix rates): its weights and step
+    # factors are read-only, one column per row rate (one column for a
+    # one-sided stack that shares a rate)
     g = RadialGrid.graded(64, 50.0, 2.0)
     stack = np.ones((3, len(g)))
     rates = np.array([1.0, 2.0, 3.0])
     exp_weighted_prefix(g, stack, rates)
     exp_weighted_prefix(g, 1j * stack, rates)  # complex rows share the entry
     exp_weighted_suffix(g, stack, -rates)
+    exp_weighted_integrals(g, stack, rates, 1j * stack, -rates)
     # one shared rate, given once or per row, and a single row at that rate
     exp_weighted_prefix(g, stack, 2.0)
     exp_weighted_prefix(g, stack, np.full(3, 2.0))
     exp_weighted_prefix(g, stack[0], 2.0)
     entries = {key[1:]: val for key, val in g._cache.items()
-               if key[0] == "scanfactors"}
-    assert set(entries) == {((1.0, 2.0, 3.0), False),
-                            ((-1.0, -2.0, -3.0), True), ((2.0,), False)}
-    for (rate_key, _), steps in entries.items():
+               if key[0] == "scanplan"}
+    assert set(entries) == {((1.0, 2.0, 3.0), ()), ((), (-1.0, -2.0, -3.0)),
+                            ((1.0, 2.0, 3.0), (-1.0, -2.0, -3.0)),
+                            ((2.0,), ())}
+    assert not any(key[0] in ("cellweights", "scanfactors") for key in g._cache)
+    for (in_rates, out_rates), (weights, steps) in entries.items():
+        columns = len(in_rates) + len(out_rates)
+        assert weights.shape == (4, g.n_cells, columns)
+        assert not weights.flags.writeable
         assert len(steps) == 6  # ceil(log2 64) doubling steps
         for j, step in enumerate(steps):
-            assert step.shape == (g.n_cells - 2 ** j, len(rate_key))
+            assert step.shape == (g.n_cells - 2 ** j, columns)
             assert not step.flags.writeable
     with pytest.raises(ValueError):
-        entries[((2.0,), False)][0][0, 0] = 1.0
+        entries[((2.0,), ())][1][0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        entries[((2.0,), ())][0][0, 0, 0] = 1.0
+    # the two-sided plan holds each side's columns in its own scan order
+    both = entries[((1.0, 2.0, 3.0), (-1.0, -2.0, -3.0))]
+    for side, part in ((((1.0, 2.0, 3.0), ()), slice(0, 3)),
+                       (((), (-1.0, -2.0, -3.0)), slice(3, 6))):
+        for got, want in zip(both[1], entries[side][1]):
+            assert_same_bits(got[:, part], want)
+        assert_same_bits(both[0][:, :, part], entries[side][0])
 
 
 def test_suffix_without_kept_factors_is_bitwise_equal():
@@ -354,17 +380,80 @@ def test_suffix_without_kept_factors_is_bitwise_equal():
     rng = np.random.default_rng(11)
     stack = rng.standard_normal((3, len(g))) + 1j * rng.standard_normal((3, len(g)))
     rates = np.array([-2.0, -4.0, -6.0])
-    key = ("scanfactors", (-2.0, -4.0, -6.0), True)
-    once = exp_weighted_suffix(g, stack, rates, keep_factors=False)
+    key = ("scanplan", (), (-2.0, -4.0, -6.0))
+    once = exp_weighted_suffix(g, stack, rates, keep_plan=False)
     assert key not in g._cache
+    assert not any(key[0] == "cellweights" for key in g._cache)
     kept = exp_weighted_suffix(g, stack, rates)
     assert key in g._cache
     assert_same_bits(once, kept)
-    # a table that is already cached is read, and stays
-    steps = g._cache[key]
-    assert_same_bits(exp_weighted_suffix(g, stack, rates, keep_factors=False),
+    # a plan that is already cached is read, and stays
+    plan = g._cache[key]
+    assert_same_bits(exp_weighted_suffix(g, stack, rates, keep_plan=False),
                      kept)
-    assert g._cache[key] is steps
+    assert g._cache[key] is plan
+
+
+def _signed_zero_stacks(g, rng):
+    """The real and complex stacks of test_scan_bitwise_equal_to_reference:
+    random rows, rows with signed zeros, and rows of zeros of random signs."""
+    real = rng.standard_normal((8, len(g))) * g.nodes ** -2.0
+    real[4:, ::7] = -0.0
+    cplx = real + 1j * rng.standard_normal(real.shape)
+    cplx[4, ::5] = complex(0.0, -0.0)
+    cplx[5, ::3] = complex(-0.0, 1.0)
+    signs = rng.standard_normal((2, 4, len(g)))
+    real[:4] = np.copysign(0.0, signs[0])
+    cplx.real[:4] = np.copysign(0.0, signs[0])
+    cplx.imag[:4] = np.copysign(0.0, signs[1])
+    return real, cplx
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_two_sided_scan_bitwise_equal_to_one_sided(n):
+    # one scan over a prefix and a suffix stack equals the two one-sided
+    # calls, for every side layout, dtype mix and rate pattern
+    g = RadialGrid.graded(n, 80.0, 2.0)
+    real, cplx = _signed_zero_stacks(g, np.random.default_rng(n + 1))
+    ks = np.arange(1.0, 9.0)
+    mixed = np.array([0.0, 0.5, 3.0, 1.0, 40.0, 2.0, 0.0, 7.0])
+    cases = [(ks, -ks), (ks, -2.0 * ks), (mixed, -(mixed + 1.0)),
+             (0.0, -ks), (mixed, -3.0)]
+    for rate_in, rate_out in cases:
+        for b_in, b_out in ((real, real), (cplx, cplx), (real, cplx),
+                            (cplx, real[::-1])):
+            pre, suf = exp_weighted_integrals(g, b_in, rate_in, b_out, rate_out)
+            assert_same_bits(pre, exp_weighted_prefix(g, b_in, rate_in))
+            assert_same_bits(suf, exp_weighted_suffix(g, b_out, rate_out))
+    # one row per side, at rates of any size
+    for i, (k_in, k_out) in enumerate(((1.0, -1.0), (0.0, -64.0), (8.0, -0.5))):
+        pre, suf = exp_weighted_integrals(g, cplx[i], k_in, real[i + 4], k_out)
+        assert_same_bits(pre, exp_weighted_prefix(g, cplx[i], k_in))
+        assert_same_bits(suf, exp_weighted_suffix(g, real[i + 4], k_out))
+    # rate 0 on both sides: integrate_inner and integrate_outer
+    for row_in, row_out in ((real[0], real[5]), (cplx[1], cplx[6]),
+                            (cplx[4], real[7])):
+        inner, outer = exp_weighted_integrals(g, row_in, 0.0, row_out, 0.0,
+                                              decay_exponent=3.0,
+                                              check_tail=False)
+        assert_same_bits(inner, integrate_inner(row_in, g))
+        assert_same_bits(outer, integrate_outer(row_out, g, decay_exponent=3.0,
+                                                check_tail=False))
+
+
+def test_two_sided_scan_checks_each_side(grid):
+    ones = np.ones((2, len(grid)))
+    with pytest.raises(DomainError):  # a prefix rate below 0
+        exp_weighted_integrals(grid, ones, [1.0, -1.0], ones, [-1.0, -2.0])
+    with pytest.raises(DomainError):  # a suffix rate 0 with no tail
+        exp_weighted_integrals(grid, ones, [1.0, 2.0], ones, [0.0, 0.0])
+    with pytest.raises(DomainError):  # rate 0 mixed with decaying rows
+        exp_weighted_integrals(grid, ones, 1.0, ones, [0.0, -1.0],
+                               decay_exponent=3.0)
+    with pytest.raises(DomainError):  # two rates for one row
+        exp_weighted_integrals(grid, ones[0], [1.0, 2.0], ones, -1.0)
+    pre, suf = exp_weighted_integrals(grid, ones, 1.0, None, None)
+    assert suf is None and pre.shape == ones.shape
 
 
 def test_exp_weighted_rate_signs(grid):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from excyl.errors import NumericError
-from excyl.fourier import BoundaryData, ForcingData, ForcingMode, FourierField
+from excyl.fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
+                           FourierField)
 from excyl.modes import solve_linear_system
 from excyl.picard import picard_solve
 from excyl.radial import RadialGrid, RadialProfile
@@ -145,9 +146,10 @@ def test_manufactured_linear_solve_recovers_field():
         # linearized system, so feed it the linear part of the forcing
         from excyl.picard import assemble_rhs
         quad = assemble_rhs(field, ForcingData(), mu, nu)
-        lin = {}
-        for key, arr in arrays.items():
-            lin[key] = arr + quad.rhs.get(key, 0.0)
+        lin = quad.rhs.copy()
+        for (comp, k), arr in arrays.items():
+            c = COMPONENTS.index(comp)
+            lin[c, k] = arr + quad.rhs[c, k]
         # assemble_rhs already dropped the k=0 radial mode; the linear driver
         # ignores it anyway
         decays = {("theta", 0): 10.0, ("z", 0): 10.0, "nonzero": 10.0}
