@@ -271,7 +271,8 @@ class ForcingData:
 
 
 def convolve_product(a: np.ndarray, b: np.ndarray, k_max: int,
-                     with_tail: bool = True) -> np.ndarray:
+                     with_tail: bool = True,
+                     band: Optional[int] = None) -> np.ndarray:
     """Rows k = 0..2K of the mode convolution (a * b)_k = sum_l a_{k-l} b_l.
 
     a and b stack the modes k = -K..K (K = k_max) along their first axis, as
@@ -281,14 +282,24 @@ def convolve_product(a: np.ndarray, b: np.ndarray, k_max: int,
     for real fields and are not formed.  Each l adds a_{k-l} b_l to a slice
     of rows, l in increasing order, so every row sums its terms in the same
     order whether or not the tail is formed.
+
+    band B (-1..K, None for K) declares that a and b vanish above |k| = B:
+    only their modes -B..B are read and only rows up to 2B are formed (none
+    at B = -1).  Every term it skips is an exact zero, and a row sum that
+    starts at +0 never turns -0, so each formed row has the bits of the
+    full product.
     """
     if a.shape != b.shape or a.shape[0] != 2 * k_max + 1:
         raise DomainError("convolution inputs differ in grid size or truncation")
-    n_rows = 2 * k_max + 1 if with_tail else k_max + 1
-    out = np.zeros((n_rows,) + a.shape[1:], dtype=np.result_type(a, b))
-    for i, b_l in enumerate(b):  # l = i - K reaches rows 0..i from a_{K-i}..a_K
+    band = k_max if band is None else band
+    if not -1 <= band <= k_max:
+        raise DomainError(f"band {band} is outside -1..{k_max}")
+    n_rows = min(2 * k_max + 1 if with_tail else k_max + 1, 2 * band + 1)
+    out = np.zeros((max(n_rows, 0),) + a.shape[1:], dtype=np.result_type(a, b))
+    a, b = a[k_max - band:k_max + band + 1], b[k_max - band:k_max + band + 1]
+    for i, b_l in enumerate(b):  # l = i - B reaches rows 0..i from a_{B-i}..a_B
         m = min(i + 1, n_rows)
-        out[:m] += a[2 * k_max - i:2 * k_max - i + m] * b_l
+        out[:m] += a[2 * band - i:2 * band - i + m] * b_l
     return out
 
 

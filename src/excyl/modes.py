@@ -41,8 +41,11 @@ prefix at +|k| and suffix at -|k| from one exp_weighted_integrals scan, as
 each zero-mode solve takes its (inner, outer) pair: five scans an iteration
 at nu < -2.  solve_linear_system solves k = 1..K as one stack per stage
 (swirl first, then the meridional pair, which needs the fresh swirl through
-2 mu v_theta,k / r^2); solve_swirl_mode and solve_meridional_mode are the
-one-row case of the same core.  Everything in a stage that depends only on
+2 mu v_theta,k / r^2), or only k = 1..m when the forcing and the data stop
+at mode m (the iterate's band, see picard_solve): those stages read the
+first m rows of each stack and their columns of the full-band scan plan;
+solve_swirl_mode and solve_meridional_mode are the one-row case of the same
+core.  Everything in a stage that depends only on
 (grid, nu, modes) -- the kernel mantissas, the integrand factors, the
 boundary factor e^{|k|(1-r)} and, for the meridional stage, the integrals
 p_v_in and s_v_out with the closure coefficients A_k, B_k, D_k -- is built
@@ -330,6 +333,11 @@ def _build_stacks(grid: RadialGrid, ks, nu: float) -> None:
     _meridional_stack(grid, ks, nu, shared)
 
 
+def _first_rows(stack: SimpleNamespace, m: int) -> SimpleNamespace:
+    """The rows of the first m modes of a cached stack, as views."""
+    return SimpleNamespace(**{name: a[:m] for name, a in vars(stack).items()})
+
+
 def _check_nonzero_mode(nu: float, f_decay: float) -> None:
     if nu >= 0:
         raise DomainError("background sink strength nu must be negative")
@@ -341,15 +349,17 @@ def _check_nonzero_mode(nu: float, f_decay: float) -> None:
 
 
 def _swirl_rows(grid: RadialGrid, ks, nu: float, fv: np.ndarray, g):
-    """Swirl solves of modes ks at once: forcing rows fv (R, n), boundary
-    values g (R,).  Returns (values, d1, d2), each (R, n).
+    """Swirl solves of the first m modes of ks at once: forcing rows fv
+    (m, n), boundary values g (m,).  Returns (values, d1, d2), each (m, n).
 
     Only the boundary-anchored vbar term keeps an exponential factor,
     decay = e^{|k|(1-r)}.
     """
-    st = _swirl_stack(grid, ks, nu)
-    c_in, c_out = exp_weighted_integrals(grid, fv * st.w_I0, st.kk,
-                                         fv * st.w_K0, -st.kk)
+    full = _swirl_stack(grid, ks, nu)
+    m = len(fv)
+    st = _first_rows(full, m)
+    c_in, c_out = exp_weighted_integrals(grid, fv * st.w_I0, full.kk,
+                                         fv * st.w_K0, -full.kk, first_rows=m)
     # vbar = (g - G_grow(1) * int_1^inf f s^{1-nu} G_dec ds) / G_dec(1),
     # held as its mantissa at shift +|k|
     vbar = ((g - st.I0[:, 0] * c_out[:, 0]) / st.K0[:, 0])[:, None]
@@ -361,22 +371,26 @@ def _swirl_rows(grid: RadialGrid, ks, nu: float, fv: np.ndarray, g):
 
 def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
                      fzv: np.ndarray, g_r, g_z) -> SimpleNamespace:
-    """Meridional solves of modes ks at once: forcing rows frv, fzv (R, n),
-    boundary values g_r, g_z (R,).
+    """Meridional solves of the first m modes of ks at once: forcing rows
+    frv, fzv (m, n), boundary values g_r, g_z (m,).
 
     Returns v_r, v_z and phi as (values, d1, d2) and w as (values, d1),
-    each array (R, n), plus the per-row scalars phi_bar, w_bar (mantissas
+    each array (m, n), plus the per-row scalars phi_bar, w_bar (mantissas
     at shift +|k|) and g_kf (shift -|k|).
     """
-    st = _meridional_stack(grid, ks, nu)
+    full = _meridional_stack(grid, ks, nu)
+    m = len(frv)
+    st = _first_rows(full, m)
+    rates = (full.kk, -full.kk)
     r = grid.nodes
-    k = np.asarray(ks, dtype=float)[:, None]
+    k = np.asarray(ks[:m], dtype=float)[:, None]
     ik = 1j * k
     # f_r part of F = ik f_r - f_z', plus the integrated-by-parts f_z part
     # carrying (s^{1-nu} J)' and (s^{1-nu} V)' against plain f_z values
     b_in = ik * frv * st.w_J0 + fzv * st.dJ
     b_out = ik * frv * st.w_V0 + fzv * st.dV
-    c_in, c_out = exp_weighted_integrals(grid, b_in, st.kk, b_out, -st.kk)
+    c_in, c_out = exp_weighted_integrals(grid, b_in, rates[0], b_out, rates[1],
+                                         first_rows=m)
     bdry = st.J0[:, :1] * fzv[:, :1]  # boundary term of the integration by parts
 
     # h(r): the w_bar-independent part of the vorticity, and its derivative
@@ -384,8 +398,9 @@ def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
     dh_vals = st.V1 * c_in + st.J1 * c_out + bdry * st.V1d + fzv
 
     # stream transforms of h; S1[0] = |k| K_1'(|k|), T1[0] = |k| I_1'(|k|)
-    p_h_in, s_h_out = exp_weighted_integrals(grid, h_vals * st.rT0, st.kk,
-                                             h_vals * st.rS0, -st.kk)
+    p_h_in, s_h_out = exp_weighted_integrals(grid, h_vals * st.rT0, rates[0],
+                                             h_vals * st.rS0, rates[1],
+                                             first_rows=m)
 
     # closure: w_bar = D^{-1} (A g_r + B g_z - G); A, B and G are mantissas
     # at shift -|k|, D at -2|k|, so w_bar is one at +|k|
@@ -469,7 +484,8 @@ def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
 
 
 def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
-                        rhs: np.ndarray, decays: dict, boundary):
+                        rhs: np.ndarray, decays: dict, boundary,
+                        band: Optional[int] = None):
     """Solve all modes |k| <= k_max of the linearized system.
 
     rhs is the (3, K+1, n) forcing f_{c,k} of the components c of
@@ -481,6 +497,11 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
     go straight into the field's dense array; k < 0 follows from conjugate
     symmetry.  Returns the field and the MeridionalStacks (w, phi) of
     modes 1..K.
+
+    band m (-1..K, None for K) declares that the forcing and the boundary
+    data vanish above |k| = m: only modes 1..m are solved, on the first m
+    rows of the cached stacks and scan plans, and rows m+1..K of the
+    field, w and phi stay +0.
     """
     from .fourier import COMPONENTS, FourierField
 
@@ -488,6 +509,9 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
     f = np.asarray(rhs, dtype=complex)
     if f.shape != (len(COMPONENTS), k_max + 1, len(grid)):
         raise DomainError("forcing must be a (3, k_max + 1, n) array")
+    m = k_max if band is None else band
+    if not -1 <= m <= k_max:
+        raise DomainError(f"band {m} is outside -1..{k_max}")
     f_r, f_theta, f_z = f
 
     field_out = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)
@@ -503,23 +527,38 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
     field_out.sigma = swirl0.sigma
 
     _check_nonzero_mode(nu, decays["nonzero"])
-    ks = tuple(range(1, k_max + 1))
+    w = phi = np.zeros((0, len(grid)), dtype=complex)
+    if m >= 1:
+        ks = tuple(range(1, k_max + 1))
 
-    def bc(comp):
-        return np.array([boundary.coefficient(comp, k) for k in ks],
-                        dtype=complex)
+        def bc(comp):
+            return np.array([boundary.coefficient(comp, k) for k in ks[:m]],
+                            dtype=complex)
 
-    _build_stacks(grid, ks, nu)
-    swirl = _swirl_rows(grid, ks, nu, f_theta[1:], bc("theta"))
-    merid = _meridional_rows(grid, ks, nu,
-                             f_r[1:] + (2.0 * mu / r ** 2) * swirl[0],
-                             f_z[1:], bc("r"), bc("z"))
-    out = field_out.data[:, 1:]
-    for d in range(3):
-        out[0, :, d] = merid.v_r[d]
-        out[1, :, d] = swirl[d]
-        out[2, :, d] = merid.v_z[d]
-    return field_out, MeridionalStacks(w=merid.w[0], phi=merid.phi[0])
+        _build_stacks(grid, ks, nu)
+        band_rows = slice(1, m + 1)
+        swirl = _swirl_rows(grid, ks, nu, f_theta[band_rows], bc("theta"))
+        merid = _meridional_rows(
+            grid, ks, nu, f_r[band_rows] + (2.0 * mu / r ** 2) * swirl[0],
+            f_z[band_rows], bc("r"), bc("z"))
+        out = field_out.data[:, band_rows]
+        for d in range(3):
+            out[0, :, d] = merid.v_r[d]
+            out[1, :, d] = swirl[d]
+            out[2, :, d] = merid.v_z[d]
+        w, phi = merid.w[0], merid.phi[0]
+    return field_out, MeridionalStacks(w=_zero_padded(w, k_max),
+                                       phi=_zero_padded(phi, k_max))
+
+
+def _zero_padded(rows: np.ndarray, k_max: int) -> np.ndarray:
+    """rows of modes 1..m as the (K, n) stack of modes 1..K, the rows past m
+    +0 (rows itself when m = K)."""
+    if len(rows) == k_max:
+        return rows
+    out = np.zeros((k_max,) + rows.shape[1:], dtype=rows.dtype)
+    out[:len(rows)] = rows
+    return out
 
 
 def recover_pressure(grid: RadialGrid, k: int, nu: float, v_z: RadialProfile,

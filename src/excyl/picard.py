@@ -24,6 +24,13 @@ The decay index of the solution space is
     lam_z_bar     = min(lam_z, 2 - nu/2),
 
 and iterate distances are measured in the tau-weighted solution norm.
+
+The iterates are band-limited: the zero iterate has no mode (band -1), the
+quadratic term at most doubles the highest |k| present, and the data add
+theirs, so after a step the band is min(K, max(2 B, data band)).
+picard_solve passes that integer to assemble_rhs, which convolves only the
+modes -B..B, and to solve_linear_system, which solves only the modes up to
+the new band; both keep the bits of the full-band computation.
 """
 
 from __future__ import annotations
@@ -110,17 +117,22 @@ class RhsAssembly:
 
 
 def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
-                 nu: float, forcing_samples: Optional[np.ndarray] = None
-                 ) -> RhsAssembly:
+                 nu: float, forcing_samples: Optional[np.ndarray] = None,
+                 band: Optional[int] = None) -> RhsAssembly:
     """Quadratic + external forcing for one linearized solve.
 
     forcing_samples is forcing.sample_stack(K, r); picard_solve samples it
     once per solve, and it is sampled here when not given.  Only the
     products a solve reads are formed: rows 0..K of each, plus the
     discarded rows K+1..2K of the two that the convolution_tail diagnostic
-    reads.  On the zero iterate every product row is exactly +0 (each row
-    starts at +0.0, +0.0 + (+-0.0) = +0.0, and every factor is finite), so
-    nothing is convolved.
+    reads.
+
+    band B (-1..K) is the highest |k| at which vbar may be nonzero; None
+    means K, so a field built or edited by hand is never taken as narrow.
+    The products of a band-B iterate vanish above 2B, so only modes -B..B
+    are convolved and only rows up to 2B formed (convolve_product); the
+    rows above keep the forcing as it is, which is what -(+0) + f gives.
+    The zero iterate has B = -1 and convolves nothing.
     """
     grid = vbar.grid
     r = grid.nodes
@@ -134,13 +146,9 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
     d_vr, d_vth, d_vz = (vbar.stack(c, 1) for c in COMPONENTS)
     il = 1j * np.arange(-k_max, k_max + 1)[:, None]
     il_vth, il_vz, il_vr = il * vth, il * vz, il * vr
-    zero_iterate = not vbar.data.any()
 
     def conv(a, b, with_tail=False):
-        if zero_iterate:
-            rows = 2 * k_max + 1 if with_tail else k_max + 1
-            return np.zeros((rows, len(grid)), dtype=complex)
-        return convolve_product(a, b, k_max, with_tail)
+        return convolve_product(a, b, k_max, with_tail, band)
 
     adv_th = conv(vr, d_vth, with_tail=True)
     rot_th = conv(vz, il_vth)
@@ -151,12 +159,14 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
     rot_r = conv(vz, il_vr)
     cen_r = conv(vth, vth, with_tail=True)
 
-    kept = slice(0, k_max + 1)
+    kept = slice(0, len(rot_th))  # rows 0..min(K, 2B)
     rhs = np.empty((len(COMPONENTS), k_max + 1, len(grid)), dtype=complex)
+    rhs[:, kept.stop:] = forcing_samples[:, kept.stop:]
     f_r, f_th, f_z = rhs
-    np.add(-(adv_r + rot_r - cen_r[kept] / r), forcing_samples[0], out=f_r)
-    np.add(-(adv_th[kept] + rot_th + str_th / r), forcing_samples[1], out=f_th)
-    np.add(-(adv_z + rot_z), forcing_samples[2], out=f_z)
+    s_r, s_th, s_z = forcing_samples[:, kept]
+    np.add(-(adv_r + rot_r - cen_r[kept] / r), s_r, out=f_r[kept])
+    np.add(-(adv_th[kept] + rot_th + str_th / r), s_th, out=f_th[kept])
+    np.add(-(adv_z + rot_z), s_z, out=f_z[kept])
     if with_sigma:
         f_r += 2.0 * sigma_bar * vth[k_max:] / r ** 2
 
@@ -255,9 +265,10 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
             RuntimeWarning, stacklevel=2)
     support = {abs(k) for k in boundary.k_support()} \
         | {abs(k) for k in forcing.k_support()}
-    if support and max(support) > k_max:
+    data_band = max(support, default=-1)
+    if data_band > k_max:
         raise ConfigError(
-            f"data excite mode {max(support)} beyond the truncation {k_max}")
+            f"data excite mode {data_band} beyond the truncation {k_max}")
 
     with_sigma = -2.0 <= nu < 0.0
     state = IterationState(FourierField.zero(grid, k_max, with_sigma))
@@ -270,10 +281,14 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
     converged = False
     rhs_final = None
     merid_final = None
+    # the highest |k| the iterate can reach: the quadratic term at most
+    # doubles it, the data add theirs (the zero iterate has none)
+    band = -1
     for it in range(1, max_iters + 1):
-        rhs = assemble_rhs(state.v_current, forcing, mu, nu, samples)
+        rhs = assemble_rhs(state.v_current, forcing, mu, nu, samples, band)
+        band = min(k_max, max(2 * band, data_band))
         v_new, merid_final = solve_linear_system(grid, nu, mu, k_max, rhs.rhs,
-                                                 decays, boundary)
+                                                 decays, boundary, band)
         if relaxation != 1.0:
             v_new = state.v_current.blend(v_new, relaxation)
         diff = bnorm(v_new - state.v_current, tau.tau)

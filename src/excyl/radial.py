@@ -380,7 +380,8 @@ def exp_weighted_suffix(grid: RadialGrid, b, rate,
 
 def exp_weighted_integrals(grid: RadialGrid, b_in, rate_in, b_out, rate_out,
                            *, decay_exponent: Optional[float] = None,
-                           check_tail: bool = True, keep_plan: bool = True):
+                           check_tail: bool = True, keep_plan: bool = True,
+                           first_rows: Optional[int] = None):
     """(prefix of b_in at rate_in, suffix of b_out at rate_out) in one scan.
 
     Each side is laid out as for exp_weighted_prefix / exp_weighted_suffix,
@@ -388,6 +389,11 @@ def exp_weighted_integrals(grid: RadialGrid, b_in, rate_in, b_out, rate_out,
     is integrate_outer's: it needs decay_exponent, whose power-law tail
     beyond r_max it adds (fitted slope checked when check_tail).  keep_plan
     False leaves no new plan in the grid cache, for one-shot rates.
+
+    first_rows m: each side's stack holds the rows of only the first m of
+    its rates (a rate vector).  The scan reads their columns from the plan
+    of all the rates, copied per call, so a narrower call adds no plan to
+    the grid cache; each column's results keep their bits.
     """
     one_sided = b_in is None or b_out is None
     sides, rates = [], {False: (), True: ()}
@@ -397,7 +403,8 @@ def exp_weighted_integrals(grid: RadialGrid, b_in, rate_in, b_out, rate_out,
         vals = _sample_rows(b, grid)
         rows = vals.reshape(-1, vals.shape[-1])
         x = np.asarray(rate, dtype=float)
-        if x.shape not in ((), rows.shape[:1]):
+        given = x if first_rows is None else np.atleast_1d(x)[:first_rows]
+        if given.shape not in ((), rows.shape[:1]):
             raise DomainError("exp-weighted integrals take one rate per row")
         tail = reverse and decay_exponent is not None and not x.any()
         if not (tail or (x < 0 if reverse else x >= 0).all()):
@@ -408,6 +415,14 @@ def exp_weighted_integrals(grid: RadialGrid, b_in, rate_in, b_out, rate_out,
             rates[reverse] = rates[reverse][:1]  # one plan column for all rows
         sides.append((vals, rows, reverse, tail))
     weights, steps = _scan_plan(grid, rates[False], rates[True], keep_plan)
+    if first_rows is not None and first_rows < max(map(len, rates.values())):
+        spans = [slice(0, first_rows)] if b_in is not None else []
+        if b_out is not None:
+            start = len(rates[False])
+            spans.append(slice(start, start + first_rows))
+        weights = np.concatenate([weights[..., s] for s in spans], axis=-1)
+        steps = tuple(np.concatenate([f[:, s] for s in spans], axis=1)
+                      for f in steps)
     outs = _scan([(rows, reverse) for _, rows, reverse, _ in sides],
                  weights, steps)
     result = {False: None, True: None}

@@ -106,6 +106,30 @@ def test_product_without_tail_is_rows_of_full_product(grid, k_max):
         assert_same_bits(got, _direct_sum(x, y, k_max)[:k_max + 1])
 
 
+@pytest.mark.parametrize("band", [-1, 0, 1, 2, 4])
+def test_band_limited_product_is_rows_of_full_product(grid, band):
+    # inputs that vanish above |k| = band, some of those zeros signed: the
+    # band-limited product forms rows 0..min(2K, 2B) (K + 1 at most without
+    # the tail), each with the bits of the full product, whose rows above
+    # 2B are zero
+    k_max = 4
+    rng = np.random.default_rng(30 + band)
+    a = _random_stack(grid, range(band + 1), k_max, rng)
+    b = _random_stack(grid, range(0, band + 1, 2), k_max, rng)
+    a[k_max + band + 1:, ::3] = complex(-0.0, -0.0)
+    b[:k_max - band, ::2] = complex(-0.0, 0.0)
+    for x, y in ((a, b), (b, a), (a, -a)):
+        for with_tail in (True, False):
+            full = convolve_product(x, y, k_max, with_tail)
+            got = convolve_product(x, y, k_max, with_tail, band=band)
+            rows = max(0, min(len(full), 2 * band + 1))
+            assert_same_bits(got, full[:rows])
+            assert not np.any(full[rows:])
+    for bad in (-2, k_max + 1):
+        with pytest.raises(DomainError):
+            convolve_product(a, b, k_max, band=bad)
+
+
 def test_convolution_symmetry_and_linearity(grid):
     rng = np.random.default_rng(4)
     a, b, c = (_random_stack(grid, [0, 1], 2, rng) for _ in range(3))

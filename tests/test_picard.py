@@ -264,6 +264,34 @@ def test_assembly_bitwise_equal_to_full_products(grid, case):
         assert_same_bits(again.rhs[COMPONENTS.index(comp), k], want)
 
 
+@pytest.mark.parametrize("nu, band", [(-1.0, -1), (-1.0, 1), (-3.0, 2),
+                                      (-1.0, 3)])
+def test_band_limited_assembly_bitwise_equal_to_full_products(grid, nu, band):
+    # an iterate that vanishes above |k| = band, some of those zeros signed:
+    # convolving only its modes -band..band gives every rhs row, the audit
+    # copy and the tail the bits of the products over all modes
+    k_max = 4
+    vbar = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)
+    rng = np.random.default_rng(23 + band)
+    decay = np.exp(-(grid.nodes - 1.0)) / grid.nodes
+    inside = vbar.data[:, :band + 1]
+    inside[:] = decay * (rng.standard_normal(inside.shape)
+                         + 1j * rng.standard_normal(inside.shape)) * 1e-2
+    vbar.data[:, 0] = vbar.data[:, 0].real
+    vbar.data[0, 0] = 0.0
+    vbar.data[:, band + 1:, :, ::5] = complex(-0.0, -0.0)
+    if vbar.sigma is not None:
+        vbar.sigma = 0.3
+    forcing = _several_mode_forcing()
+    got = assemble_rhs(vbar, forcing, 0.7, nu, band=band)
+    rhs, absorbed, tail = _reference_assembly(vbar, forcing, 0.7, nu)
+    for (comp, k), want in rhs.items():
+        assert_same_bits(got.rhs[COMPONENTS.index(comp), k], want)
+    assert_same_bits(got.absorbed_fr0, absorbed)
+    assert got.convolution_tail == tail
+    assert (tail > 0.0) == (2 * band > k_max)
+
+
 def test_forcing_sampled_once_per_solve(grid):
     calls = []
 
@@ -547,15 +575,82 @@ def test_scan_passes_per_iteration(monkeypatch, nu, two_sided, one_sided):
     scan = excyl.radial._scan
 
     def counting(sides, weights, steps):
-        calls.append(len(sides))
+        calls.append((len(sides), weights.shape[-1]))
         return scan(sides, weights, steps)
 
     monkeypatch.setattr(excyl.radial, "_scan", counting)
     bundle = picard_solve(g, nu, 1.0, 2, ForcingData(), b)
     assert bundle.iterations > 1
-    assert calls.count(2) == two_sided * bundle.iterations
-    assert calls.count(1) == one_sided * bundle.iterations
+    assert [c for c, _ in calls].count(2) == two_sided * bundle.iterations
+    assert [c for c, _ in calls].count(1) == one_sided * bundle.iterations
     assert len(calls) == (two_sided + one_sided) * bundle.iterations
+
+    # narrow data: the first step solves modes 1..m = 1..2 of K = 4, so its
+    # three nonzero stages (the last scans of an iteration) scan 2 m plan
+    # columns; the later steps have the full band, 2 K columns
+    picard_solve(g, nu, 1.0, 4, ForcingData(), b)
+    calls.clear()
+    bundle = picard_solve(g, nu, 1.0, 4, ForcingData(), b)
+    per_step = two_sided + one_sided
+    assert len(calls) == per_step * bundle.iterations
+    widths = [[w for _, w in calls[i:i + per_step][-3:]]
+              for i in range(0, len(calls), per_step)]
+    assert widths == [[4] * 3] + [[8] * 3] * (bundle.iterations - 1)
+    # zero-mode data only (m = 0): the nonzero stages run no scan
+    calls.clear()
+    zero_mode = BoundaryData(g_theta={0: 1e-3}, g_z={0: 5e-4})
+    bundle = picard_solve(g, nu, 1.0, 4, ForcingData(), zero_mode)
+    assert len(calls) == (per_step - 3) * bundle.iterations
+    assert np.array_equal(bundle.v.data[:, 1:], np.zeros_like(bundle.v.data[:, 1:]))
+
+
+def _narrow_cases():
+    zero_mode = ForcingData(modes={
+        ("theta", 0): ForcingMode(lambda s: 1e-3 * s ** -10.0, 10.0)})
+    mode_1 = {"g_theta": {1: 1e-3}, "g_z": {1: 5e-4}}
+    return [
+        (-3.0, 8, ForcingData(), mode_1),
+        (-1.0, 8, zero_mode, {"g_theta": {1: 1e-3}, "g_z": {2: 5e-4}}),
+        (-3.0, 12, ForcingData(), mode_1),
+    ]
+
+
+@pytest.mark.parametrize("nu, k_max, forcing, data", _narrow_cases(),
+                         ids=["nu=-3", "nu=-1-forced", "nu=-3-K=12"])
+def test_band_limited_solve_equals_full_band_solve(nu, k_max, forcing, data):
+    # data on modes <= 2 keep the first iterates narrow (bands 1 or 2, then
+    # doubling; at K = 12 the band stops at 8); an explicit zero boundary
+    # coefficient at mode K gives the same problem with the full band from
+    # the first step
+    g = RadialGrid.graded(192, 60.0, 2.0)
+    narrow = picard_solve(g, nu, 1.0, k_max, forcing, BoundaryData(**data),
+                          tol=1e-13)
+    wide_data = dict(data, g_r={k_max: 0.0})
+    full = picard_solve(g, nu, 1.0, k_max, forcing, BoundaryData(**wide_data),
+                        tol=1e-13)
+    assert narrow.iterations == full.iterations > 3
+    assert narrow.diff_history == full.diff_history
+    assert narrow.sigma == full.sigma
+    assert np.array_equal(narrow.v.data, full.v.data)
+    assert np.array_equal(narrow.meridional.w, full.meridional.w)
+    assert np.array_equal(narrow.meridional.phi, full.meridional.phi)
+    assert np.array_equal(narrow.rhs_final.rhs, full.rhs_final.rhs)
+    assert (narrow.rhs_final.convolution_tail
+            == full.rhs_final.convolution_tail)
+
+
+def test_band_limited_solve_adds_no_cache_entry():
+    # the narrow steps read their columns from the full-band scan plans and
+    # their rows from the full-band stacks, so they cache nothing of their own
+    k_max = 8
+    caches = []
+    for g_r in ({}, {k_max: 0.0}):
+        g = RadialGrid.graded(128, 60.0, 2.0)
+        b = BoundaryData(g_theta={1: 1e-3}, g_z={1: 5e-4}, g_r=g_r)
+        picard_solve(g, -3.0, 1.0, k_max, ForcingData(), b)
+        caches.append(({key for key in g._cache if key[0] == "scanplan"},
+                       _cached_array_bytes(g)))
+    assert caches[0] == caches[1]
 
 
 def test_kernel_cache_hit_is_bit_identical():

@@ -456,6 +456,34 @@ def test_two_sided_scan_checks_each_side(grid):
     assert suf is None and pre.shape == ones.shape
 
 
+def test_first_rows_scan_reads_the_full_plan():
+    # the rows of the first m rates scan on m columns per side of the plan
+    # of all the rates: the same bits as the full call's rows, no new plan
+    grid = RadialGrid.graded(96, 50.0, 2.0)
+    rng = np.random.default_rng(41)
+    rates = np.arange(1.0, 6.0)
+    b_in, b_out = (rng.standard_normal((5, len(grid)))
+                   + 1j * rng.standard_normal((5, len(grid))) for _ in "io")
+    full = exp_weighted_integrals(grid, b_in, rates, b_out, -rates)
+    prefix = exp_weighted_prefix(grid, b_in, rates)
+    keys = set(grid._cache)
+    for m in (1, 3, 5):
+        got = exp_weighted_integrals(grid, b_in[:m], rates, b_out[:m], -rates,
+                                     first_rows=m)
+        for side, want in zip(got, full):
+            assert_same_bits(side, want[:m])
+        pre = exp_weighted_integrals(grid, b_in[:m], rates, None, None,
+                                     first_rows=m)[0]
+        assert_same_bits(pre, prefix[:m])
+    assert set(grid._cache) == keys
+    with pytest.raises(DomainError):  # rows beyond first_rows
+        exp_weighted_integrals(grid, b_in[:3], rates, b_out[:3], -rates,
+                               first_rows=2)
+    with pytest.raises(DomainError):  # fewer rates than first_rows
+        exp_weighted_integrals(grid, b_in, rates[:4], b_out, -rates[:4],
+                               first_rows=5)
+
+
 def test_exp_weighted_rate_signs(grid):
     # a rate-0 suffix would need a power-law tail closure, which is
     # integrate_outer's job, so suffixes take rate < 0 only

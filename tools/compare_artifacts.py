@@ -6,13 +6,16 @@ Usage:
     python tools/compare_artifacts.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `excyl` package (the
-`src` directory of a checkout).  The script runs `excyl solve` on three small
+`src` directory of a checkout).  The script runs `excyl solve` on four small
 built-in configurations under each tree: nu = -1 with a forcing that gives
-a nonzero 1/r tail coefficient sigma, nu = -3, and nu = -1 at K = 40 with
+a nonzero 1/r tail coefficient sigma, nu = -3, nu = -1 at K = 40 with
 boundary data up to mode 40, whose exp-weighted suffixes run at rates up to
-2K = 80.  For every artifact it prints "identical" when the bytes agree, or
-else the largest deviation of the file's numbers relative to the largest
-magnitude in the base file.
+2K = 80, and nu = -3 at K = 24 with data on mode 1 only, whose iterates
+never reach past mode 8 (modes 1, 2, 4, 8, 8, ...).  For every artifact it
+prints "identical" when the bytes agree, "same numbers, different text" when
+only the spelling differs (such as -0 against 0), or else the largest
+deviation of the file's numbers relative to the largest magnitude in the
+base file.
 
 Exit status: 0 when every artifact is byte-identical, 1 when some differ.
 A change to the numerics legitimately moves the artifacts, so the exit
@@ -73,6 +76,18 @@ z,2 = 5e-4
 theta,17 = 2e-5
 r,33 = 1e-5
 theta,40 = 1e-5
+""",
+    "nu-3-narrow": """\
+[params]
+nu = -3.0
+mu = 1.0
+k_max = 24
+n_radial = 256
+r_max = 60.0
+
+[boundary]
+theta,1 = 1e-3
+z,1 = 5e-4
 """,
 }
 
