@@ -16,7 +16,8 @@ formulas those exponentials cancel against the exponentially weighted
 integrals, so the solvers multiply plain mantissa arrays and no
 intermediate ever overflows.  The kernels depend only on the grid, |k|, nu
 and the kind, so the mode solvers compute them once per grid and keep the
-mantissas in the grid's operator cache (see modes._scaled_kernels).
+mantissas in the grid's operator cache, stacked one row per mode (see
+modes._kernel_rows).
 
 Derivatives come from the recurrences
 

@@ -192,63 +192,27 @@ def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
     return RadialProfile.zero(grid), v_z
 
 
-def _scaled_kernels(grid: RadialGrid, k: int, nu: float, kind: str,
-                    shared=None):
-    """Kernel derivative mantissas of one mode at shifts -|k|r and +|k|r.
-
-    Returns ((G_dec, G_dec', G_dec''), (G_grow, G_grow', G_grow'')) with
-    kernel = mantissa * e^{-|k|r} for the decaying triple and
-    mantissa * e^{+|k|r} for the growing one; the vorticity kernels keep
-    only (G, G'), since their second derivatives are never read.  The
-    kernels depend only on the grid, |k|, nu and the kind -- not on the
-    iterate or on mu -- so the mantissas are computed once per grid and kept
-    read-only in the grid's operator cache.  shared is the transient dict of
-    Bessel evaluations that kernel_K_derivs/kernel_I_derivs reuse across
-    kinds (see _build_stacks); it is never cached.
-    """
-    r = grid.nodes
-    kk = abs(k)
-    key = ("kernels", kk, nu, kind)
-    mantissas = grid._cache.get(key)
-    if mantissas is None:
-        upto = 1 if kind == "vorticity" else 2
-        # the kernels come back at exactly the shifts -|k|r and +|k|r, so
-        # their mantissas are read as they are
-        dec = tuple(g.mantissa for g in kernel_K_derivs(
-            k, nu, r, kind, upto=upto, shared=shared))
-        gro = tuple(g.mantissa for g in kernel_I_derivs(
-            k, nu, r, kind, upto=upto, shared=shared))
-        for m in dec + gro:
-            m.setflags(write=False)
-        mantissas = grid._cache[key] = (dec, gro)
-    return mantissas
-
-
-def _cached_stack(grid: RadialGrid, key, build) -> SimpleNamespace:
-    """grid._cache[key]; on a miss build() gives a dict of arrays, which is
-    frozen (read-only) and stored as a namespace."""
-    stack = grid._cache.get(key)
-    if stack is None:
-        stack = SimpleNamespace(**build())
-        for arr in vars(stack).values():
-            arr.setflags(write=False)
-        grid._cache[key] = stack
-    return stack
-
-
 def _kernel_rows(grid: RadialGrid, ks, nu: float, kind: str, shared=None):
-    """The _scaled_kernels mantissas of modes ks as read-only (len(ks), n)
-    stacks.  The per-mode cache entries are re-pointed at rows of the
-    stacks, so each mantissa is held in memory once."""
-    per_k = [_scaled_kernels(grid, k, nu, kind, shared) for k in ks]
-    dec, gro = (tuple(np.stack(rows) for rows in zip(*side))
-                for side in zip(*per_k))
-    for m in dec + gro:
-        m.setflags(write=False)
-    for i, k in enumerate(ks):
-        grid._cache[("kernels", abs(k), nu, kind)] = (
-            tuple(m[i] for m in dec), tuple(m[i] for m in gro))
-    return dec, gro
+    """Kernel derivative mantissas of modes ks at shifts -|k|r and +|k|r.
+
+    Returns ((G_dec, G_dec', G_dec''), (G_grow, G_grow', G_grow'')), each a
+    (len(ks), n) stack with kernel = mantissa * e^{-|k|r} for the decaying
+    triple and mantissa * e^{+|k|r} for the growing one; the vorticity
+    kernels keep only (G, G'), since their second derivatives are never
+    read.  Not cached here: the swirl and meridional stacks that hold them
+    are.  shared is the transient dict of Bessel evaluations that
+    kernel_K_derivs/kernel_I_derivs reuse across kinds (see _build_stacks).
+    """
+    upto = 1 if kind == "vorticity" else 2
+    # the kernels come back at exactly the shifts -|k|r and +|k|r, so their
+    # mantissas are read as they are
+    sides = []
+    for derivs in (kernel_K_derivs, kernel_I_derivs):
+        per_k = [[g.mantissa for g in derivs(k, nu, grid.nodes, kind,
+                                             upto=upto, shared=shared)]
+                 for k in ks]
+        sides.append(tuple(np.stack(rows) for rows in zip(*per_k)))
+    return tuple(sides)
 
 
 def _rates_and_decay(grid: RadialGrid, ks):
@@ -270,9 +234,10 @@ def _swirl_stack(grid: RadialGrid, ks, nu: float,
                                                   shared)
         kk, decay = _rates_and_decay(grid, ks)
         weight = grid.nodes ** (1.0 - nu)
-        return dict(kk=kk, decay=decay, K0=K0, K1=K1, K2=K2, I0=I0, I1=I1,
-                    I2=I2, w_K0=weight * K0, w_I0=weight * I0)
-    return _cached_stack(grid, ("swirlstack", ks, nu), build)
+        return SimpleNamespace(kk=kk, decay=decay, K0=K0, K1=K1, K2=K2, I0=I0,
+                               I1=I1, I2=I2, w_K0=weight * K0,
+                               w_I0=weight * I0)
+    return grid.cached(("swirlstack", ks, nu), build)
 
 
 def _meridional_stack(grid: RadialGrid, ks, nu: float,
@@ -317,8 +282,8 @@ def _meridional_stack(grid: RadialGrid, ks, nu: float,
             out[f"S{j}"], out[f"T{j}"] = S[j], T[j]
             out[f"Sd{j}"] = S[j] * decay
             out[f"Q{j}"] = (S[j] * p_v_in + T[j] * s_v_out) * decay
-        return out
-    return _cached_stack(grid, ("meridionalstack", ks, nu), build)
+        return SimpleNamespace(**out)
+    return grid.cached(("meridionalstack", ks, nu), build)
 
 
 def _build_stacks(grid: RadialGrid, ks, nu: float) -> None:

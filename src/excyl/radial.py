@@ -11,7 +11,7 @@ For the k != 0 Green's formulas the integrands carry e^{+|k|s} or e^{-|k|s}
 factors.  Each cell integral is a dot product of the cell's 4 stencil values
 with a weight row, anchored at the cell end where the exponential is
 largest, that integrates the cell's cubic against the exponential exactly
-at every rate (closed-form moments, see cell_weights).
+at every rate (closed-form moments, see RadialGrid._cell_rules).
 exp_weighted_integrals chain the cell integrals of a prefix (rates >= 0)
 and of a suffix (rates < 0) with the recurrence out_{c+1} = e^{-|rate| h_c}
 out_c + C_c, whose factors never exceed 1, and return plain mantissa arrays
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,6 +141,8 @@ class RadialGrid:
         return self.nodes.size
 
     def node_index(self, r: float) -> int:
+        if not math.isfinite(r):
+            raise DomainError(f"r = {r} is not a grid node")
         idx = int(np.argmin(np.abs(self.nodes - r)))
         if abs(self.nodes[idx] - r) > 1e-9 * max(1.0, abs(r)):
             raise DomainError(f"r = {r} is not a grid node")
@@ -150,38 +153,35 @@ class RadialGrid:
 
     # -- cached discrete operators ------------------------------------------
 
-    def cell_weights(self, rate: float):
-        """(stencil idx (n,4), read-only weights W (n,4)), cached per rate.
+    def cached(self, key, build: Callable, keep: bool = True):
+        """The operator cached under key, or on a miss build(), with every
+        array in it (through tuples and namespaces) made read-only and
+        stored under key unless keep is False."""
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = build()
+            _freeze(entry)
+            if keep:
+                self._cache[key] = entry
+        return entry
 
-        W[c] . b[idx[c]] = int_{cell c} p_c(s) e^{rate (s - a_c)} ds, where p_c
-        is the cubic through the 4 stencil values and the anchor a_c is the
-        cell's right end for rate > 0 and its left end otherwise, so every
-        exponential factor is <= 1.  The rule is exact (Filon-type): with
-        theta = (s - far)/(a_c - far) running from 0 at the other cell end to
-        1 at the anchor and z = -|rate| h_c, the moments are
+    def _cell_rules(self, rates: np.ndarray):
+        """Cell weights W (R, n, 4) and chain factors e^{-|rate| h_c} (R, n)
+        for every rate of rates (R,) at once, not cached.
+
+        W[r, c] . b[idx[c]] = int_{cell c} p_c(s) e^{rate (s - a_c)} ds, where
+        p_c is the cubic through the 4 stencil values and the anchor a_c is
+        the cell's right end for rate > 0 and its left end otherwise, so
+        every exponential factor is <= 1.  The rule is exact (Filon-type):
+        with theta = (s - far)/(a_c - far) running from 0 at the other cell
+        end to 1 at the anchor and z = -|rate| h_c, the moments are
 
             int_{cell c} theta^i e^{z (1 - theta)} ds = h_c i! phi_{i+1}(z),
 
-        and W[c] is that row times the stencil's inverse Vandermonde matrix
-        in theta, kept read-only with idx under ("cellbasis", rate > 0).
+        and W[r, c] is that row times the stencil's inverse Vandermonde
+        matrix in theta, cached read-only with idx under
+        ("cellbasis", rate > 0).
         """
-        return self._cell_rule(rate)[:2]
-
-    def _cell_rule(self, rate: float):
-        """cell_weights(rate) plus the read-only per-cell factors
-        e^{-|rate| h_c} that chain the anchored cell integrals."""
-        key = ("cellweights", float(rate))
-        if key not in self._cache:
-            w, decay = self._cell_rules(np.array([float(rate)]))
-            for a in (w, decay):
-                a.setflags(write=False)
-            idx = self._cache[("cellbasis", rate > 0)][0]
-            self._cache[key] = (idx, w[0], decay[0])
-        return self._cache[key]
-
-    def _cell_rules(self, rates: np.ndarray):
-        """Weights (R, n, 4) and chain factors e^{-|rate| h_c} (R, n) of
-        cell_weights for every rate of rates (R,) at once, not cached."""
         r = self.nodes
         h = np.diff(r)
         z = -np.abs(rates)[:, None] * h
@@ -189,36 +189,28 @@ class RadialGrid:
         moments = np.stack([h * _phi_functions(zr) * np.array(
             [1.0, 1.0, 2.0, 6.0])[:, None] for zr in z], axis=1)
         w = np.empty(z.shape + (4,))
-        for right in (True, False):
-            basis_key = ("cellbasis", right)
-            if basis_key not in self._cache:
+        for right in set((rates > 0).tolist()):  # the anchor sides in use
+            def build():
                 j0 = np.clip(np.arange(self.n_cells) - 1, 0, len(r) - 4)
                 idx = j0[:, None] + np.arange(4)
                 theta = (r[idx] - r[:-1, None]) / h[:, None]
-                basis = np.linalg.inv(_vander(theta if right else 1.0 - theta, 4))
-                for a in (idx, basis):
-                    a.setflags(write=False)
-                self._cache[basis_key] = (idx, basis)
+                return idx, np.linalg.inv(
+                    _vander(theta if right else 1.0 - theta, 4))
+            basis = self.cached(("cellbasis", right), build)[1]
             rows = (rates > 0) == right
-            w[rows] = np.einsum("irc,cij->rcj", moments[:, rows],
-                                self._cache[basis_key][1])
+            w[rows] = np.einsum("irc,cij->rcj", moments[:, rows], basis)
         return w, np.exp(z)
 
-    def _derivative_stencils(self, order: int):
-        """5-point differentiation stencils: (indices (n+1,5), weights (n+1,5))."""
-        key = ("deriv", order)
-        if key in self._cache:
-            return self._cache[key]
-        r = self.nodes
-        j0 = np.clip(np.arange(r.size) - 2, 0, r.size - 5)
-        idx = j0[:, None] + np.arange(5)
-        wts = _local_weights(r[idx], r, order)
-        self._cache[key] = (idx, wts)
-        return idx, wts
-
     def differentiate(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        """4th-order differentiation along the first axis of `values`."""
-        idx, wts = self._derivative_stencils(order)
+        """4th-order differentiation along the first axis of `values`, by
+        5-point stencils (indices (n+1,5), weights (n+1,5)) cached per
+        order."""
+        def build():
+            r = self.nodes
+            j0 = np.clip(np.arange(r.size) - 2, 0, r.size - 5)
+            idx = j0[:, None] + np.arange(5)
+            return idx, _local_weights(r[idx], r, order)
+        idx, wts = self.cached(("deriv", order), build)
         vals = np.asarray(values)
         gathered = vals[idx]  # (m, 5, ...)
         if gathered.ndim > 2:
@@ -226,8 +218,19 @@ class RadialGrid:
         return np.einsum("ij,ij->i", wts, gathered)
 
     def cell_integrals(self, values: np.ndarray) -> np.ndarray:
-        idx, w = self.cell_weights(0.0)
+        """int over each cell of the cubic through its 4 stencil values."""
+        w = self._cell_rules(np.zeros(1))[0][0]
+        idx = self._cache[("cellbasis", False)][0]
         return np.einsum("cj,cj->c", w, np.asarray(values)[idx])
+
+
+def _freeze(entry) -> None:
+    """Make every array in entry, through tuples and namespaces, read-only."""
+    if isinstance(entry, np.ndarray):
+        entry.setflags(write=False)
+    elif isinstance(entry, (tuple, SimpleNamespace)):
+        for e in entry if isinstance(entry, tuple) else vars(entry).values():
+            _freeze(e)
 
 
 # ----------------------------------------------------------------------------
@@ -441,13 +444,12 @@ def _scan_plan(grid: RadialGrid, in_rates: tuple, out_rates: tuple,
                keep: bool):
     """Read-only (weights, steps) of a scan over prefix rows at in_rates
     and suffix rows at out_rates, one column per rate, cached unless keep
-    is False.  weights (4, n, R) holds the cell_weights by stencil index in
-    cell order; steps[j] (n - 2^j, R) holds the products of the 2^j factors
-    a_c ending at scan positions 2^j..n-1 (a suffix scans right to left).
+    is False.  weights (4, n, R) holds the _cell_rules weights by stencil
+    index in cell order; steps[j] (n - 2^j, R) holds the products of the
+    2^j factors a_c ending at scan positions 2^j..n-1 (a suffix scans right
+    to left).
     """
-    key = ("scanplan", in_rates, out_rates)
-    plan = grid._cache.get(key)
-    if plan is None:
+    def build():
         w, a = grid._cell_rules(np.array(in_rates + out_rates))
         m = len(in_rates)
         a[m:] = a[m:, ::-1]
@@ -458,12 +460,8 @@ def _scan_plan(grid: RadialGrid, in_rates: tuple, out_rates: tuple,
             steps.append(a[s:].copy())
             a[s:] *= a[:-s]
             s *= 2
-        plan = (np.ascontiguousarray(w.transpose(2, 1, 0)), tuple(steps))
-        for arr in (plan[0],) + plan[1]:
-            arr.setflags(write=False)
-        if keep:
-            grid._cache[key] = plan
-    return plan
+        return np.ascontiguousarray(w.transpose(2, 1, 0)), tuple(steps)
+    return grid.cached(("scanplan", in_rates, out_rates), build, keep)
 
 
 def _scan(sides, weights: np.ndarray, steps) -> list:

@@ -430,31 +430,49 @@ def test_driver_rows_equal_single_mode_solves(grid):
 # --- per-grid kernel cache ----------------------------------------------------
 
 
-def _kernel_entries(grid):
-    return {key: val for key, val in grid._cache.items() if key[0] == "kernels"}
-
-
 def _stack_entries(grid):
     """The stacked per-(modes, nu) caches of the swirl and meridional solves."""
     return {key: val for key, val in grid._cache.items()
             if key[0] in ("swirlstack", "meridionalstack")}
 
 
+# the kernel mantissas of each stack: (name of its rows, kind, K or I side)
+_STACK_KERNELS = {
+    "swirlstack": [("K", "swirl", kernel_K_derivs),
+                   ("I", "swirl", kernel_I_derivs)],
+    "meridionalstack": [("V", "vorticity", kernel_K_derivs),
+                        ("J", "vorticity", kernel_I_derivs),
+                        ("S", "stream", kernel_K_derivs),
+                        ("T", "stream", kernel_I_derivs)],
+}
+
+
+def _stacked_kernels(key, stack):
+    """(derivs, kind, [mantissa stack of G, G', (G'')]) of a cached stack."""
+    for name, kind, derivs in _STACK_KERNELS[key[0]]:
+        orders = 2 if kind == "vorticity" else 3
+        yield derivs, kind, [getattr(stack, f"{name}{j}")
+                             for j in range(orders)]
+
+
 def test_kernel_cache_is_per_grid():
     g60 = RadialGrid.graded(128, 60.0, 2.0)
     g80 = RadialGrid.graded(128, 80.0, 2.0)
     solve_swirl_mode(g60, 1, -1.0, _zeros(g60), 1.0, 10.0)
-    before = {key: [m.copy() for m in dec + gro]
-              for key, (dec, gro) in _kernel_entries(g60).items()}
+    key = ("swirlstack", (1,), -1.0)
+    before = [m.copy() for _, _, side in _stacked_kernels(key, g60._cache[key])
+              for m in side]
     solve_swirl_mode(g80, 1, -1.0, _zeros(g80), 1.0, 10.0)
-    e60, e80 = _kernel_entries(g60), _kernel_entries(g80)
-    assert set(e60) == set(e80) == {("kernels", 1, -1.0, "swirl")}
-    for key in e60:
-        for m60, m80, old in zip(e60[key][0] + e60[key][1],
-                                 e80[key][0] + e80[key][1], before[key]):
-            assert not np.shares_memory(m60, m80)
-            assert not np.array_equal(m60, m80)
-            np.testing.assert_array_equal(m60, old)
+    e60, e80 = _stack_entries(g60), _stack_entries(g80)
+    assert set(e60) == set(e80) == {key}
+    assert not any(k[0] == "kernels" for g in (g60, g80) for k in g._cache)
+    kernels = [[m for _, _, side in _stacked_kernels(key, e[key])
+                for m in side] for e in (e60, e80)]
+    assert len(kernels[0]) == 6
+    for m60, m80, old in zip(*kernels, before):
+        assert not np.shares_memory(m60, m80)
+        assert not np.array_equal(m60, m80)
+        np.testing.assert_array_equal(m60, old)
 
 
 def test_kernel_cache_separates_nu():
@@ -464,13 +482,14 @@ def test_kernel_cache_separates_nu():
     fresh_grid = RadialGrid.graded(128, 60.0, 2.0)
     fresh = solve_swirl_mode(fresh_grid, 1, -3.0, _zeros(fresh_grid), 1.0, 10.0)
     np.testing.assert_array_equal(reused.values, fresh.values)
-    assert len(_kernel_entries(g)) == 2
     stacks = _stack_entries(g)
     assert set(stacks) == {("swirlstack", (1,), -1.0), ("swirlstack", (1,), -3.0)}
+    assert len(g._cache) == len(fresh_grid._cache) + 1  # one more stack
     a, b = stacks.values()
     for name in vars(a):
         assert not np.shares_memory(getattr(a, name), getattr(b, name))
     assert not np.array_equal(a.w_I0, b.w_I0)
+    assert not np.array_equal(a.K0, b.K0)
 
 
 @pytest.mark.parametrize("nu, distinct", [
@@ -499,30 +518,28 @@ def test_fresh_grid_evaluates_each_distinct_bessel_order_once(monkeypatch, nu,
     calls.clear()
     solve_linear_system(g, nu, 0.5, k_max, _no_forcing(g, k_max), decays, b)
     assert calls == []
-    # the cached mantissas are those of the kernels evaluated on their own
-    entries = _kernel_entries(g)
-    assert len(entries) == 3 * k_max
-    for (_, kk, _, kind), (dec, gro) in entries.items():
-        for side, derivs in ((dec, kernel_K_derivs), (gro, kernel_I_derivs)):
-            alone = derivs(kk, nu, g.nodes, kind)
-            assert len(side) == (2 if kind == "vorticity" else 3)
-            for m, ref in zip(side, alone):
-                assert_same_bits(m, ref.mantissa)
+    # each stacked kernel row is the kernel evaluated on its own
+    entries = _stack_entries(g)
+    assert set(entries) == {(name, tuple(range(1, k_max + 1)), nu)
+                            for name in _STACK_KERNELS}
+    for key, stack in entries.items():
+        for derivs, kind, side in _stacked_kernels(key, stack):
+            for row, k in enumerate(key[1]):
+                alone = derivs(k, nu, g.nodes, kind)
+                for m, ref in zip(side, alone):
+                    assert_same_bits(m[row], ref.mantissa)
 
 
 def test_kernel_cache_mantissas_read_only():
     g = RadialGrid.graded(128, 60.0, 2.0)
     solve_meridional_mode(g, 2, -1.0, _zeros(g), _zeros(g), 1e-3, 1e-3, 10.0)
-    entries = _kernel_entries(g)
-    assert {key[3] for key in entries} == {"vorticity", "stream"}
-    for dec, gro in entries.values():
-        for m in dec + gro:
-            assert not m.flags.writeable
-            with pytest.raises(ValueError):
-                m[0] = 0.0
-    # the iterate-independent closure arrays (p_v_in, s_v_out, d_k, ...)
+    assert not any(key[0] == "kernels" for key in g._cache)
+    # the kernel mantissas and the iterate-independent closure arrays
+    # (p_v_in, s_v_out, d_k, ...) live in the one stack of the solve
     (key, stack), = _stack_entries(g).items()
     assert key == ("meridionalstack", (2,), -1.0)
+    kinds = {kind for _, kind, _ in _stacked_kernels(key, stack)}
+    assert kinds == {"vorticity", "stream"}
     for name, arr in vars(stack).items():
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError):

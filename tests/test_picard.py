@@ -536,6 +536,44 @@ def test_kernel_cache_shared_across_iterations_and_solves(monkeypatch):
     assert _cached_array_bytes(g) == size
 
 
+def test_every_cached_operator_is_read_only():
+    # the solve fills the kernel stacks and scan plans, its residual audit
+    # the differentiation stencils; a one-mode solve adds its own stack and
+    # cell_integrals its rule's basis: every array in the cache is frozen
+    from types import SimpleNamespace
+
+    from excyl.modes import solve_meridional_mode
+
+    g = RadialGrid.graded(128, 60.0, 2.0)
+    b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
+    picard_solve(g, -1.0, 1.0, 2, ForcingData(), b, verify=True)
+    zeros = np.zeros(len(g), dtype=complex)
+    solve_meridional_mode(g, 1, -1.0, zeros, zeros, 1e-3, 0.0, 10.0)
+    g.cell_integrals(g.nodes ** -2.0)
+    assert ("deriv", 1) in g._cache
+    assert ("meridionalstack", (1,), -1.0) in g._cache
+    arrays = []
+
+    def visit(entry):
+        if isinstance(entry, np.ndarray):
+            arrays.append(entry)
+        elif isinstance(entry, tuple):
+            for e in entry:
+                visit(e)
+        else:
+            assert isinstance(entry, SimpleNamespace), type(entry)
+            for e in vars(entry).values():
+                visit(e)
+
+    for key, entry in g._cache.items():
+        before = len(arrays)
+        visit(entry)
+        assert len(arrays) > before, key
+        for arr in arrays[before:]:
+            assert not arr.flags.writeable, key
+    assert not any(key[0] in ("kernels", "cellweights") for key in g._cache)
+
+
 def test_closure_scan_factors_not_kept():
     # s_v_out, the one suffix at rates -2|k|, runs once per grid; its scan
     # plan is not kept, nor are per-rate cell weights, while the two-sided

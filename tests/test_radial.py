@@ -41,6 +41,31 @@ def test_grid_invariants(grid):
         RadialGrid(np.append(np.linspace(1.0, 10.0, 20), np.inf))
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+def test_non_finite_radius_is_not_a_node(grid, r):
+    # abs(x - nan) > tol is False for every node, so a NaN radius must be
+    # rejected before the nearest-node search
+    f = grid.nodes ** -3.0
+    with pytest.raises(DomainError, match="not a grid node"):
+        grid.node_index(r)
+    with pytest.raises(DomainError, match="not a grid node"):
+        integrate_inner(f, grid, r)
+    with pytest.raises(DomainError, match="not a grid node"):
+        integrate_outer(f, grid, r, decay_exponent=3.0)
+
+
+def test_cell_integrals_exact_on_cubics_cell_by_cell():
+    g = RadialGrid.graded(96, 40.0, 2.0)
+    coef = [0.7, -0.3, 0.02, -5e-4]
+    cubic = np.polynomial.Polynomial(coef)
+    anti = cubic.integ()
+    exact = np.diff(anti(g.nodes))
+    np.testing.assert_allclose(g.cell_integrals(cubic(g.nodes)), exact,
+                               rtol=1e-13)
+    # the rate-0 rule reads the left-anchored basis and caches nothing else
+    assert set(g._cache) == {("cellbasis", False)}
+
+
 def test_quadrature_exact_on_cubics(grid):
     for p in range(4):
         got = integrate_inner(grid.nodes ** p, grid)
@@ -250,19 +275,6 @@ def test_stacked_exp_weighted_rejects_any_wrong_sign(grid):
         exp_weighted_suffix(grid, stack, np.array([-1.0, -2.0]))  # 2 rates, 3 rows
 
 
-def test_cell_weights_cached_read_only_per_rate():
-    g = RadialGrid.graded(64, 50.0, 2.0)
-    idx, w = g.cell_weights(3.0)
-    assert w.shape == (g.n_cells, 4) and idx.shape == (g.n_cells, 4)
-    assert not w.flags.writeable
-    with pytest.raises(ValueError):
-        w[0, 0] = 1.0
-    assert g.cell_weights(3.0)[1] is w
-    _, w_minus = g.cell_weights(-3.0)
-    assert w_minus is not w and not np.array_equal(w_minus, w)
-    assert sum(key[0] == "cellweights" for key in g._cache) == 2
-
-
 def _reference_scan(grid, b, rate, reverse):
     """The doubling scan as first written: weights and factors stacked on
     every call, factors doubled for complex rows, a suffix scanned through
@@ -270,12 +282,12 @@ def _reference_scan(grid, b, rate, reverse):
     vals = np.asarray(b)
     rows = vals.reshape(-1, vals.shape[-1])
     rates = np.broadcast_to(np.asarray(rate, dtype=float), rows.shape[:1])
-    rules = [grid._cell_rule(x) for x in rates]
-    w = np.stack([rule[1] for rule in rules], axis=-1)
-    g = rows.T[rules[0][0]]
+    rules = [grid._cell_rules(np.array([x])) for x in rates]
+    w = np.stack([rule[0][0] for rule in rules], axis=-1)
+    g = rows.T[grid._cache[("cellbasis", bool(rates[0] > 0))][0]]
     cells = (w[:, 0] * g[:, 0] + w[:, 1] * g[:, 1]
              + w[:, 2] * g[:, 2] + w[:, 3] * g[:, 3])
-    a = np.stack([rule[2] for rule in rules], axis=-1)
+    a = np.stack([rule[1][0] for rule in rules], axis=-1)
     acc = cells.view(float)
     if acc.shape != a.shape:
         a = np.repeat(a, 2, axis=1)

@@ -1,23 +1,28 @@
 #!/usr/bin/env python3
-"""Compare the `excyl solve` artifacts of two source trees.
+"""Compare the `excyl solve` and `excyl nonunique` artifacts of two source
+trees.
 
 Usage:
 
     python tools/compare_artifacts.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `excyl` package (the
-`src` directory of a checkout).  The script runs `excyl solve` on four small
-built-in configurations under each tree: nu = -1 with a forcing that gives
-a nonzero 1/r tail coefficient sigma, nu = -3, nu = -1 at K = 40 with
-boundary data up to mode 40, whose exp-weighted suffixes run at rates up to
-2K = 80, and nu = -3 at K = 24 with data on mode 1 only, whose iterates
-never reach past mode 8 (modes 1, 2, 4, 8, 8, ...).  For every artifact it
-prints "identical" when the bytes agree, "same numbers, different text" when
-only the spelling differs (such as -0 against 0), or else the largest
-deviation of the file's numbers relative to the largest magnitude in the
-base file.
+`src` directory of a checkout).  The script makes five runs under each
+tree.  It runs `excyl solve` on four small built-in configurations: nu = -1
+with a forcing that gives a nonzero 1/r tail coefficient sigma, nu = -3,
+nu = -1 at K = 40 with boundary data up to mode 40, whose exp-weighted
+suffixes run at rates up to 2K = 80, and nu = -3 at K = 24 with data on
+mode 1 only, whose iterates never reach past mode 8 (modes 1, 2, 4, 8, 8,
+...).  The fifth run is `excyl nonunique --delta-mu 0.06` on the nu = -3
+configuration, which solves the two problems of a non-uniqueness pair on
+one warm grid and writes separation.csv.  For every run it compares the
+exit status.  For every artifact it prints "identical" when the bytes
+agree, "same numbers, different text" when only the spelling differs (such
+as -0 against 0), or else the largest deviation of the file's numbers
+relative to the largest magnitude in the base file.
 
-Exit status: 0 when every artifact is byte-identical, 1 when some differ.
+Exit status: 0 when every run exits alike and every artifact is
+byte-identical, 1 otherwise.
 A change to the numerics legitimately moves the artifacts, so the exit
 status reports, it does not judge.
 """
@@ -91,15 +96,19 @@ z,1 = 5e-4
 """,
 }
 
+# (label, configuration, excyl subcommand and its options)
+RUNS = [(name, name, ["solve"]) for name in CONFIGS] + [
+    ("nu-3-nonunique", "nu-3", ["nonunique", "--delta-mu", "0.06"])]
+
 _NUMBER = re.compile(
     r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 
 
-def _solve(src: Path, config: Path, out: Path) -> int:
+def _run(src: Path, command: list, config: Path, out: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     proc = subprocess.run(
-        [sys.executable, "-m", "excyl.cli", "solve", str(config),
-         "--output", str(out)],
+        [sys.executable, "-m", "excyl.cli", command[0], str(config),
+         *command[1:], "--output", str(out)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if proc.returncode not in (0, 3):  # 3: wrote artifacts, not converged
         sys.stderr.write(proc.stderr)
@@ -132,12 +141,13 @@ def _deviation(base: str, head: str) -> str:
 def compare(base_src: Path, head_src: Path, work: Path) -> bool:
     same = True
     for name, text in CONFIGS.items():
-        config = work / f"{name}.ini"
-        config.write_text(text)
+        (work / f"{name}.ini").write_text(text)
+    for name, config_name, command in RUNS:
+        config = work / f"{config_name}.ini"
         outs, codes = [], []
         for side, src in (("base", base_src), ("head", head_src)):
             out = work / side / name
-            codes.append(_solve(src, config, out))
+            codes.append(_run(src, command, config, out))
             outs.append(out)
         print(f"[{name}] exit status base {codes[0]}, head {codes[1]}")
         same &= codes[0] == codes[1]
