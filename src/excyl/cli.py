@@ -403,6 +403,9 @@ def cmd_nonunique(args) -> int:
     print(f"delta_mu = {args.delta_mu!r}")
     print(f"separation limit estimate = {rep.limit_estimate!r} "
           f"(construction forces {-args.delta_mu!r})")
+    print(f"fitted limit L = {rep.fitted_limit!r}, coefficient c = "
+          f"{rep.fitted_coefficient!r} of sep(r) ~ L + c r^(nu+2) on the "
+          f"last decade, max residual {rep.fit_residual:.3e}")
     print(f"solution distance in the tau norm = {rep.bundle_distance!r}")
     print(f"first residual max = {first.residual_report.max_momentum:.3e}")
     print(f"second residual max = {second.residual_report.max_momentum:.3e}")

@@ -51,6 +51,11 @@ class FourierField:
     mode k, so the field is real by construction.  A field known by its
     values only (read back from artifacts) has has_derivatives False: its
     derivative slots are never handed out, and norms needing them refuse it.
+
+    The Picard loop steps P problems at once on a field whose data has a
+    leading problem axis, (P, 3, K+1, 3, n), and whose sigma is a (P,)
+    array (or None); k_max and stack read such a field, the other methods
+    take one problem.
     """
 
     grid: RadialGrid
@@ -65,7 +70,7 @@ class FourierField:
 
     @property
     def k_max(self) -> int:
-        return self.data.shape[1] - 1
+        return self.data.shape[-3] - 1
 
     def profile(self, component: str, k: int) -> RadialProfile:
         if component not in COMPONENTS:
@@ -93,10 +98,14 @@ class FourierField:
             slot[1], slot[2] = profile.d1, profile.d2
 
     def stack(self, component: str, order: int = 0) -> np.ndarray:
-        """Derivative `order` of one component for k = -K..K, shape (2K+1, n)."""
+        """Derivative `order` of one component for k = -K..K, shape (2K+1, n),
+        or (2K+1, P, n) for a stack of P problems (the mode axis first, as
+        convolve_product takes it)."""
         if order and not self.has_derivatives:
             raise NumericError("field profiles are missing their derivatives")
-        half = self.data[COMPONENTS.index(component), :, order]
+        half = self.data[..., COMPONENTS.index(component), :, order, :]
+        if half.ndim == 3:  # (P, K+1, n) -> (K+1, P, n)
+            half = half.swapaxes(0, 1)
         return np.concatenate((np.conj(half[:0:-1]), half))
 
     def divergence_defect(self) -> float:
@@ -287,19 +296,23 @@ def convolve_product(a: np.ndarray, b: np.ndarray, k_max: int,
     only their modes -B..B are read and only rows up to 2B are formed (none
     at B = -1).  Every term it skips is an exact zero, and a row sum that
     starts at +0 never turns -0, so each formed row has the bits of the
-    full product.
+    full product.  a and b may then stack the modes -B..B only (mode 0 alone
+    at B = -1).
     """
-    if a.shape != b.shape or a.shape[0] != 2 * k_max + 1:
-        raise DomainError("convolution inputs differ in grid size or truncation")
     band = k_max if band is None else band
     if not -1 <= band <= k_max:
         raise DomainError(f"band {band} is outside -1..{k_max}")
+    if a.shape != b.shape or len(a) not in (2 * k_max + 1, 2 * max(band, 0) + 1):
+        raise DomainError("convolution inputs differ in grid size or truncation")
     n_rows = min(2 * k_max + 1 if with_tail else k_max + 1, 2 * band + 1)
     out = np.zeros((max(n_rows, 0),) + a.shape[1:], dtype=np.result_type(a, b))
-    a, b = a[k_max - band:k_max + band + 1], b[k_max - band:k_max + band + 1]
+    term = np.empty_like(out)  # one buffer for every term's products
+    low = len(a) // 2 - band  # the row of mode -B
+    a, b = a[low:low + 2 * band + 1], b[low:low + 2 * band + 1]
     for i, b_l in enumerate(b):  # l = i - B reaches rows 0..i from a_{B-i}..a_B
         m = min(i + 1, n_rows)
-        out[:m] += a[2 * band - i:2 * band - i + m] * b_l
+        out[:m] += np.multiply(a[2 * band - i:2 * band - i + m], b_l,
+                               out=term[:m])
     return out
 
 

@@ -45,10 +45,12 @@ at nu < -2.  solve_linear_system solves k = 1..K as one stack per stage
 at mode m (the iterate's band, see picard_solve): those stages read the
 first m rows of each stack and their columns of the full-band scan plan;
 solve_swirl_mode and solve_meridional_mode are the one-row case of the same
-core.  Everything in a stage that depends only on
-(grid, nu, modes) -- the kernel mantissas, the integrand factors, the
-boundary factor e^{|k|(1-r)} and, for the meridional stage, the integrals
-p_v_in and s_v_out with the closure coefficients A_k, B_k, D_k -- is built
+core, and a stack of P problems (the lockstep Picard loop) runs every stage
+on (P, m, n) stacks against the same cached (m, n) arrays.  Everything in
+a stage that depends only on (grid, nu, modes) -- the kernel mantissas, the
+integrand factors, the boundary factor e^{|k|(1-r)} and, for the meridional
+stage, the integrals p_v_in and s_v_out with the closure coefficients A_k,
+B_k, D_k -- is built
 once per grid and kept read-only in its operator cache, so an iteration
 runs four of the six meridional integrals.
 """
@@ -108,7 +110,8 @@ class ClosureCoefficients:
 
 @dataclass
 class MeridionalStacks:
-    """Vorticity w and stream function phi of modes k = 1..K, (K, n) each."""
+    """Vorticity w and stream function phi of modes k = 1..K, (K, n) each
+    ((P, K, n) for a stack of P problems)."""
 
     w: np.ndarray
     phi: np.ndarray
@@ -126,17 +129,22 @@ class MeridionalModeSolution:
 
 
 def _sample_forcing(f, grid: RadialGrid) -> np.ndarray:
+    """f on the grid nodes, (n+1,) or a stack of problems (P, n+1)."""
     if callable(f):
         return np.asarray(f(grid.nodes), dtype=complex)
     arr = np.asarray(f, dtype=complex)
-    if arr.shape != grid.nodes.shape:
+    if arr.shape[-1:] != grid.nodes.shape:
         raise DomainError("forcing samples do not match the grid")
     return arr
 
 
 def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
                      f_decay: float) -> ZeroModeSwirlSolution:
-    """Zero-mode swirl solve of -(v'' + (1-nu)/r v' - (1+nu)/r^2 v) = f."""
+    """Zero-mode swirl solve of -(v'' + (1-nu)/r v' - (1+nu)/r^2 v) = f.
+
+    f may stack P problems, (P, n+1) with g_theta0 (P,): the profile's
+    arrays are then (P, n+1) and sigma (P,).
+    """
     if nu >= 0:
         raise DomainError("background sink strength nu must be negative")
     if f_decay <= 3.0:
@@ -145,11 +153,12 @@ def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
     fv = _sample_forcing(f, grid)
 
     if nu < -2.0:
-        c_in, s_out = exp_weighted_integrals(
-            grid, fv * r ** (-nu), 0.0, fv * r ** 2, 0.0,
-            decay_exponent=f_decay - 2.0)
+        # one rate-0 row per problem on each side
+        c_in, s_out = (side[..., 0, :] for side in exp_weighted_integrals(
+            grid, (fv * r ** (-nu))[..., None, :], 0.0,
+            (fv * r ** 2)[..., None, :], 0.0, decay_exponent=f_decay - 2.0))
         a = -1.0 / (nu + 2.0)
-        const = g_theta0 + s_out[0] / (nu + 2.0)
+        const = (g_theta0 + s_out[..., 0] / (nu + 2.0))[..., None]
         vals = a * (r ** (nu + 1.0) * c_in + s_out / r) + const * r ** (nu + 1.0)
         d1 = (a * ((nu + 1.0) * r ** nu * c_in - s_out / r ** 2)
               + const * (nu + 1.0) * r ** nu)
@@ -161,35 +170,41 @@ def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
     q = integrate_outer(fv * r ** (-nu), grid, decay_exponent=f_decay + nu)
     outer = integrate_outer(r ** (nu + 1.0) * q, grid,
                             decay_exponent=f_decay - 2.0, check_tail=False)
-    sigma_c = outer[0] + g_theta0
-    if abs(np.imag(sigma_c)) > 1e-10 * max(1.0, abs(sigma_c)):
+    sigma_c = outer[..., 0] + g_theta0
+    if np.any(np.abs(np.imag(sigma_c))
+              > 1e-10 * np.maximum(1.0, np.abs(sigma_c))):
         raise NumericError("zero-mode data produced a complex tail coefficient")
     vals = -outer / r
     d1 = outer / r ** 2 + r ** nu * q
     d2 = -(1.0 - nu) / r * d1 + (1.0 + nu) / r ** 2 * vals - fv
     prof = RadialProfile(grid, vals, d1, d2)
-    return ZeroModeSwirlSolution(prof, float(np.real(sigma_c)))
+    sigma = np.real(sigma_c)
+    return ZeroModeSwirlSolution(prof, sigma if sigma.ndim else float(sigma))
 
 
 def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
                           f_decay: float):
     """Zero-mode (v_r, v_z): v_r = 0 forced by the boundary normalization;
-    v_z solves -(v'' + (1-nu)/r v') = f with v(1) = g_z0, decaying."""
+    v_z solves -(v'' + (1-nu)/r v') = f with v(1) = g_z0, decaying.
+
+    f may stack P problems as for solve_zero_swirl.
+    """
     if nu >= 0:
         raise DomainError("background sink strength nu must be negative")
     if f_decay <= 2.0:
         raise NumericError("zero-mode vertical forcing must decay faster than r^-2")
     r = grid.nodes
     fv = _sample_forcing(f, grid)
-    c_in, s_out = exp_weighted_integrals(grid, fv * r ** (1.0 - nu), 0.0,
-                                         fv * r, 0.0,
-                                         decay_exponent=f_decay - 1.0)
-    const = g_z0 + s_out[0] / nu
+    c_in, s_out = (side[..., 0, :] for side in exp_weighted_integrals(
+        grid, (fv * r ** (1.0 - nu))[..., None, :], 0.0,
+        (fv * r)[..., None, :], 0.0, decay_exponent=f_decay - 1.0))
+    const = (g_z0 + s_out[..., 0] / nu)[..., None]
     vals = const * r ** nu - (r ** nu * c_in + s_out) / nu
     d1 = const * nu * r ** (nu - 1.0) - r ** (nu - 1.0) * c_in
     d2 = -(1.0 - nu) / r * d1 - fv
     v_z = RadialProfile(grid, vals, d1, d2)
-    return RadialProfile.zero(grid), v_z
+    zero = np.zeros_like(vals)
+    return RadialProfile(grid, zero, zero.copy(), zero.copy()), v_z
 
 
 def _kernel_rows(grid: RadialGrid, ks, nu: float, kind: str, shared=None):
@@ -315,19 +330,20 @@ def _check_nonzero_mode(nu: float, f_decay: float) -> None:
 
 def _swirl_rows(grid: RadialGrid, ks, nu: float, fv: np.ndarray, g):
     """Swirl solves of the first m modes of ks at once: forcing rows fv
-    (m, n), boundary values g (m,).  Returns (values, d1, d2), each (m, n).
+    (..., m, n), boundary values g (..., m), where the leading axes stack
+    problems.  Returns (values, d1, d2), each (..., m, n).
 
     Only the boundary-anchored vbar term keeps an exponential factor,
     decay = e^{|k|(1-r)}.
     """
     full = _swirl_stack(grid, ks, nu)
-    m = len(fv)
+    m = fv.shape[-2]
     st = _first_rows(full, m)
     c_in, c_out = exp_weighted_integrals(grid, fv * st.w_I0, full.kk,
                                          fv * st.w_K0, -full.kk, first_rows=m)
     # vbar = (g - G_grow(1) * int_1^inf f s^{1-nu} G_dec ds) / G_dec(1),
     # held as its mantissa at shift +|k|
-    vbar = ((g - st.I0[:, 0] * c_out[:, 0]) / st.K0[:, 0])[:, None]
+    vbar = ((g - st.I0[:, 0] * c_out[..., 0]) / st.K0[:, 0])[..., None]
     vals = (vbar * st.K0) * st.decay + st.K0 * c_in + st.I0 * c_out
     d1 = (vbar * st.K1) * st.decay + st.K1 * c_in + st.I1 * c_out
     d2 = ((vbar * st.K2) * st.decay + st.K2 * c_in + st.I2 * c_out) - fv
@@ -337,14 +353,15 @@ def _swirl_rows(grid: RadialGrid, ks, nu: float, fv: np.ndarray, g):
 def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
                      fzv: np.ndarray, g_r, g_z) -> SimpleNamespace:
     """Meridional solves of the first m modes of ks at once: forcing rows
-    frv, fzv (m, n), boundary values g_r, g_z (m,).
+    frv, fzv (..., m, n), boundary values g_r, g_z (..., m), where the
+    leading axes stack problems.
 
     Returns v_r, v_z and phi as (values, d1, d2) and w as (values, d1),
-    each array (m, n), plus the per-row scalars phi_bar, w_bar (mantissas
-    at shift +|k|) and g_kf (shift -|k|).
+    each array (..., m, n), plus the per-row scalars phi_bar, w_bar
+    (mantissas at shift +|k|) and g_kf (shift -|k|), each (..., m).
     """
     full = _meridional_stack(grid, ks, nu)
-    m = len(frv)
+    m = frv.shape[-2]
     st = _first_rows(full, m)
     rates = (full.kk, -full.kk)
     r = grid.nodes
@@ -356,11 +373,15 @@ def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
     b_out = ik * frv * st.w_V0 + fzv * st.dV
     c_in, c_out = exp_weighted_integrals(grid, b_in, rates[0], b_out, rates[1],
                                          first_rows=m)
-    bdry = st.J0[:, :1] * fzv[:, :1]  # boundary term of the integration by parts
+    # each intermediate is dropped once read, which keeps a solve's peak
+    # memory down (it grows with the number of problems stacked)
+    del b_in, b_out
+    bdry = st.J0[:, :1] * fzv[..., :1]  # boundary term of the integration by parts
 
     # h(r): the w_bar-independent part of the vorticity, and its derivative
     h_vals = st.V0 * c_in + st.J0 * c_out + bdry * st.V0d
     dh_vals = st.V1 * c_in + st.J1 * c_out + bdry * st.V1d + fzv
+    del c_in, c_out
 
     # stream transforms of h; S1[0] = |k| K_1'(|k|), T1[0] = |k| I_1'(|k|)
     p_h_in, s_h_out = exp_weighted_integrals(grid, h_vals * st.rT0, rates[0],
@@ -369,18 +390,20 @@ def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
 
     # closure: w_bar = D^{-1} (A g_r + B g_z - G); A, B and G are mantissas
     # at shift -|k|, D at -2|k|, so w_bar is one at +|k|
-    g_kf = s_h_out[:, 0]
+    g_kf = s_h_out[..., 0]
     w_bar = (st.a_k * g_r + st.b_k * g_z - g_kf) / st.d_k
     phi_bar = -(st.T0[:, 0] * g_z) - (st.T0[:, 0] + st.T1[:, 0]) * (g_r / ik[:, 0])
-    wb, pb = w_bar[:, None], phi_bar[:, None]
+    wb, pb = w_bar[..., None], phi_bar[..., None]
 
     w_vals = wb * st.V0d + h_vals
     dw_vals = wb * st.V1d + dh_vals
+    del h_vals, dh_vals
     phi, d_phi, d2_phi = (
         pb * Sd + wb * Q + S * p_h_in + T * s_h_out
         for Sd, Q, S, T in ((st.Sd0, st.Q0, st.S0, st.T0),
                             (st.Sd1, st.Q1, st.S1, st.T1),
                             (st.Sd2, st.Q2, st.S2, st.T2)))
+    del p_h_in, s_h_out
     d2_phi = d2_phi - w_vals
     return SimpleNamespace(
         v_r=(-ik * phi, -ik * d_phi, -ik * d2_phi),
@@ -463,6 +486,12 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
     symmetry.  Returns the field and the MeridionalStacks (w, phi) of
     modes 1..K.
 
+    P problems on one grid and nu are solved at once when rhs is a stack
+    (P, 3, K+1, n), mu a sequence of P rates and boundary a sequence of P
+    BoundaryData: every stage then runs on (P, m, n) stacks, the field's
+    data is (P, 3, K+1, 3, n) with sigma (P,) (or None), and w and phi are
+    (P, K, n).  Each problem keeps the bits of its own solve.
+
     band m (-1..K, None for K) declares that the forcing and the boundary
     data vanish above |k| = m: only modes 1..m are solved, on the first m
     rows of the cached stacks and scan plans, and rows m+1..K of the
@@ -472,57 +501,63 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
 
     r = grid.nodes
     f = np.asarray(rhs, dtype=complex)
-    if f.shape != (len(COMPONENTS), k_max + 1, len(grid)):
+    single = f.ndim == 3
+    if single:
+        f, mu, boundary = f[None], (mu,), (boundary,)
+    if f.shape[1:] != (len(COMPONENTS), k_max + 1, len(grid)):
         raise DomainError("forcing must be a (3, k_max + 1, n) array")
     m = k_max if band is None else band
     if not -1 <= m <= k_max:
         raise DomainError(f"band {m} is outside -1..{k_max}")
-    f_r, f_theta, f_z = f
+    f_r, f_theta, f_z = f.swapaxes(0, 1)  # (P, K+1, n) each
+    coupling = 2.0 * np.asarray(mu, dtype=float)[:, None, None]
+    # boundary coefficients of modes 0..m, (P, m+1) per component
+    g_r, g_theta, g_z = np.array(
+        [[[b.coefficient(comp, k) for k in range(max(m, 0) + 1)]
+          for b in boundary] for comp in COMPONENTS], dtype=complex)
 
-    field_out = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)
-    swirl0 = solve_zero_swirl(grid, nu, f_theta[0],
-                              boundary.coefficient("theta", 0),
+    data = np.zeros((len(f), len(COMPONENTS), k_max + 1, 3, len(grid)),
+                    dtype=complex)
+    swirl0 = solve_zero_swirl(grid, nu, f_theta[:, 0], g_theta[:, 0],
                               decays[("theta", 0)])
-    v_r0, v_z0 = solve_zero_meridional(grid, nu, f_z[0],
-                                       boundary.coefficient("z", 0),
-                                       decays[("z", 0)])
-    field_out.set_mode(0, "theta", swirl0.v_regular)
-    field_out.set_mode(0, "r", v_r0)
-    field_out.set_mode(0, "z", v_z0)
-    field_out.sigma = swirl0.sigma
+    _, v_z0 = solve_zero_meridional(grid, nu, f_z[:, 0], g_z[:, 0],
+                                    decays[("z", 0)])
+    for c, prof in ((1, swirl0.v_regular), (2, v_z0)):
+        for d, values in enumerate((prof.values, prof.d1, prof.d2)):
+            data[:, c, 0, d] = values
 
     _check_nonzero_mode(nu, decays["nonzero"])
-    w = phi = np.zeros((0, len(grid)), dtype=complex)
+    w = phi = np.zeros((len(f), 0, len(grid)), dtype=complex)
     if m >= 1:
         ks = tuple(range(1, k_max + 1))
-
-        def bc(comp):
-            return np.array([boundary.coefficient(comp, k) for k in ks[:m]],
-                            dtype=complex)
-
         _build_stacks(grid, ks, nu)
         band_rows = slice(1, m + 1)
-        swirl = _swirl_rows(grid, ks, nu, f_theta[band_rows], bc("theta"))
+        swirl = _swirl_rows(grid, ks, nu, f_theta[:, band_rows],
+                            g_theta[:, band_rows])
         merid = _meridional_rows(
-            grid, ks, nu, f_r[band_rows] + (2.0 * mu / r ** 2) * swirl[0],
-            f_z[band_rows], bc("r"), bc("z"))
-        out = field_out.data[:, band_rows]
+            grid, ks, nu, f_r[:, band_rows] + (coupling / r ** 2) * swirl[0],
+            f_z[:, band_rows], g_r[:, band_rows], g_z[:, band_rows])
+        out = data[:, :, band_rows]
         for d in range(3):
-            out[0, :, d] = merid.v_r[d]
-            out[1, :, d] = swirl[d]
-            out[2, :, d] = merid.v_z[d]
+            out[:, 0, :, d] = merid.v_r[d]
+            out[:, 1, :, d] = swirl[d]
+            out[:, 2, :, d] = merid.v_z[d]
         w, phi = merid.w[0], merid.phi[0]
-    return field_out, MeridionalStacks(w=_zero_padded(w, k_max),
-                                       phi=_zero_padded(phi, k_max))
+    w, phi = _zero_padded(w, k_max), _zero_padded(phi, k_max)
+    if single:
+        return (FourierField(grid, data[0], swirl0.sigma if swirl0.sigma is None
+                             else float(swirl0.sigma[0])),
+                MeridionalStacks(w=w[0], phi=phi[0]))
+    return FourierField(grid, data, swirl0.sigma), MeridionalStacks(w=w, phi=phi)
 
 
 def _zero_padded(rows: np.ndarray, k_max: int) -> np.ndarray:
-    """rows of modes 1..m as the (K, n) stack of modes 1..K, the rows past m
-    +0 (rows itself when m = K)."""
-    if len(rows) == k_max:
+    """rows (..., m, n) of modes 1..m as the (..., K, n) stack of modes
+    1..K, the rows past m +0 (rows itself when m = K)."""
+    if rows.shape[-2] == k_max:
         return rows
-    out = np.zeros((k_max,) + rows.shape[1:], dtype=rows.dtype)
-    out[:len(rows)] = rows
+    out = np.zeros(rows.shape[:-2] + (k_max, rows.shape[-1]), dtype=rows.dtype)
+    out[..., :rows.shape[-2], :] = rows
     return out
 
 

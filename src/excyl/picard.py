@@ -31,6 +31,22 @@ theirs, so after a step the band is min(K, max(2 B, data band)).
 picard_solve passes that integer to assemble_rhs, which convolves only the
 modes -B..B, and to solve_linear_system, which solves only the modes up to
 the new band; both keep the bits of the full-band computation.
+
+Lockstep: one loop steps P problems that share the grid, nu, K, the forcing
+and the loop settings and may differ in mu and the boundary data.  Their
+iterates stack along a leading problem axis (FourierField data
+(P, 3, K+1, 3, n)), so a step runs one assembly and one solve for all of
+them: the elementwise work broadcasts over that axis, the convolutions take
+(2K+1, P, n) stacks, and each scan reads the one cached plan of its rates
+for every problem.  Norms, distances, the non-finite check and the stopping
+rules stay per problem.  A step runs at the widest band of its problems;
+the rows a narrower problem adds there are exact zeros, and its rows above
+its own band are reset to +0, as its own solve leaves them.  A problem
+retires when it converges, fails or reaches max_iters, and the rest go on.
+picard_solve is the one-problem call of that loop and nonuniqueness_pair
+the two-problem one; every problem keeps the bits and the iteration count
+of its own picard_solve, and a failure raises what the problems solved one
+after the other would raise.
 """
 
 from __future__ import annotations
@@ -81,8 +97,9 @@ class TauInfo:
 def compute_tau(nu: float, lambda_theta: float, lambda_z: float,
                 lambda_: float) -> TauInfo:
     """Decay index of the solution space from the data decay exponents."""
-    if nu >= 0:
-        raise ConfigError("background sink strength requires nu < 0")
+    if not (np.isfinite(nu) and nu < 0):
+        raise ConfigError("hypothesis violated: a finite nu < 0 is "
+                          "required (boundary sink strength)")
     if not (lambda_theta > 3.0 and lambda_z > 2.0 and lambda_ > 1.5):
         raise ConfigError(
             "data space hypotheses violated: need lambda_theta > 3, "
@@ -107,7 +124,9 @@ class RhsAssembly:
     COMPONENTS (r, theta, z) and k = 0..K, as solve_linear_system takes it;
     absorbed_fr0 is the audit copy of the zero radial mode (quadratics +
     sigma and rotation couplings + external forcing) that the solver drops
-    into the pressure, whose row rhs[0, 0] is zero.
+    into the pressure, whose row rhs[0, 0] is zero.  For a stack of P
+    problems rhs is (P, 3, K+1, n), absorbed_fr0 (P, n) and
+    convolution_tail a tuple of P floats.
     """
 
     rhs: np.ndarray
@@ -127,6 +146,11 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
     discarded rows K+1..2K of the two that the convolution_tail diagnostic
     reads.
 
+    vbar may stack P problems (see FourierField) with mu a sequence of P
+    rates; every product is then formed for all of them at once, on
+    (rows, P, n) stacks, and the result stacks them too (see RhsAssembly).
+    The convolution tail is reduced per problem.
+
     band B (-1..K) is the highest |k| at which vbar may be nonzero; None
     means K, so a field built or edited by hand is never taken as narrow.
     The products of a band-B iterate vanish above 2B, so only modes -B..B
@@ -137,51 +161,75 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
     grid = vbar.grid
     r = grid.nodes
     k_max = vbar.k_max
+    single = vbar.data.ndim == 4
+    if single:  # the stack of one problem
+        vbar = FourierField(grid, vbar.data[None],
+                            None if vbar.sigma is None else np.array([vbar.sigma]),
+                            vbar.has_derivatives)
+        mu = (mu,)
+    problems = len(vbar.data)
+    mu = np.asarray(mu, dtype=float)[:, None]
     with_sigma = -2.0 <= nu < 0.0
-    sigma_bar = vbar.sigma if (with_sigma and vbar.sigma is not None) else 0.0
+    sigma_bar = (np.asarray(vbar.sigma, dtype=float)
+                 if (with_sigma and vbar.sigma is not None)
+                 else np.zeros(problems))
+    # squared by pow() one problem at a time: an array's ** 2 multiplies,
+    # which can round differently in the last bit
+    sigma_sq = np.array([float(s) ** 2 for s in sigma_bar])[:, None]
     if forcing_samples is None:
         forcing_samples = forcing.sample_stack(k_max, r)
 
-    vr, vth, vz = (vbar.stack(c) for c in COMPONENTS)
-    d_vr, d_vth, d_vz = (vbar.stack(c, 1) for c in COMPONENTS)
-    il = 1j * np.arange(-k_max, k_max + 1)[:, None]
-    il_vth, il_vz, il_vr = il * vth, il * vz, il * vr
+    # the products read the modes -B..B only: stack those, (2B+1, P, n)
+    reach = max(k_max if band is None else band, 0)
+    modes = FourierField(grid, vbar.data[..., :reach + 1, :, :],
+                         has_derivatives=vbar.has_derivatives)
+    vr, vth, vz = (modes.stack(c) for c in COMPONENTS)
+    il = 1j * np.arange(-reach, reach + 1)[:, None, None]
 
     def conv(a, b, with_tail=False):
         return convolve_product(a, b, k_max, with_tail, band)
 
-    adv_th = conv(vr, d_vth, with_tail=True)
-    rot_th = conv(vz, il_vth)
+    # the derivative stacks and il-products are formed where they are read,
+    # so no more than one of them is held at a time
+    adv_th = conv(vr, modes.stack("theta", 1), with_tail=True)
+    rot_th = conv(vz, il * vth)
     str_th = conv(vr, vth)
-    adv_z = conv(vr, d_vz)
-    rot_z = conv(vz, il_vz)
-    adv_r = conv(vr, d_vr)
-    rot_r = conv(vz, il_vr)
+    adv_z = conv(vr, modes.stack("z", 1))
+    rot_z = conv(vz, il * vz)
+    adv_r = conv(vr, modes.stack("r", 1))
+    rot_r = conv(vz, il * vr)
     cen_r = conv(vth, vth, with_tail=True)
+    swirl = vbar.data[:, COMPONENTS.index("theta"), :, 0].swapaxes(0, 1)
 
     kept = slice(0, len(rot_th))  # rows 0..min(K, 2B)
-    rhs = np.empty((len(COMPONENTS), k_max + 1, len(grid)), dtype=complex)
-    rhs[:, kept.stop:] = forcing_samples[:, kept.stop:]
-    f_r, f_th, f_z = rhs
-    s_r, s_th, s_z = forcing_samples[:, kept]
+    rhs = np.empty((problems, len(COMPONENTS), k_max + 1, len(grid)),
+                   dtype=complex)
+    rhs[:, :, kept.stop:] = forcing_samples[:, kept.stop:]
+    f_r, f_th, f_z = rhs.transpose(1, 2, 0, 3)  # (K+1, P, n) views
+    s_r, s_th, s_z = forcing_samples[:, kept, None]
     np.add(-(adv_r + rot_r - cen_r[kept] / r), s_r, out=f_r[kept])
     np.add(-(adv_th[kept] + rot_th + str_th / r), s_th, out=f_th[kept])
     np.add(-(adv_z + rot_z), s_z, out=f_z[kept])
     if with_sigma:
-        f_r += 2.0 * sigma_bar * vth[k_max:] / r ** 2
+        f_r += 2.0 * sigma_bar[:, None] * swirl / r ** 2
 
     # absorb the zero radial mode into the pressure; audit the full profile,
     # including the pieces the split representation keeps implicit
-    absorbed = f_r[0] + (sigma_bar ** 2) / r ** 3 \
-        + 2.0 * mu * (vth[k_max] + sigma_bar / r) / r ** 2
+    absorbed = f_r[0] + sigma_sq / r ** 3 \
+        + 2.0 * mu * (swirl[0] + sigma_bar[:, None] / r) / r ** 2
     f_r[0] = 0.0
     absorbed_decay = min(3.0, forcing.decay("r", 0))
 
-    tail = max(convolution_tail_norm(adv_th, k_max),
-               convolution_tail_norm(cen_r, k_max))
+    tails = tuple(max(convolution_tail_norm(adv_th[:, p], k_max),
+                      convolution_tail_norm(cen_r[:, p], k_max))
+                  for p in range(problems))
+    if single:
+        return RhsAssembly(rhs=rhs[0], absorbed_fr0=absorbed[0],
+                           absorbed_fr0_decay=absorbed_decay,
+                           convolution_tail=tails[0])
     return RhsAssembly(rhs=rhs, absorbed_fr0=absorbed,
                        absorbed_fr0_decay=absorbed_decay,
-                       convolution_tail=tail)
+                       convolution_tail=tails)
 
 
 @dataclass
@@ -252,78 +300,160 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
     three steps in a row abort with a diagnostic; a non-finite distance
     raises NumericError naming the first non-finite block; hitting max_iters
     returns the partial result flagged as unconverged.  Settings out of
-    bounds raise ConfigError (check_iteration_settings).
+    bounds and a non-finite nu or mu raise ConfigError.  The one-problem
+    case of the lockstep loop that nonuniqueness_pair runs.
+    """
+    return _lockstep(grid, nu, (mu,), k_max, forcing, (boundary,), tol,
+                     max_iters, relaxation, verify)[0]
+
+
+def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
+              forcing: ForcingData, boundaries, tol: float = 1e-10,
+              max_iters: int = 25, relaxation: float = 1.0,
+              verify: bool = False) -> List[SolutionBundle]:
+    """picard_solve of P problems at once, the p-th at (mus[p],
+    boundaries[p]), returning their P bundles.
+
+    Each step assembles and solves every active problem as one stack (see
+    the module docstring); norms, distances and the stopping rules are
+    applied per problem.  A problem retires when it converges, fails or
+    reaches max_iters, and the others go on.  When one fails, its error is
+    raised once every problem before it has finished, unless one of those
+    fails too: the lowest-index failure wins, as if the problems ran one
+    after the other.  Each bundle has the bits of the problem's solve alone.
     """
     check_iteration_settings(tol, max_iters, relaxation)
+    if not all(np.isfinite(mu) for mu in mus):
+        raise ConfigError("mu must be finite")
     tau = compute_tau(nu, forcing.lambda_theta, forcing.lambda_z,
                       forcing.lambda_)
-    data_norm = enorm(forcing, grid) + vnorm(boundary)
-    if data_norm > SMALLNESS_WARN:
-        warnings.warn(
-            f"data norm {data_norm:.3g} is large; the contraction argument "
-            "only holds for small data -- iteration may diverge",
-            RuntimeWarning, stacklevel=2)
-    support = {abs(k) for k in boundary.k_support()} \
-        | {abs(k) for k in forcing.k_support()}
-    data_band = max(support, default=-1)
-    if data_band > k_max:
-        raise ConfigError(
-            f"data excite mode {data_band} beyond the truncation {k_max}")
+    e_norm = enorm(forcing, grid)
+    v_norms = [vnorm(b) for b in boundaries]
+    data_norms = [e_norm + v for v in v_norms]
+    for data_norm in data_norms:
+        if data_norm > SMALLNESS_WARN:
+            warnings.warn(
+                f"data norm {data_norm:.3g} is large; the contraction "
+                "argument only holds for small data -- iteration may diverge",
+                RuntimeWarning, stacklevel=3)
+    data_bands = []
+    for boundary in boundaries:
+        support = {abs(k) for k in boundary.k_support()} \
+            | {abs(k) for k in forcing.k_support()}
+        data_bands.append(max(support, default=-1))
+        if data_bands[-1] > k_max:
+            raise ConfigError(f"data excite mode {data_bands[-1]} beyond the "
+                              f"truncation {k_max}")
 
     with_sigma = -2.0 <= nu < 0.0
-    state = IterationState(FourierField.zero(grid, k_max, with_sigma))
+    states = [IterationState(FourierField.zero(grid, k_max, with_sigma))
+              for _ in mus]
     decays = {("theta", 0): min(forcing.lambda_theta, 3.0 + 2.0 * tau.tau),
               ("z", 0): min(forcing.lambda_z, 3.0 + 2.0 * tau.tau),
               "nonzero": min(forcing.lambda_, 3.0 + 2.0 * tau.tau)}
     # the forcing does not depend on the iterate: sample it once per solve
     samples = forcing.sample_stack(k_max, grid.nodes)
     samples.setflags(write=False)
-    converged = False
-    rhs_final = None
-    merid_final = None
-    # the highest |k| the iterate can reach: the quadratic term at most
+    converged = [False] * len(mus)
+    finals = [(None, None)] * len(mus)  # (RhsAssembly, MeridionalStacks)
+    errors = {}
+    # the highest |k| each iterate can reach: the quadratic term at most
     # doubles it, the data add theirs (the zero iterate has none)
-    band = -1
+    bands = [-1] * len(mus)
+    active = list(range(len(mus)))
+    v = FourierField(grid, np.zeros((len(mus),) + states[0].v_current.data.shape,
+                                    dtype=complex),
+                     np.zeros(len(mus)) if with_sigma else None)
     for it in range(1, max_iters + 1):
-        rhs = assemble_rhs(state.v_current, forcing, mu, nu, samples, band)
-        band = min(k_max, max(2 * band, data_band))
-        v_new, merid_final = solve_linear_system(grid, nu, mu, k_max, rhs.rhs,
-                                                 decays, boundary, band)
-        if relaxation != 1.0:
-            v_new = state.v_current.blend(v_new, relaxation)
-        diff = bnorm(v_new - state.v_current, tau.tau)
-        if not np.isfinite(diff):
-            raise NumericError(
-                f"Picard iterate {it} is not finite: first at "
-                f"{_first_non_finite(v_new)}")
-        state.v_current = v_new
-        state.iterations = it
-        state.diff_norm_history.append(diff)
-        state.update_contraction()
-        rhs_final = rhs
-        if diff <= tol:
-            converged = True
+        # a step runs at the widest band of its problems: the narrower ones
+        # convolve and solve exact zeros above their own band
+        step_mus = [mus[p] for p in active]
+        rhs = assemble_rhs(v, forcing, step_mus, nu, samples,
+                           max(bands[p] for p in active))
+        for p in active:
+            bands[p] = min(k_max, max(2 * bands[p], data_bands[p]))
+        width = max(bands[p] for p in active)
+        v_new, merid = solve_linear_system(
+            grid, nu, step_mus, k_max, rhs.rhs, decays,
+            [boundaries[p] for p in active], width)
+        going = []
+        for i, p in enumerate(active):
+            top = max(bands[p], 0)  # the zero mode is always solved
+            if top < width:
+                # rows above the problem's own band, +0 as its own solve
+                # leaves them (the wider solve may have formed -0 there)
+                v_new.data[i, :, top + 1:] = 0.0
+                merid.w[i, top:] = 0.0
+                merid.phi[i, top:] = 0.0
+            state = states[p]
+            v_p = FourierField(grid, v_new.data[i], None if v_new.sigma is None
+                               else float(v_new.sigma[i]))
+            if relaxation != 1.0:
+                v_p = state.v_current.blend(v_p, relaxation)
+            diff = bnorm(v_p - state.v_current, tau.tau)
+            if not np.isfinite(diff):
+                errors[p] = NumericError(
+                    f"Picard iterate {it} is not finite: first at "
+                    f"{_first_non_finite(v_p)}")
+                continue
+            state.v_current = v_p
+            state.iterations = it
+            state.diff_norm_history.append(diff)
+            state.update_contraction()
+            if diff <= tol or it == max_iters:  # what its bundle reports
+                finals[p] = (RhsAssembly(rhs.rhs[i], rhs.absorbed_fr0[i],
+                                         rhs.absorbed_fr0_decay,
+                                         rhs.convolution_tail[i]),
+                             MeridionalStacks(w=merid.w[i], phi=merid.phi[i]))
+            if diff <= tol:
+                converged[p] = True
+                continue
+            h = state.diff_norm_history
+            if len(h) >= 4 and h[-1] > h[-2] > h[-3] > h[-4]:
+                errors[p] = ConvergenceError(
+                    f"Picard iteration diverging: distances {h[-4:]} "
+                    f"(data norm {data_norms[p]:.3g})", state=state)
+                continue
+            going.append(i)
+        # a problem after a failed one would never be reported
+        going = [i for i in going if active[i] < min(errors, default=len(mus))]
+        if not going:
             break
-        h = state.diff_norm_history
-        if len(h) >= 4 and h[-1] > h[-2] > h[-3] > h[-4]:
-            raise ConvergenceError(
-                f"Picard iteration diverging: distances {h[-4:]} "
-                f"(data norm {data_norm:.3g})", state=state)
+        if relaxation != 1.0 or len(going) < len(active):
+            v = _stacked([states[active[i]].v_current for i in going])
+        else:
+            v = v_new
+        active = [active[i] for i in going]
+    if errors:
+        raise errors[min(errors)]
 
-    v = state.v_current
-    b_norm = bnorm(v, tau.tau)
-    norms = {"V": vnorm(boundary), "E": enorm(forcing, grid), "B_tau": b_norm}
-    c_emp = b_norm / data_norm if data_norm > 0 else 0.0
-    bundle = SolutionBundle(
-        v=v, nu=nu, mu=mu, tau=tau, norms=norms, converged=converged,
-        iterations=state.iterations, diff_history=state.diff_norm_history,
-        contraction_estimate=state.contraction_estimate, c_emp=c_emp,
-        forcing=forcing, boundary=boundary, rhs_final=rhs_final,
-        meridional=merid_final)
-    if verify:
-        from .residuals import attach_residual_report
-        attach_residual_report(bundle)
-    return bundle
+    bundles = []
+    for p, state in enumerate(states):
+        v = state.v_current
+        b_norm = bnorm(v, tau.tau)
+        norms = {"V": v_norms[p], "E": e_norm, "B_tau": b_norm}
+        c_emp = b_norm / data_norms[p] if data_norms[p] > 0 else 0.0
+        bundle = SolutionBundle(
+            v=v, nu=nu, mu=mus[p], tau=tau, norms=norms,
+            converged=converged[p], iterations=state.iterations,
+            diff_history=state.diff_norm_history,
+            contraction_estimate=state.contraction_estimate, c_emp=c_emp,
+            forcing=forcing, boundary=boundaries[p], rhs_final=finals[p][0],
+            meridional=finals[p][1])
+        if verify:
+            from .residuals import attach_residual_report
+            attach_residual_report(bundle)
+        bundles.append(bundle)
+    return bundles
+
+
+def _stacked(fields: List[FourierField]) -> FourierField:
+    """One field stacking the data and sigmas of fields along a leading
+    problem axis."""
+    sigma = (None if fields[0].sigma is None
+             else np.array([f.sigma for f in fields]))
+    return FourierField(fields[0].grid, np.stack([f.data for f in fields]),
+                        sigma)
 
 
 def _first_non_finite(v: FourierField) -> str:
@@ -341,13 +471,23 @@ def _first_non_finite(v: FourierField) -> str:
 
 @dataclass
 class SeparationReport:
-    """r (u_theta - u_theta~) over the outer decade, z-averaged."""
+    """r (u_theta - u_theta~) over the outer decade, z-averaged.
+
+    limit_estimate is the value at r_max.  For nu < -2 the separation
+    approaches its limit like r^{nu+2} (the zero swirl mode's homogeneous
+    solution r^{nu+1} carries the boundary shift), so the least-squares fit
+    sep(r) ~ fitted_limit + fitted_coefficient r^{nu+2} over the decade
+    removes that bias; fit_residual is the fit's max deviation there.
+    """
 
     radii: np.ndarray
     values: np.ndarray
     limit_estimate: float
     delta_mu: float
     bundle_distance: float
+    fitted_limit: float
+    fitted_coefficient: float
+    fit_residual: float
 
 
 def nonuniqueness_pair(grid: RadialGrid, nu: float, mu: float, k_max: int,
@@ -359,6 +499,8 @@ def nonuniqueness_pair(grid: RadialGrid, nu: float, mu: float, k_max: int,
     compensates on the boundary (swirl mean shifted by -delta_mu), so both
     velocity fields satisfy identical boundary conditions; their swirl
     components differ in the r^{-1} coefficient by mu - mu~ = -delta_mu.
+    The two solves step in lockstep on the grid (picard_kwargs are
+    picard_solve's settings); each keeps the bits of its own picard_solve.
     """
     if nu >= -2.0:
         raise ConfigError(
@@ -366,11 +508,9 @@ def nonuniqueness_pair(grid: RadialGrid, nu: float, mu: float, k_max: int,
             "problem is non-unique for nu >= -2 is open)")
     if not np.isfinite(delta_mu):
         raise ConfigError(f"delta_mu must be finite, got {delta_mu!r}")
-    first = picard_solve(grid, nu, mu, k_max, forcing, boundary,
-                         **picard_kwargs)
     shifted = boundary.shifted_swirl_mean(-delta_mu)
-    second = picard_solve(grid, nu, mu + delta_mu, k_max, forcing, shifted,
-                          **picard_kwargs)
+    first, second = _lockstep(grid, nu, (mu, mu + delta_mu), k_max, forcing,
+                              (boundary, shifted), **picard_kwargs)
 
     mask = grid.last_decade_mask()
     r = grid.nodes[mask]
@@ -379,7 +519,11 @@ def nonuniqueness_pair(grid: RadialGrid, nu: float, mu: float, k_max: int,
     u2 = np.real(second.v.profile("theta", 0).values[mask]) + (mu + delta_mu) / r
     sep = r * (u1 - u2)
     dist = bnorm(first.v - second.v, first.tau.tau)
-    report = SeparationReport(radii=r, values=sep,
-                              limit_estimate=float(sep[-1]),
-                              delta_mu=delta_mu, bundle_distance=dist)
+    basis = np.stack([np.ones_like(r), r ** (nu + 2.0)], axis=1)
+    (limit, coefficient), *_ = np.linalg.lstsq(basis, sep, rcond=None)
+    report = SeparationReport(
+        radii=r, values=sep, limit_estimate=float(sep[-1]), delta_mu=delta_mu,
+        bundle_distance=dist, fitted_limit=float(limit),
+        fitted_coefficient=float(coefficient),
+        fit_residual=float(np.max(np.abs(sep - basis @ (limit, coefficient)))))
     return first, second, report

@@ -18,10 +18,12 @@ out_c + C_c, whose factors never exceed 1, and return plain mantissa arrays
 out with integral(r_j) = out_j * e^{rate r_j}, so a kernel mantissa at the
 opposite shift multiplies them with no exponential left over.  Each side is
 one integrand or an (R, n+1) stack with one rate per row (the mode solvers
-pass all modes k = 1..K at once); both sides run as one doubling scan, from
-a read-only plan of cell weights and step factors cached per (prefix rates,
-suffix rates).  exp_weighted_prefix, exp_weighted_suffix, integrate_inner
-and integrate_outer (at rate 0) are its one-sided cases.
+pass all modes k = 1..K at once), or a (P, R, n+1) stack of P problems
+that share those rates (the lockstep Picard loop); both sides run as one
+doubling scan, from a read-only plan of cell weights and step factors cached
+per (prefix rates, suffix rates) and broadcast over the problem axis.
+exp_weighted_prefix, exp_weighted_suffix, integrate_inner and
+integrate_outer (at rate 0) are its one-sided cases.
 
 fd_bvp_solve is the independent verification path: a second-order
 finite-difference solution of the two-point problems
@@ -239,7 +241,11 @@ def _freeze(entry) -> None:
 
 @dataclass
 class RadialProfile:
-    """One Fourier mode's radial dependence, sampled on the grid."""
+    """One Fourier mode's radial dependence, sampled on the grid.
+
+    The zero-mode solvers also return the profiles of P problems at once,
+    as arrays (P, n+1).
+    """
 
     grid: RadialGrid
     values: np.ndarray
@@ -248,13 +254,13 @@ class RadialProfile:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.values.shape != self.grid.nodes.shape:
+        if self.values.shape[-1:] != self.grid.nodes.shape:
             raise DomainError("profile values must be sampled on the grid nodes")
         for name in ("d1", "d2"):
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr)
-                if arr.shape != self.grid.nodes.shape:
+                if arr.shape != self.values.shape:
                     raise DomainError(f"profile {name} shape mismatch")
                 setattr(self, name, arr)
 
@@ -300,10 +306,11 @@ def weighted_sup(values, grid: RadialGrid, zeta: float) -> WeightedNorm:
 
 
 def _sample(f, grid: RadialGrid) -> np.ndarray:
+    """f on the grid nodes: one integrand (n+1,) or a stack (..., n+1)."""
     if callable(f):
         return np.asarray(f(grid.nodes))
     arr = np.asarray(f)
-    if arr.shape != grid.nodes.shape:
+    if arr.shape[-1:] != grid.nodes.shape:
         raise DomainError("sampled integrand does not match the grid")
     return arr
 
@@ -331,16 +338,18 @@ def _check_declared_tail(values, grid: RadialGrid, p: float, total) -> None:
 
 
 def integrate_inner(f, grid: RadialGrid, r: Optional[float] = None):
-    """int_1^r f ds at grid nodes (all nodes when r is None)."""
+    """int_1^r f ds at grid nodes (all nodes when r is None), along the last
+    axis of f."""
     prefix = exp_weighted_integrals(grid, _sample(f, grid), 0.0, None, None)[0]
     if r is None:
         return prefix
-    return prefix[grid.node_index(r)]
+    return prefix[..., grid.node_index(r)]
 
 
 def integrate_outer(f, grid: RadialGrid, r: Optional[float] = None,
                     decay_exponent: Optional[float] = None, check_tail: bool = True):
-    """int_r^inf f ds = quadrature to r_max + analytic power-law tail."""
+    """int_r^inf f ds = quadrature to r_max + analytic power-law tail, along
+    the last axis of f."""
     if decay_exponent is None:
         raise NumericError("outer integrals need a declared decay exponent")
     out = exp_weighted_integrals(grid, None, None, _sample(f, grid), 0.0,
@@ -348,7 +357,7 @@ def integrate_outer(f, grid: RadialGrid, r: Optional[float] = None,
                                  check_tail=check_tail)[1]
     if r is None:
         return out
-    return out[grid.node_index(r)]
+    return out[..., grid.node_index(r)]
 
 
 # ----------------------------------------------------------------------------
@@ -388,7 +397,11 @@ def exp_weighted_integrals(grid: RadialGrid, b_in, rate_in, b_out, rate_out,
     """(prefix of b_in at rate_in, suffix of b_out at rate_out) in one scan.
 
     Each side is laid out as for exp_weighted_prefix / exp_weighted_suffix,
-    or None (and its result None) for a one-sided call.  A suffix at rate 0
+    or None (and its result None) for a one-sided call.  A side may also
+    stack P problems along a leading axis, (P, R, n+1) with the rates of its
+    R rows; the two sides of a call then stack the same P.  The problems
+    read the plan of the R rates, broadcast over the problem axis, so a
+    stack of problems adds no plan to the grid cache.  A suffix at rate 0
     is integrate_outer's: it needs decay_exponent, whose power-law tail
     beyond r_max it adds (fitted slope checked when check_tail).  keep_plan
     False leaves no new plan in the grid cache, for one-shot rates.
@@ -404,19 +417,23 @@ def exp_weighted_integrals(grid: RadialGrid, b_in, rate_in, b_out, rate_out,
         if b is None:
             continue
         vals = _sample_rows(b, grid)
-        rows = vals.reshape(-1, vals.shape[-1])
+        rows = vals.reshape((-1,) + vals.shape[-2:] if vals.ndim == 3
+                            else (1, -1, vals.shape[-1]))  # (P, R, n+1)
         x = np.asarray(rate, dtype=float)
         given = x if first_rows is None else np.atleast_1d(x)[:first_rows]
-        if given.shape not in ((), rows.shape[:1]):
+        if given.shape not in ((), rows.shape[1:2]):
             raise DomainError("exp-weighted integrals take one rate per row")
         tail = reverse and decay_exponent is not None and not x.any()
         if not (tail or (x < 0 if reverse else x >= 0).all()):
             raise DomainError("exp-weighted integrals take prefix rates >= 0 "
                               "and suffix rates < 0 (or 0 with a tail)")
-        rates[reverse] = tuple(x.tolist()) if x.ndim else (float(x),) * len(rows)
+        rates[reverse] = (tuple(x.tolist()) if x.ndim
+                          else (float(x),) * rows.shape[1])
         if one_sided and len(set(rates[reverse])) == 1:
             rates[reverse] = rates[reverse][:1]  # one plan column for all rows
         sides.append((vals, rows, reverse, tail))
+    if len(sides) == 2 and sides[0][1].shape[0] != sides[1][1].shape[0]:
+        raise DomainError("the two sides stack different numbers of problems")
     weights, steps = _scan_plan(grid, rates[False], rates[True], keep_plan)
     if first_rows is not None and first_rows < max(map(len, rates.values())):
         spans = [slice(0, first_rows)] if b_in is not None else []
@@ -431,11 +448,12 @@ def exp_weighted_integrals(grid: RadialGrid, b_in, rate_in, b_out, rate_out,
     result = {False: None, True: None}
     for (vals, rows, reverse, tail), out in zip(sides, outs):
         if tail:
-            closure = tail_closure(rows[:, -1], grid.r_max, decay_exponent)
+            closure = tail_closure(rows[..., -1], grid.r_max, decay_exponent)
             if check_tail:
-                for row, total in zip(rows, out[:, 0] + closure):
+                for row, total in zip(rows.reshape(-1, rows.shape[-1]),
+                                      (out[..., 0] + closure).ravel()):
                     _check_declared_tail(row, grid, decay_exponent, total)
-            out = out + closure[:, None]
+            out = out + closure[..., None]
         result[reverse] = out.reshape(vals.shape)
     return result[False], result[True]
 
@@ -466,7 +484,7 @@ def _scan_plan(grid: RadialGrid, in_rates: tuple, out_rates: tuple,
 
 def _scan(sides, weights: np.ndarray, steps) -> list:
     """Chain the anchored cell integrals C_c of every row of sides, the
-    prefix and/or the suffix as (rows (R_i, n+1), reverse) in plan order,
+    prefix and/or the suffix as (rows (P, R_i, n+1), reverse) in plan order,
     from the left end (reverse False) or the right end (reverse True) by
 
         out_0 = 0,  out_{c+1} = a_c out_c + C_c,  a_c = e^{-|rate| h_c},
@@ -474,58 +492,66 @@ def _scan(sides, weights: np.ndarray, steps) -> list:
     all rows at once, as a doubling (Hillis-Steele) scan: after the step of
     width s each entry holds the chain of the 2s cells ending at it, so
     ceil(log2 n) vectorised steps finish every row.  The cell integrals
-    come from four shifted slices of the (n+1, R) values; a suffix column
-    enters the (re, im) planes (planes, n, R) right to left, so the steps
-    acc[:, s:] += A_s acc[:, :-s] run over contiguous memory.  No factor
+    come from four shifted slices of the (P, n+1, R) values; a suffix column
+    enters the (re, im) planes (planes * P, n, R) right to left, so the
+    steps acc[:, s:] += A_s acc[:, :-s] run over contiguous memory.  The
+    leading axis P stacks problems: the plan's weights (4, n, R) and step
+    factors (n - s, R) broadcast over it, as over the planes.  No factor
     exceeds 1, so the scan is stable.  Each column's arithmetic is
-    independent of the others, so a stacked or two-sided call is bitwise
-    equal to its row-by-row calls.
+    independent of the others, so a stacked or two-sided call, or one of
+    several problems, is bitwise equal to its row-by-row calls.
     """
     n = weights.shape[1]
-    vals = np.concatenate([rows.T for rows, _ in sides], axis=1)
-    spans = [slice(0, len(sides[0][0])), slice(len(sides[0][0]), None)]
-    cells = np.empty((n, vals.shape[1]), np.result_type(vals, weights))
-    term = np.empty((n - 2, vals.shape[1]), cells.dtype)
+    vals = np.concatenate([rows.transpose(0, 2, 1) for rows, _ in sides],
+                          axis=2)
+    problems, _, cols = vals.shape
+    split = sides[0][0].shape[1]
+    spans = [slice(0, split), slice(split, None)]
+    cells = np.empty((problems, n, cols), np.result_type(vals, weights))
+    term = np.empty((problems, n - 2, cols), cells.dtype)
     # stencil term j of cell c reads node c - 1 + j inside, and nodes j and
     # n - 3 + j at the clipped cells c = 0 and c = n - 1; the terms are
     # added in stencil order.  A real weight times a complex value is a
     # complex product, whose zero signs differ from separate products with
     # the real and imaginary parts, so the cells are summed in complex and
     # only the scan runs on planes
-    for cols, stride in ((slice(1, -1), 1), (slice(None, None, n - 1), n - 3)):
-        part = cells[cols]
-        np.multiply(weights[0, cols], vals[:n - 2:stride], out=part)
+    for at, stride in ((slice(1, -1), 1), (slice(None, None, n - 1), n - 3)):
+        part = cells[:, at]
+        np.multiply(weights[0, at], vals[:, :n - 2:stride], out=part)
         for j in (1, 2, 3):
-            t = np.multiply(weights[j, cols], vals[j:j + n - 2:stride],
-                            out=term[:len(part)])
+            t = np.multiply(weights[j, at], vals[:, j:j + n - 2:stride],
+                            out=term[:, :part.shape[1]])
             part += t
     parts = (cells.real, cells.imag) if np.iscomplexobj(cells) else (cells,)
-    acc = np.empty((len(parts), n, vals.shape[1]))
+    acc = np.empty((len(parts), problems, n, cols))
     for plane, part in zip(acc, parts):
         for span, (_, reverse) in zip(spans, sides):
-            plane[:, span] = part[::-1, span] if reverse else part[:, span]
-    prod = cells.view(float).reshape(acc.shape)  # the cells are in acc now
+            plane[..., span] = part[:, ::-1, span] if reverse else part[..., span]
+    flat = acc.reshape(-1, n, cols)
+    prod = cells.view(float).reshape(flat.shape)  # the cells are in acc now
     s = 1
     for factor in steps:
-        acc[:, s:] += np.multiply(factor, acc[:, :-s], out=prod[:, s:])
+        flat[:, s:] += np.multiply(factor, flat[:, :-s], out=prod[:, s:])
         s *= 2
     outs = []
     for span, (rows, reverse) in zip(spans, sides):
-        out = np.zeros((len(rows), n + 1), np.result_type(rows, weights))
+        out = np.empty(rows.shape, np.result_type(rows, weights))
+        out[..., -1 if reverse else 0] = 0.0
         planes = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
-        for part, plane in zip(planes, acc[:, :, span]):
+        for part, plane in zip(planes, acc[..., span]):
             if reverse:
-                part[:, :-1] = plane[::-1].T
+                part[..., :-1] = plane[:, ::-1].transpose(0, 2, 1)
             else:
-                part[:, 1:] = plane.T
+                part[..., 1:] = plane.transpose(0, 2, 1)
         outs.append(out)
     return outs
 
 
 def _sample_rows(b, grid: RadialGrid) -> np.ndarray:
-    """b sampled on the grid: one integrand (n+1,) or a stack (R, n+1)."""
+    """b sampled on the grid: one integrand (n+1,), a stack (R, n+1) or a
+    stack of problems (P, R, n+1)."""
     arr = np.asarray(b(grid.nodes)) if callable(b) else np.asarray(b)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != len(grid):
+    if arr.ndim not in (1, 2, 3) or arr.shape[-1] != len(grid):
         raise DomainError("sampled integrand does not match the grid")
     return arr
 

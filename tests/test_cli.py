@@ -312,6 +312,7 @@ def test_nonunique_subcommand(tmp_path, capsys):
     for which in ("first", "second"):
         assert sum(ln.startswith(f"{which} residual max = ")
                    for ln in lines) == 1, which
+    assert sum(ln.startswith("fitted limit L = ") for ln in lines) == 1
     data = np.genfromtxt(out / "separation.csv", delimiter=",", names=True)
     assert data["r_times_dutheta"][-1] == pytest.approx(-0.05, rel=0.05)
 

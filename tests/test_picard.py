@@ -395,6 +395,44 @@ def test_nonuniqueness_pair_passes_settings_to_picard(grid, setting, value):
                            **{setting: value})
 
 
+def _no_solve(monkeypatch):
+    import excyl.picard
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_linear_system ran")
+
+    monkeypatch.setattr(excyl.picard, "solve_linear_system", refuse)
+
+
+@pytest.mark.parametrize("nu, mu, match", [
+    (float("nan"), 1.0, "finite nu"), (-float("inf"), 1.0, "finite nu"),
+    (-3.0, float("nan"), "mu must be finite"),
+    (-3.0, float("inf"), "mu must be finite"),
+    (-3.0, -float("inf"), "mu must be finite")])
+@pytest.mark.parametrize("solve", ["picard_solve", "nonuniqueness_pair"])
+def test_non_finite_nu_or_mu_is_rejected_before_any_solve(grid, monkeypatch,
+                                                          solve, nu, mu,
+                                                          match):
+    # the library raises what RunConfig.validate raises for a config file,
+    # before any solve: a NaN nu passes a plain nu >= 0 test, and a
+    # non-finite mu would only show in the first iterate
+    _no_solve(monkeypatch)
+    b = BoundaryData(g_theta={1: 1e-3})
+    args = (grid, nu, mu, 2, ForcingData(), b)
+    with pytest.raises(ConfigError, match=match):
+        if solve == "picard_solve":
+            picard_solve(*args)
+        else:
+            nonuniqueness_pair(*args, 0.05)
+
+
+def test_pair_rejects_a_shifted_mu_that_overflows(grid, monkeypatch):
+    _no_solve(monkeypatch)
+    with pytest.raises(ConfigError, match="mu must be finite"):
+        nonuniqueness_pair(grid, -3.0, 1e308, 2, ForcingData(),
+                           BoundaryData(g_theta={1: 1e-3}), 1e308)
+
+
 def test_picard_large_data_warns(grid):
     b = BoundaryData(g_theta={1: 0.5})
     with pytest.warns(RuntimeWarning, match="large"):
@@ -442,16 +480,31 @@ def test_nonuniqueness_separation(grid):
     assert rep.bundle_distance > 10 * 1e-10
 
 
+@pytest.mark.parametrize("delta_mu", [0.01, 0.05])
+def test_fitted_separation_limit_removes_the_decay_bias(delta_mu):
+    # at nu = -2.5 the separation approaches -delta_mu like r^{-1/2}, so its
+    # value at r_max = 100 is 10 % off; the fit L + c r^{nu+2} over the last
+    # decade recovers L = -delta_mu to 1.2e-15 relative and c = delta_mu to
+    # six digits, with a max residual of 3.4e-14 delta_mu (n = 1024)
+    g = RadialGrid.graded(1024, 100.0, 2.0)
+    b = BoundaryData(g_theta={1: 1e-3}, g_z={1: 1e-3})
+    _, _, rep = nonuniqueness_pair(g, -2.5, 1.0, 8, ForcingData(), b, delta_mu)
+    assert abs(rep.limit_estimate + delta_mu) > 0.05 * delta_mu
+    assert abs(rep.fitted_limit + delta_mu) <= 1e-13 * delta_mu
+    assert rep.fitted_coefficient == pytest.approx(delta_mu, rel=1e-5)
+    assert rep.fit_residual <= 1e-12 * delta_mu
+
+
 def test_picard_non_finite_iterate_is_numeric_error(grid, monkeypatch):
     # non-finite data is rejected where it enters (next test), so poison the
-    # linear solve's output to reach the iterate check
+    # linear solve's output (a stack of problems) to reach the iterate check
     import excyl.picard
 
     solve = excyl.picard.solve_linear_system
 
     def poisoned(*args, **kwargs):
         field, merid = solve(*args, **kwargs)
-        field.data[COMPONENTS.index("theta"), 0, 0, len(grid) // 2] = np.nan
+        field.data[..., COMPONENTS.index("theta"), 0, 0, len(grid) // 2] = np.nan
         return field, merid
 
     monkeypatch.setattr(excyl.picard, "solve_linear_system", poisoned)

@@ -186,6 +186,18 @@ def test_manufactured_nonlinear_solve_recovers_field(grid):
                 field.profile(comp, k).values, atol=2e-9)
 
 
+def test_audit_holds_with_a_sizable_sigma():
+    # a swirl mean of 1e-2 gives sigma = 1.0e-2, so the absorbed sigma^2 / r^3
+    # term of the zero radial forcing is far above the audit's bound: the
+    # direct audit measures 1.0e-9 with it and 1.0e-4 without it
+    g = RadialGrid.graded(1024, 100.0, 2.0)
+    b = BoundaryData(g_theta={0: 1e-2, 1: 1e-3})
+    bundle = picard_solve(g, -1.0, 1.0, 8, ForcingData(), b, verify=True)
+    assert bundle.converged
+    assert bundle.sigma == pytest.approx(1e-2, rel=0.05)
+    assert bundle.residual_report.max_momentum < 1e-6
+
+
 def test_tampered_solution_detected(grid):
     # corrupting one mode profile must blow up the residual
     b = BoundaryData(g_theta={1: 1e-3})

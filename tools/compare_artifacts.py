@@ -7,15 +7,17 @@ Usage:
     python tools/compare_artifacts.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `excyl` package (the
-`src` directory of a checkout).  The script makes five runs under each
+`src` directory of a checkout).  The script makes six runs under each
 tree.  It runs `excyl solve` on four small built-in configurations: nu = -1
 with a forcing that gives a nonzero 1/r tail coefficient sigma, nu = -3,
 nu = -1 at K = 40 with boundary data up to mode 40, whose exp-weighted
 suffixes run at rates up to 2K = 80, and nu = -3 at K = 24 with data on
 mode 1 only, whose iterates never reach past mode 8 (modes 1, 2, 4, 8, 8,
-...).  The fifth run is `excyl nonunique --delta-mu 0.06` on the nu = -3
-configuration, which solves the two problems of a non-uniqueness pair on
-one warm grid and writes separation.csv.  For every run it compares the
+...).  The fifth and sixth runs are `excyl nonunique --delta-mu 0.06` on
+the nu = -3 and the narrow nu = -3 configurations, which step the two
+problems of a non-uniqueness pair in lockstep on one grid and write
+separation.csv; on the narrow one the steps run below the full band and
+the first problem retires before the second.  For every run it compares the
 exit status.  For every artifact it prints "identical" when the bytes
 agree, "same numbers, different text" when only the spelling differs (such
 as -0 against 0), or else the largest deviation of the file's numbers
@@ -98,7 +100,8 @@ z,1 = 5e-4
 
 # (label, configuration, excyl subcommand and its options)
 RUNS = [(name, name, ["solve"]) for name in CONFIGS] + [
-    ("nu-3-nonunique", "nu-3", ["nonunique", "--delta-mu", "0.06"])]
+    (f"{name}-nonunique", name, ["nonunique", "--delta-mu", "0.06"])
+    for name in ("nu-3", "nu-3-narrow")]
 
 _NUMBER = re.compile(
     r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
