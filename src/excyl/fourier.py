@@ -18,6 +18,7 @@ Norms follow the solution/data space design:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -150,6 +151,10 @@ class BoundaryData:
 
     def __post_init__(self):
         for comp, d in zip(COMPONENTS, (self.g_r, self.g_theta, self.g_z)):
+            keys = [k for k in d if not isinstance(k, numbers.Integral)]
+            if keys:
+                raise ConfigError(f"boundary mode ({comp}, {keys[0]!r}) is "
+                                  "not an integer")
             bad = [k for k, v in d.items() if not np.isfinite(v)]
             if bad:
                 raise NumericError(f"boundary coefficient ({comp}, {bad[0]}) "
@@ -218,6 +223,9 @@ class ForcingData:
         for (comp, k) in self.modes:
             if comp not in COMPONENTS:
                 raise ConfigError(f"unknown forcing component {comp!r}")
+            if not isinstance(k, numbers.Integral):
+                raise ConfigError(f"forcing mode ({comp}, {k!r}) is not an "
+                                  "integer")
 
     def sample(self, component: str, k: int, r: np.ndarray) -> np.ndarray:
         """f_{component,k} at r; a non-finite sample is a NumericError."""

@@ -68,6 +68,7 @@ from .errors import DomainError, NumericError
 from .radial import (
     RadialGrid,
     RadialProfile,
+    _sample,
     exp_weighted_integrals,
     exp_weighted_prefix,
     exp_weighted_suffix,
@@ -128,16 +129,6 @@ class MeridionalModeSolution:
     closure: ClosureCoefficients
 
 
-def _sample_forcing(f, grid: RadialGrid) -> np.ndarray:
-    """f on the grid nodes, (n+1,) or a stack of problems (P, n+1)."""
-    if callable(f):
-        return np.asarray(f(grid.nodes), dtype=complex)
-    arr = np.asarray(f, dtype=complex)
-    if arr.shape[-1:] != grid.nodes.shape:
-        raise DomainError("forcing samples do not match the grid")
-    return arr
-
-
 def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
                      f_decay: float) -> ZeroModeSwirlSolution:
     """Zero-mode swirl solve of -(v'' + (1-nu)/r v' - (1+nu)/r^2 v) = f.
@@ -150,7 +141,7 @@ def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
     if f_decay <= 3.0:
         raise NumericError("zero-mode swirl forcing must decay faster than r^-3")
     r = grid.nodes
-    fv = _sample_forcing(f, grid)
+    fv = np.asarray(_sample(f, grid), dtype=complex)
 
     if nu < -2.0:
         # one rate-0 row per problem on each side
@@ -194,7 +185,7 @@ def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
     if f_decay <= 2.0:
         raise NumericError("zero-mode vertical forcing must decay faster than r^-2")
     r = grid.nodes
-    fv = _sample_forcing(f, grid)
+    fv = np.asarray(_sample(f, grid), dtype=complex)
     c_in, s_out = (side[..., 0, :] for side in exp_weighted_integrals(
         grid, (fv * r ** (1.0 - nu))[..., None, :], 0.0,
         (fv * r)[..., None, :], 0.0, decay_exponent=f_decay - 1.0))
@@ -423,7 +414,7 @@ def solve_swirl_mode(grid: RadialGrid, k: int, nu: float, f, g_theta_k: complex,
     if k == 0:
         raise DomainError("use solve_zero_swirl for the zero mode")
     _check_nonzero_mode(nu, f_decay)
-    fv = _sample_forcing(f, grid)
+    fv = np.asarray(_sample(f, grid), dtype=complex)
     vals, d1, d2 = _swirl_rows(grid, (k,), nu, fv[None],
                                np.array([g_theta_k], dtype=complex))
     return RadialProfile(grid, vals[0], d1[0], d2[0])
@@ -448,8 +439,8 @@ def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
     if k == 0:
         raise DomainError("use solve_zero_meridional for the zero mode")
     _check_nonzero_mode(nu, f_decay)
-    frv = _sample_forcing(f_r, grid)
-    fzv = _sample_forcing(f_z, grid)
+    frv = np.asarray(_sample(f_r, grid), dtype=complex)
+    fzv = np.asarray(_sample(f_z, grid), dtype=complex)
     sol = _meridional_rows(grid, (k,), nu, frv[None], fzv[None],
                            np.array([g_r_k], dtype=complex),
                            np.array([g_z_k], dtype=complex))
@@ -571,7 +562,7 @@ def recover_pressure(grid: RadialGrid, k: int, nu: float, v_z: RadialProfile,
     momentum balance reduces to pi_0' = f_{r,0}, integrated in from infinity.
     """
     r = grid.nodes
-    fv = _sample_forcing(f_z, grid)
+    fv = np.asarray(_sample(f_z, grid), dtype=complex)
     if k == 0:
         if f_decay is None:
             raise NumericError("zero-mode pressure recovery needs a decay exponent")

@@ -28,7 +28,7 @@ and iterate distances are measured in the tau-weighted solution norm.
 The iterates are band-limited: the zero iterate has no mode (band -1), the
 quadratic term at most doubles the highest |k| present, and the data add
 theirs, so after a step the band is min(K, max(2 B, data band)).
-picard_solve passes that integer to assemble_rhs, which convolves only the
+The loop passes that integer to assemble_rhs, which convolves only the
 modes -B..B, and to solve_linear_system, which solves only the modes up to
 the new band; both keep the bits of the full-band computation.
 
@@ -39,13 +39,13 @@ iterates stack along a leading problem axis (FourierField data
 them: the elementwise work broadcasts over that axis, the convolutions take
 (2K+1, P, n) stacks, and each scan reads the one cached plan of its rates
 for every problem.  Norms, distances, the non-finite check and the stopping
-rules stay per problem.  A step runs at the widest band of its problems;
-the rows a narrower problem adds there are exact zeros, and its rows above
-its own band are reset to +0, as its own solve leaves them.  A problem
-retires when it converges, fails or reaches max_iters, and the rest go on.
-picard_solve is the one-problem call of that loop and nonuniqueness_pair
-the two-problem one; every problem keeps the bits and the iteration count
-of its own picard_solve, and a failure raises what the problems solved one
+rules stay per problem.  A step runs at one band for all of them, so their
+data must reach the same highest mode (no data and data on mode 0 alone
+agree: both solve the zero modes only).  A problem retires when it
+converges, fails or reaches max_iters, and the rest go on.  picard_solve
+is the one-problem call of that loop and nonuniqueness_pair the
+two-problem one; every problem keeps the bits and the iteration count of
+its own picard_solve, and a failure raises what the problems solved one
 after the other would raise.
 """
 
@@ -58,7 +58,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, NumericError
+from .errors import ConfigError, ConvergenceError, DomainError, NumericError
 from .fourier import (
     COMPONENTS,
     BoundaryData,
@@ -291,7 +291,7 @@ def check_iteration_settings(tol: float, max_iters: int,
 def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
                  forcing: ForcingData, boundary: BoundaryData,
                  tol: float = 1e-10, max_iters: int = 25,
-                 relaxation: float = 1.0, verify: bool = False) -> SolutionBundle:
+                 relaxation: float = 1.0) -> SolutionBundle:
     """Fixed-point construction of the reduced solution, starting from 0.
 
     Each step assembles the quadratic forcing from the current iterate and
@@ -300,29 +300,33 @@ def picard_solve(grid: RadialGrid, nu: float, mu: float, k_max: int,
     three steps in a row abort with a diagnostic; a non-finite distance
     raises NumericError naming the first non-finite block; hitting max_iters
     returns the partial result flagged as unconverged.  Settings out of
-    bounds and a non-finite nu or mu raise ConfigError.  The one-problem
-    case of the lockstep loop that nonuniqueness_pair runs.
+    bounds, a truncation k_max that is not an integer >= 0 and a non-finite
+    nu or mu raise ConfigError.  The one-problem case of the lockstep loop
+    that nonuniqueness_pair runs.
     """
     return _lockstep(grid, nu, (mu,), k_max, forcing, (boundary,), tol,
-                     max_iters, relaxation, verify)[0]
+                     max_iters, relaxation)[0]
 
 
 def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
               forcing: ForcingData, boundaries, tol: float = 1e-10,
-              max_iters: int = 25, relaxation: float = 1.0,
-              verify: bool = False) -> List[SolutionBundle]:
+              max_iters: int = 25,
+              relaxation: float = 1.0) -> List[SolutionBundle]:
     """picard_solve of P problems at once, the p-th at (mus[p],
     boundaries[p]), returning their P bundles.
 
-    Each step assembles and solves every active problem as one stack (see
-    the module docstring); norms, distances and the stopping rules are
-    applied per problem.  A problem retires when it converges, fails or
-    reaches max_iters, and the others go on.  When one fails, its error is
-    raised once every problem before it has finished, unless one of those
-    fails too: the lowest-index failure wins, as if the problems ran one
-    after the other.  Each bundle has the bits of the problem's solve alone.
+    Each step assembles and solves every active problem as one stack at one
+    band (see the module docstring; data reaching different highest modes
+    are a DomainError); norms, distances and the stopping rules are applied
+    per problem.  A problem retires when it converges, fails or reaches
+    max_iters, and the others go on.  When one fails, its error is raised
+    once every problem before it has finished, unless one of those fails
+    too: the lowest-index failure wins, as if the problems ran one after
+    the other.  Each bundle has the bits of the problem's solve alone.
     """
     check_iteration_settings(tol, max_iters, relaxation)
+    if not (isinstance(k_max, numbers.Integral) and k_max >= 0):
+        raise ConfigError(f"k_max must be an integer >= 0, got {k_max!r}")
     if not all(np.isfinite(mu) for mu in mus):
         raise ConfigError("mu must be finite")
     tau = compute_tau(nu, forcing.lambda_theta, forcing.lambda_z,
@@ -336,14 +340,17 @@ def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
                 f"data norm {data_norm:.3g} is large; the contraction "
                 "argument only holds for small data -- iteration may diverge",
                 RuntimeWarning, stacklevel=3)
-    data_bands = []
-    for boundary in boundaries:
-        support = {abs(k) for k in boundary.k_support()} \
-            | {abs(k) for k in forcing.k_support()}
-        data_bands.append(max(support, default=-1))
-        if data_bands[-1] > k_max:
-            raise ConfigError(f"data excite mode {data_bands[-1]} beyond the "
-                              f"truncation {k_max}")
+    # the highest |k| of each problem's data (-1 for none)
+    tops = [max({abs(k) for k in b.k_support() + forcing.k_support()},
+                default=-1) for b in boundaries]
+    data_band = max(tops)
+    if data_band > k_max:
+        raise ConfigError(f"data excite mode {data_band} beyond the "
+                          f"truncation {k_max}")
+    # every problem solves its zero modes, so bands -1 and 0 agree
+    if len({max(top, 0) for top in tops}) > 1:
+        raise DomainError("problems stepped in lockstep must reach the same "
+                          f"highest mode; their data reach {tops}")
 
     with_sigma = -2.0 <= nu < 0.0
     states = [IterationState(FourierField.zero(grid, k_max, with_sigma))
@@ -357,39 +364,32 @@ def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
     converged = [False] * len(mus)
     finals = [(None, None)] * len(mus)  # (RhsAssembly, MeridionalStacks)
     errors = {}
-    # the highest |k| each iterate can reach: the quadratic term at most
+    # the highest |k| the iterates can reach: the quadratic term at most
     # doubles it, the data add theirs (the zero iterate has none)
-    bands = [-1] * len(mus)
+    band = -1
     active = list(range(len(mus)))
     v = FourierField(grid, np.zeros((len(mus),) + states[0].v_current.data.shape,
                                     dtype=complex),
                      np.zeros(len(mus)) if with_sigma else None)
     for it in range(1, max_iters + 1):
-        # a step runs at the widest band of its problems: the narrower ones
-        # convolve and solve exact zeros above their own band
         step_mus = [mus[p] for p in active]
-        rhs = assemble_rhs(v, forcing, step_mus, nu, samples,
-                           max(bands[p] for p in active))
-        for p in active:
-            bands[p] = min(k_max, max(2 * bands[p], data_bands[p]))
-        width = max(bands[p] for p in active)
+        rhs = assemble_rhs(v, forcing, step_mus, nu, samples, band)
+        band = min(k_max, max(2 * band, data_band))
         v_new, merid = solve_linear_system(
             grid, nu, step_mus, k_max, rhs.rhs, decays,
-            [boundaries[p] for p in active], width)
+            [boundaries[p] for p in active], band)
         going = []
         for i, p in enumerate(active):
-            top = max(bands[p], 0)  # the zero mode is always solved
-            if top < width:
-                # rows above the problem's own band, +0 as its own solve
-                # leaves them (the wider solve may have formed -0 there)
-                v_new.data[i, :, top + 1:] = 0.0
-                merid.w[i, top:] = 0.0
-                merid.phi[i, top:] = 0.0
             state = states[p]
             v_p = FourierField(grid, v_new.data[i], None if v_new.sigma is None
                                else float(v_new.sigma[i]))
             if relaxation != 1.0:
+                # one problem at a time, as its own solve blends: blend
+                # turns a -0 sigma +0, which a blend of the stack would not
                 v_p = state.v_current.blend(v_p, relaxation)
+                v_new.data[i] = v_p.data
+                if with_sigma:
+                    v_new.sigma[i] = v_p.sigma
             diff = bnorm(v_p - state.v_current, tau.tau)
             if not np.isfinite(diff):
                 errors[p] = NumericError(
@@ -419,10 +419,10 @@ def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
         going = [i for i in going if active[i] < min(errors, default=len(mus))]
         if not going:
             break
-        if relaxation != 1.0 or len(going) < len(active):
-            v = _stacked([states[active[i]].v_current for i in going])
-        else:
-            v = v_new
+        v = v_new
+        if len(going) < len(active):
+            v = FourierField(grid, v_new.data[going],
+                             None if v_new.sigma is None else v_new.sigma[going])
         active = [active[i] for i in going]
     if errors:
         raise errors[min(errors)]
@@ -433,27 +433,14 @@ def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
         b_norm = bnorm(v, tau.tau)
         norms = {"V": v_norms[p], "E": e_norm, "B_tau": b_norm}
         c_emp = b_norm / data_norms[p] if data_norms[p] > 0 else 0.0
-        bundle = SolutionBundle(
+        bundles.append(SolutionBundle(
             v=v, nu=nu, mu=mus[p], tau=tau, norms=norms,
             converged=converged[p], iterations=state.iterations,
             diff_history=state.diff_norm_history,
             contraction_estimate=state.contraction_estimate, c_emp=c_emp,
             forcing=forcing, boundary=boundaries[p], rhs_final=finals[p][0],
-            meridional=finals[p][1])
-        if verify:
-            from .residuals import attach_residual_report
-            attach_residual_report(bundle)
-        bundles.append(bundle)
+            meridional=finals[p][1]))
     return bundles
-
-
-def _stacked(fields: List[FourierField]) -> FourierField:
-    """One field stacking the data and sigmas of fields along a leading
-    problem axis."""
-    sigma = (None if fields[0].sigma is None
-             else np.array([f.sigma for f in fields]))
-    return FourierField(fields[0].grid, np.stack([f.data for f in fields]),
-                        sigma)
 
 
 def _first_non_finite(v: FourierField) -> str:

@@ -306,12 +306,12 @@ def weighted_sup(values, grid: RadialGrid, zeta: float) -> WeightedNorm:
 
 
 def _sample(f, grid: RadialGrid) -> np.ndarray:
-    """f on the grid nodes: one integrand (n+1,) or a stack (..., n+1)."""
-    if callable(f):
-        return np.asarray(f(grid.nodes))
-    arr = np.asarray(f)
+    """f on the grid nodes, from a callable of the nodes or given as an
+    array: one profile (n+1,) or a stack (..., n+1); DomainError when its
+    last axis does not match the nodes."""
+    arr = np.asarray(f(grid.nodes) if callable(f) else f)
     if arr.shape[-1:] != grid.nodes.shape:
-        raise DomainError("sampled integrand does not match the grid")
+        raise DomainError("sampled values do not match the grid")
     return arr
 
 
@@ -340,7 +340,7 @@ def _check_declared_tail(values, grid: RadialGrid, p: float, total) -> None:
 def integrate_inner(f, grid: RadialGrid, r: Optional[float] = None):
     """int_1^r f ds at grid nodes (all nodes when r is None), along the last
     axis of f."""
-    prefix = exp_weighted_integrals(grid, _sample(f, grid), 0.0, None, None)[0]
+    prefix = exp_weighted_integrals(grid, f, 0.0, None, None)[0]
     if r is None:
         return prefix
     return prefix[..., grid.node_index(r)]
@@ -352,7 +352,7 @@ def integrate_outer(f, grid: RadialGrid, r: Optional[float] = None,
     the last axis of f."""
     if decay_exponent is None:
         raise NumericError("outer integrals need a declared decay exponent")
-    out = exp_weighted_integrals(grid, None, None, _sample(f, grid), 0.0,
+    out = exp_weighted_integrals(grid, None, None, f, 0.0,
                                  decay_exponent=decay_exponent,
                                  check_tail=check_tail)[1]
     if r is None:
@@ -416,7 +416,10 @@ def exp_weighted_integrals(grid: RadialGrid, b_in, rate_in, b_out, rate_out,
     for b, rate, reverse in ((b_in, rate_in, False), (b_out, rate_out, True)):
         if b is None:
             continue
-        vals = _sample_rows(b, grid)
+        vals = _sample(b, grid)
+        if vals.ndim > 3:
+            raise DomainError("exp-weighted integrands are (n+1,), (R, n+1) "
+                              "or (P, R, n+1)")
         rows = vals.reshape((-1,) + vals.shape[-2:] if vals.ndim == 3
                             else (1, -1, vals.shape[-1]))  # (P, R, n+1)
         x = np.asarray(rate, dtype=float)
@@ -545,15 +548,6 @@ def _scan(sides, weights: np.ndarray, steps) -> list:
                 part[..., 1:] = plane.transpose(0, 2, 1)
         outs.append(out)
     return outs
-
-
-def _sample_rows(b, grid: RadialGrid) -> np.ndarray:
-    """b sampled on the grid: one integrand (n+1,), a stack (R, n+1) or a
-    stack of problems (P, R, n+1)."""
-    arr = np.asarray(b(grid.nodes)) if callable(b) else np.asarray(b)
-    if arr.ndim not in (1, 2, 3) or arr.shape[-1] != len(grid):
-        raise DomainError("sampled integrand does not match the grid")
-    return arr
 
 
 # ----------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from excyl.modes import (
 )
 from excyl.picard import compute_tau, nonuniqueness_pair, picard_solve
 from excyl.radial import RadialGrid, fd_bvp_solve, fd_meridional_solve
-from excyl.residuals import decay_fit, residual_asns
+from excyl.residuals import attach_residual_report, decay_fit, residual_asns
 from excyl.fourier import FourierField
 
 from oracles import mp_bessel_i, mp_bessel_k
@@ -148,7 +148,8 @@ def test_criterion_4_nonlinear_construction(nu, mu):
     eps = 1e-3
     forcing = ForcingData()
     bundle = picard_solve(grid, nu, mu, 8, forcing,
-                          BoundaryData(g_theta={1: eps}), verify=True)
+                          BoundaryData(g_theta={1: eps}))
+    attach_residual_report(bundle)
     assert bundle.converged
     assert bundle.iterations <= 15
     assert bundle.contraction_estimate <= 0.5

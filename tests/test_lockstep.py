@@ -5,7 +5,7 @@ iteration count and the failure of its own picard_solve."""
 import numpy as np
 import pytest
 
-from excyl.errors import ConvergenceError
+from excyl.errors import ConvergenceError, DomainError
 from excyl.fourier import BoundaryData, ForcingData, ForcingMode
 from excyl.picard import _lockstep, nonuniqueness_pair, picard_solve
 from excyl.radial import RadialGrid
@@ -69,22 +69,27 @@ def test_lockstep_pair_has_the_bits_of_two_solves(n, k_max, data, delta_mu,
 
 
 def test_lockstep_keeps_sigma_and_each_problems_band():
-    # nu = -1 carries sigma (and its sigma^2 / r^3 audit term); data on mode
-    # 1 against data on mode 3 give the bands 1, 2, 4, ... and 3, 6, 8, so
-    # every step runs at the second problem's wider band, and a forcing on
+    # nu = -1 carries sigma (and its sigma^2 / r^3 audit term); all three
+    # problems reach mode 3, two of them through an explicit zero
+    # coefficient, so each steps at its own bands 3, 6, 8; a forcing on
     # mode 0 is shared by all three problems
     g = RadialGrid.graded(192, 60.0, 2.0)
     forcing = ForcingData(modes={
         ("theta", 0): ForcingMode(lambda s: 1e-3 * s ** -10.0, 10.0)})
-    problems = [(1.0, BoundaryData(g_theta={0: 2e-3, 1: 1e-3})),
+    problems = [(1.0, BoundaryData(g_theta={0: 2e-3, 1: 1e-3, 3: 0.0})),
                 (0.5, BoundaryData(g_theta={3: 5e-4}, g_z={3: 2e-4})),
-                (2.0, BoundaryData(g_theta={1: 4e-4}, g_r={1: 1e-4}))]
+                (2.0, BoundaryData(g_theta={1: 4e-4, 3: 0.0}, g_r={1: 1e-4}))]
     bundles = _lockstep(g, -1.0, [mu for mu, _ in problems], 8, forcing,
                         [b for _, b in problems])
     for (mu, b), got in zip(problems, bundles):
         want = picard_solve(g, -1.0, mu, 8, forcing, b)
         assert got.sigma is not None and got.sigma != 0.0
         _assert_same_bundle(got, want)
+    # one band steps them all: data stopping at modes 1 and 3 do not share
+    with pytest.raises(DomainError, match="same highest mode"):
+        _lockstep(g, -1.0, [1.0, 0.5], 8, forcing,
+                  [BoundaryData(g_theta={1: 1e-3}),
+                   BoundaryData(g_theta={3: 5e-4})])
 
 
 def _error_of(solve):

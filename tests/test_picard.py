@@ -13,6 +13,7 @@ from excyl.picard import (
     picard_solve,
 )
 from excyl.radial import RadialGrid, RadialProfile
+from excyl.residuals import attach_residual_report
 
 from oracles import assert_same_bits
 
@@ -325,7 +326,8 @@ def test_picard_zero_data(grid):
 
 def test_picard_small_boundary_mode(grid):
     b = BoundaryData(g_theta={1: 1e-3})
-    bundle = picard_solve(grid, -1.0, 1.0, 6, ForcingData(), b, verify=True)
+    bundle = picard_solve(grid, -1.0, 1.0, 6, ForcingData(), b)
+    attach_residual_report(bundle)
     assert bundle.converged
     assert bundle.iterations <= 15
     assert bundle.contraction_estimate <= 0.5
@@ -424,6 +426,45 @@ def test_non_finite_nu_or_mu_is_rejected_before_any_solve(grid, monkeypatch,
             picard_solve(*args)
         else:
             nonuniqueness_pair(*args, 0.05)
+
+
+@pytest.mark.parametrize("k_max, modes", [
+    (-1, {}), (2.5, {}), (2.0, {}),
+    (2, {"g_theta": {1.5: 1e-3}}), (2, {"g_theta": {1.0: 1e-3}}),
+    (2, {"g_theta": {"1": 1e-3}}), (2, {"forcing": ("theta", 1.5)})],
+    ids=["k_max=-1", "k_max=2.5", "k_max=2.0", "key=1.5", "key=1.0",
+         "key='1'", "forcing-key=1.5"])
+@pytest.mark.parametrize("solve", ["picard_solve", "nonuniqueness_pair"])
+def test_bad_truncation_or_mode_key_is_rejected_before_any_solve(
+        grid, monkeypatch, solve, k_max, modes):
+    # a truncation or a mode number that is not an integer (>= 0 for the
+    # truncation) is a ConfigError where it enters, not a TypeError or a
+    # DomainError from inside the loop
+    _no_solve(monkeypatch)
+    with pytest.raises(ConfigError, match="integer"):
+        forcing = ForcingData()
+        if "forcing" in modes:
+            forcing = ForcingData(modes={modes["forcing"]: ForcingMode(
+                lambda s: 1e-3 * s ** -10.0, 10.0)})
+        b = BoundaryData(g_theta=modes.get("g_theta", {1: 1e-3}))
+        args = (grid, -3.0, 1.0, k_max, forcing, b)
+        if solve == "picard_solve":
+            picard_solve(*args)
+        else:
+            nonuniqueness_pair(*args, 0.05)
+
+
+def test_numpy_integer_modes_and_a_zero_truncation_are_accepted():
+    g = RadialGrid.graded(128, 60.0, 2.0)
+    plain = picard_solve(g, -1.0, 1.0, 2, ForcingData(),
+                         BoundaryData(g_theta={1: 1e-3}))
+    forcing = ForcingData(modes={("theta", np.int64(0)): ForcingMode(
+        lambda s: 1e-3 * s ** -10.0, 10.0)})
+    b = BoundaryData(g_theta={np.int64(1): 1e-3})
+    assert_same_bits(picard_solve(g, -1.0, 1.0, np.int64(2), ForcingData(),
+                                  b).v.data, plain.v.data)
+    zero = picard_solve(g, -1.0, 1.0, 0, forcing, BoundaryData(g_z={0: 1e-3}))
+    assert zero.converged and zero.v.k_max == 0
 
 
 def test_pair_rejects_a_shifted_mu_that_overflows(grid, monkeypatch):
@@ -599,7 +640,7 @@ def test_every_cached_operator_is_read_only():
 
     g = RadialGrid.graded(128, 60.0, 2.0)
     b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
-    picard_solve(g, -1.0, 1.0, 2, ForcingData(), b, verify=True)
+    attach_residual_report(picard_solve(g, -1.0, 1.0, 2, ForcingData(), b))
     zeros = np.zeros(len(g), dtype=complex)
     solve_meridional_mode(g, 1, -1.0, zeros, zeros, 1e-3, 0.0, 10.0)
     g.cell_integrals(g.nodes ** -2.0)

@@ -496,6 +496,42 @@ def test_first_rows_scan_reads_the_full_plan():
                                first_rows=5)
 
 
+def _pressure(g, f):
+    from excyl.modes import recover_pressure
+
+    return recover_pressure(g, 0, -1.0, None, f, 4.0)
+
+
+def _swirl_mode(g, f):
+    from excyl.modes import solve_swirl_mode
+
+    return solve_swirl_mode(g, 1, -1.0, f, 0.0, 10.0)
+
+
+_SAMPLING_ENTRY_POINTS = {
+    "integrate_inner": lambda g, f: integrate_inner(f, g),
+    "integrate_outer": lambda g, f: integrate_outer(f, g, decay_exponent=4.0),
+    "exp_weighted_prefix": lambda g, f: exp_weighted_prefix(g, f, 1.0),
+    "fd_bvp_solve": lambda g, f: fd_bvp_solve(
+        g, lambda r: 0 * r, lambda r: 0 * r, 1.0, f, 0.0, 2.0),
+    "solve_swirl_mode": _swirl_mode,
+    "recover_pressure": _pressure,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SAMPLING_ENTRY_POINTS))
+def test_samples_off_the_grid_are_a_domain_error(entry):
+    # one sampler serves every entry point: an array or the result of a
+    # callable whose last axis is not the nodes' is rejected alike
+    g = RadialGrid.graded(64, 10.0, 1.5)
+    run = _SAMPLING_ENTRY_POINTS[entry]
+    run(g, lambda r: r ** -4.0)  # a callable of the nodes is sampled
+    for bad in (np.ones(len(g) - 1), lambda r: r[1:] ** -4.0,
+                lambda r: 1.0):
+        with pytest.raises(DomainError, match="do not match the grid"):
+            run(g, bad)
+
+
 def test_exp_weighted_rate_signs(grid):
     # a rate-0 suffix would need a power-law tail closure, which is
     # integrate_outer's job, so suffixes take rate < 0 only

@@ -10,7 +10,8 @@ from excyl.fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
 from excyl.modes import solve_linear_system
 from excyl.picard import picard_solve
 from excyl.radial import RadialGrid, RadialProfile
-from excyl.residuals import decay_fit, manufactured_forcing, residual_asns
+from excyl.residuals import (attach_residual_report, decay_fit,
+                             manufactured_forcing, residual_asns)
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +193,8 @@ def test_audit_holds_with_a_sizable_sigma():
     # direct audit measures 1.0e-9 with it and 1.0e-4 without it
     g = RadialGrid.graded(1024, 100.0, 2.0)
     b = BoundaryData(g_theta={0: 1e-2, 1: 1e-3})
-    bundle = picard_solve(g, -1.0, 1.0, 8, ForcingData(), b, verify=True)
+    bundle = picard_solve(g, -1.0, 1.0, 8, ForcingData(), b)
+    attach_residual_report(bundle)
     assert bundle.converged
     assert bundle.sigma == pytest.approx(1e-2, rel=0.05)
     assert bundle.residual_report.max_momentum < 1e-6
@@ -201,7 +203,8 @@ def test_audit_holds_with_a_sizable_sigma():
 def test_tampered_solution_detected(grid):
     # corrupting one mode profile must blow up the residual
     b = BoundaryData(g_theta={1: 1e-3})
-    bundle = picard_solve(grid, -1.0, 1.0, 3, ForcingData(), b, verify=True)
+    bundle = picard_solve(grid, -1.0, 1.0, 3, ForcingData(), b)
+    attach_residual_report(bundle)
     clean = residual_asns(bundle.v, -1.0, 1.0, forcing=bundle.forcing)
     prof = bundle.v.profile("theta", 1)
     tampered = prof.values.copy()

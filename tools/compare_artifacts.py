@@ -13,15 +13,16 @@ with a forcing that gives a nonzero 1/r tail coefficient sigma, nu = -3,
 nu = -1 at K = 40 with boundary data up to mode 40, whose exp-weighted
 suffixes run at rates up to 2K = 80, and nu = -3 at K = 24 with data on
 mode 1 only, whose iterates never reach past mode 8 (modes 1, 2, 4, 8, 8,
-...).  The fifth and sixth runs are `excyl nonunique --delta-mu 0.06` on
-the nu = -3 and the narrow nu = -3 configurations, which step the two
-problems of a non-uniqueness pair in lockstep on one grid and write
-separation.csv; on the narrow one the steps run below the full band and
-the first problem retires before the second.  For every run it compares the
-exit status.  For every artifact it prints "identical" when the bytes
-agree, "same numbers, different text" when only the spelling differs (such
-as -0 against 0), or else the largest deviation of the file's numbers
-relative to the largest magnitude in the base file.
+...).  The other three runs are `excyl nonunique --delta-mu 0.06` on the
+nu = -3 configuration, on the narrow nu = -3 one and on the nu = -3 one
+with relaxation = 0.7; they step the two problems of a non-uniqueness pair
+in lockstep on one grid and write separation.csv.  On the narrow one the
+steps run below the full band and the first problem retires before the
+second; the relaxed one blends each problem's iterates.  For every run it
+compares the exit status.  For every artifact it prints "identical" when
+the bytes agree, "same numbers, different text" when only the spelling
+differs (such as -0 against 0), or else the largest deviation of the
+file's numbers relative to the largest magnitude in the base file.
 
 Exit status: 0 when every run exits alike and every artifact is
 byte-identical, 1 otherwise.
@@ -97,11 +98,15 @@ theta,1 = 1e-3
 z,1 = 5e-4
 """,
 }
+# nu = -3 again, under-relaxed: the blended iterates of a lockstep pair
+CONFIGS["nu-3-relaxed"] = CONFIGS["nu-3"].replace(
+    "r_max = 60.0\n", "r_max = 60.0\nrelaxation = 0.7\n")
 
 # (label, configuration, excyl subcommand and its options)
-RUNS = [(name, name, ["solve"]) for name in CONFIGS] + [
+RUNS = [(name, name, ["solve"])
+        for name in ("nu-1-sigma", "nu-3", "nu-1-wide", "nu-3-narrow")] + [
     (f"{name}-nonunique", name, ["nonunique", "--delta-mu", "0.06"])
-    for name in ("nu-3", "nu-3-narrow")]
+    for name in ("nu-3", "nu-3-narrow", "nu-3-relaxed")]
 
 _NUMBER = re.compile(
     r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
