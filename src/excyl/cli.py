@@ -268,6 +268,12 @@ def _write_mode_csv(path: Path, grid: RadialGrid, profs: Dict[str, np.ndarray]):
     _write_csv(path, header, cols)
 
 
+def _write_residuals(path: Path, rep):
+    _write_csv(path, ["r", "momentum_r", "momentum_theta", "momentum_z",
+                      "divergence"],
+               [rep.curve_r, *rep.curve_momentum.T, rep.curve_divergence])
+
+
 def _solve_bundle(cfg: RunConfig):
     grid = cfg.grid()
     bundle = picard_solve(grid, cfg.nu, cfg.mu, cfg.k_max, cfg.forcing_data(),
@@ -291,11 +297,7 @@ def _write_solution(cfg: RunConfig, bundle, out_dir: Path):
             profs["w"] = bundle.meridional.w[k - 1]
             profs["phi"] = bundle.meridional.phi[k - 1]
         _write_mode_csv(out_dir / f"mode_{k}.csv", grid, profs)
-    rep = bundle.residual_report
-    _write_csv(out_dir / "residuals.csv",
-               ["r", "momentum_r", "momentum_theta", "momentum_z", "divergence"],
-               [rep.curve_r, rep.curve_momentum[:, 0], rep.curve_momentum[:, 1],
-                rep.curve_momentum[:, 2], rep.curve_divergence])
+    _write_residuals(out_dir / "residuals.csv", bundle.residual_report)
     (out_dir / "summary.txt").write_text(_summary_text(cfg, bundle))
 
 
@@ -365,10 +367,7 @@ def cmd_verify(args) -> int:
     rep = residual_asns(field, cfg.nu, cfg.mu, forcing=cfg.forcing_data(),
                         boundary=cfg.boundary_data())
     print(rep.as_text())
-    _write_csv(sol_dir / "residuals_verify.csv",
-               ["r", "momentum_r", "momentum_theta", "momentum_z", "divergence"],
-               [rep.curve_r, rep.curve_momentum[:, 0], rep.curve_momentum[:, 1],
-                rep.curve_momentum[:, 2], rep.curve_divergence])
+    _write_residuals(sol_dir / "residuals_verify.csv", rep)
     return EXIT_OK
 
 

@@ -228,7 +228,8 @@ class ForcingData:
                                   "integer")
 
     def sample(self, component: str, k: int, r: np.ndarray) -> np.ndarray:
-        """f_{component,k} at r; a non-finite sample is a NumericError."""
+        """f_{component,k} at r; a sample without the shape of r is a
+        DomainError, a non-finite one a NumericError."""
         mode = self.modes.get((component, k))
         if mode is None:
             conj = self.modes.get((component, -k))
@@ -237,6 +238,9 @@ class ForcingData:
             vals = np.conj(np.asarray(conj.func(r), dtype=complex))
         else:
             vals = np.asarray(mode.func(r), dtype=complex)
+        if vals.shape != np.shape(r):
+            raise DomainError(f"forcing ({component}, {k}) does not return "
+                              "one value per node")
         if not np.all(np.isfinite(vals)):
             raise NumericError(f"forcing ({component}, {k}) is not finite "
                                "on the grid")

@@ -37,6 +37,7 @@ Every closed-form representation in the mode solvers is checked against it.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -126,8 +127,8 @@ class RadialGrid:
 
     @classmethod
     def graded(cls, n: int, r_max: float = 100.0, gamma: float = 2.0) -> "RadialGrid":
-        if r_max <= 1.0 or n < 8:
-            raise DomainError("need r_max > 1 and n >= 8")
+        if r_max <= 1.0 or not isinstance(n, numbers.Integral) or n < 8:
+            raise DomainError("need r_max > 1 and an integer n >= 8")
         i = np.arange(n + 1, dtype=float) / n
         return cls(1.0 + i ** gamma * (r_max - 1.0))
 
@@ -554,8 +555,14 @@ def _scan(sides, weights: np.ndarray, steps) -> list:
 # finite-difference oracles
 
 
-def _nonuniform_second_order_rows(r: np.ndarray):
-    """Coefficients of v', v'' at interior nodes from 3-point stencils."""
+def _fd_interior(r: np.ndarray, blocks, dtype=float):
+    """lil matrix (B m, B m) with the interior rows 1..m-2 of each block
+    (p1, p0, ksq) of m unknowns: -(v'' + p1 v' + p0 v - ksq v) from 3-point
+    stencils on the nodes r, with p1 and p0 at the interior nodes.  The
+    caller writes the boundary, closure and coupling rows."""
+    import scipy.sparse as sp
+
+    m = r.size
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
     denom = hm * hp * (hm + hp)
@@ -567,7 +574,29 @@ def _nonuniform_second_order_rows(r: np.ndarray):
     a2 = 2.0 * hp / denom
     b2 = -2.0 * (hm + hp) / denom
     c2 = 2.0 * hm / denom
-    return (a1, b1, c1), (a2, b2, c2)
+    mat = sp.lil_matrix((len(blocks) * m,) * 2, dtype=dtype)
+    for start, (p1, p0, ksq) in zip(range(0, len(blocks) * m, m), blocks):
+        i = np.arange(start + 1, start + m - 1)
+        mat[i, i - 1] = -(a2 + p1 * a1)
+        mat[i, i] = -(b2 + p1 * b1) - p0 + ksq
+        mat[i, i + 1] = -(c2 + p1 * c1)
+    return mat
+
+
+def _fd_solve(mat, rhs: np.ndarray, name: str) -> np.ndarray:
+    """Sparse LU solve of an oracle system; a failed factorization or a
+    non-finite solution is a NumericError."""
+    import scipy.sparse.linalg as spla
+
+    with np.errstate(all="ignore"):
+        try:
+            sol = spla.spsolve(mat.tocsr(), rhs)
+        except Exception as exc:  # singular matrix => ill-posed parameters
+            raise NumericError(f"{name} linear system is singular: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise NumericError(f"{name} produced non-finite values "
+                           "(ill-posed parameter combination?)")
+    return sol
 
 
 def fd_bvp_solve(grid: RadialGrid, p1: Callable, p0: Callable, ksq: float,
@@ -581,61 +610,26 @@ def fd_bvp_solve(grid: RadialGrid, p1: Callable, p0: Callable, ksq: float,
     solvers (different discretization, different code path); used as the
     correctness oracle for all of them.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     r = grid.nodes
-    m = r.size
     f = _sample(rhs, grid)
-    complex_sys = np.iscomplexobj(f) or np.iscomplexobj(np.asarray(bc_left))
-    dtype = complex if complex_sys else float
-
-    (a1, b1, c1), (a2, b2, c2) = _nonuniform_second_order_rows(r)
-    ri = r[1:-1]
-    p1v = p1(ri)
-    p0v = p0(ri)
-    rows, cols, data = [], [], []
-    b = np.zeros(m, dtype=dtype)
-    ii = np.arange(1, m - 1)
-    for off, coef in ((-1, -(a2 + p1v * a1)),
-                      (0, -(b2 + p1v * b1) - p0v + ksq),
-                      (+1, -(c2 + p1v * c1))):
-        rows.extend(ii)
-        cols.extend(ii + off)
-        data.extend(coef)
-    b[1:-1] = f[1:-1]
-
-    rows.append(0)
-    cols.append(0)
-    data.append(1.0)
-    b[0] = bc_left
+    dtype = complex if np.iscomplexobj(f) or np.iscomplexobj(bc_left) else float
+    mat = _fd_interior(r, [(p1(r[1:-1]), p0(r[1:-1]), ksq)], dtype)
+    mat[0, 0] = 1.0
+    b = f.astype(dtype)
+    b[0], b[-1] = bc_left, 0.0
 
     # outer closure row from 5-point one-sided derivative stencils
     d1 = _local_weights(r[-5:], r[-1], 1)
     p = decay_exponent
     if ksq > 0:
-        beta = p / r[-1] + np.sqrt(ksq)
         row = d1.copy()
-        row[-1] += beta
+        row[-1] += p / r[-1] + np.sqrt(ksq)
     else:
         d2 = _local_weights(r[-5:], r[-1], 2)
         row = r[-1] ** 2 * d2 + (2.0 * p + 1.0) * r[-1] * d1
         row[-1] += p * p
-    rows.extend([m - 1] * 5)
-    cols.extend(range(m - 5, m))
-    data.extend(row)
-    b[m - 1] = 0.0
-
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(m, m), dtype=dtype)
-    with np.errstate(all="ignore"):
-        try:
-            sol = spla.spsolve(mat, b)
-        except Exception as exc:  # singular matrix => ill-posed parameters
-            raise NumericError(f"FD oracle linear system is singular: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise NumericError("FD oracle produced non-finite values "
-                           "(ill-posed parameter combination?)")
-    return sol
+    mat[-1, -5:] = row
+    return _fd_solve(mat, b, "FD oracle")
 
 
 def fd_meridional_solve(grid: RadialGrid, k: int, nu: float, big_f,
@@ -650,71 +644,34 @@ def fd_meridional_solve(grid: RadialGrid, k: int, nu: float, big_f,
     """
     if k == 0:
         raise DomainError("coupled meridional oracle requires k != 0")
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     r = grid.nodes
     m = r.size
     F = _sample(big_f, grid)
-    (a1, b1, c1), (a2, b2, c2) = _nonuniform_second_order_rows(r)
     ri = r[1:-1]
     kk = abs(k)
 
-    rows, cols, data = [], [], []
+    # phi equations in rows 0..m-1, w equations in rows m..2m-1
+    mat = _fd_interior(r, [(1.0 / ri, -(1.0 / ri ** 2), kk * kk),
+                           ((1.0 - nu) / ri, -((1.0 - nu) / ri ** 2), kk * kk)])
+    i = np.arange(1, m - 1)
+    mat[i, m + i] = -1.0  # -w
     rhs = np.zeros(2 * m, dtype=complex)
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        data.append(v)
-
-    # phi equations at interior nodes: row i in [1, m-2]
-    p1v = 1.0 / ri
-    p0v = -(1.0 / ri ** 2)
-    for t, i in enumerate(range(1, m - 1)):
-        add(i, i - 1, -(a2[t] + p1v[t] * a1[t]))
-        add(i, i, -(b2[t] + p1v[t] * b1[t]) - p0v[t] + kk * kk)
-        add(i, i + 1, -(c2[t] + p1v[t] * c1[t]))
-        add(i, m + i, -1.0)  # -w
-        rhs[i] = 0.0
-    # w equations at interior nodes: row m+i
-    q1v = (1.0 - nu) / ri
-    q0v = -((1.0 - nu) / ri ** 2)
-    for t, i in enumerate(range(1, m - 1)):
-        add(m + i, m + i - 1, -(a2[t] + q1v[t] * a1[t]))
-        add(m + i, m + i, -(b2[t] + q1v[t] * b1[t]) - q0v[t] + kk * kk)
-        add(m + i, m + i + 1, -(c2[t] + q1v[t] * c1[t]))
-        rhs[m + i] = F[i]
+    rhs[m + 1:-1] = F[1:-1]
 
     # boundary: phi(1) = -g_r/(ik) = i g_r / k
-    add(0, 0, 1.0)
+    mat[0, 0] = 1.0
     rhs[0] = g_r * 1j / k
     # boundary: phi'(1) + phi(1) = g_z (2nd-order one-sided)
-    w0 = _local_weights(r[:3], r[0], 1)
-    add(m, 0, w0[0] + 1.0)
-    add(m, 1, w0[1])
-    add(m, 2, w0[2])
+    row = _local_weights(r[:3], r[0], 1)
+    row[0] += 1.0
+    mat[m, :3] = row
     rhs[m] = g_z
 
-    beta = decay_exponent / r[-1] + kk
-    w1 = _local_weights(r[-3:], r[-1], 1)
-    for off in (0, m):  # same Robin closure for phi and w
-        add(m - 1 + off, off + m - 3, w1[0])
-        add(m - 1 + off, off + m - 2, w1[1])
-        add(m - 1 + off, off + m - 1, w1[2] + beta)
-        rhs[m - 1 + off] = 0.0
+    row = _local_weights(r[-3:], r[-1], 1)
+    row[-1] += decay_exponent / r[-1] + kk
+    for end in (m, 2 * m):  # same Robin closure for phi and w
+        mat[end - 1, end - 3:end] = row
 
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(2 * m, 2 * m))
-    with np.errstate(all="ignore"):
-        try:
-            sol = spla.spsolve(mat, rhs)
-        except RuntimeError as exc:  # singular matrix => ill-posed parameters
-            raise NumericError(
-                f"coupled FD oracle linear system is singular: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise NumericError("coupled FD oracle produced non-finite values")
+    sol = _fd_solve(mat, rhs, "coupled FD oracle")
     phi, w = sol[:m], sol[m:]
-    d_phi = grid.differentiate(phi, 1)
-    v_r = -1j * k * phi
-    v_z = d_phi + phi / r
-    return phi, w, v_r, v_z
+    return phi, w, -1j * k * phi, grid.differentiate(phi, 1) + phi / r

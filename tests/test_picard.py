@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from excyl.errors import ConfigError, NumericError
+from excyl.errors import ConfigError, DomainError, NumericError
 from excyl.fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
                            FourierField, bnorm)
 from excyl.picard import (
@@ -564,6 +564,19 @@ def test_non_finite_forcing_is_rejected_where_it_enters(grid):
     forcing = ForcingData(modes={("theta", 0): ForcingMode(f, 10.0)})
     with pytest.raises(NumericError, match=r"forcing \(theta, 0\) is not finite"):
         picard_solve(grid, -3.0, 1.0, 2, forcing, BoundaryData())
+
+
+def test_forcing_without_a_value_per_node_is_rejected_where_it_enters(
+        grid, monkeypatch):
+    # a constant callable samples to a 0-d value, which the loop would
+    # broadcast and the residual audit then fail on with a bare ValueError
+    forcing = ForcingData(modes={("theta", 1): ForcingMode(lambda r: 1e-4,
+                                                           10.0)})
+    with pytest.raises(DomainError, match="one value per node"):
+        forcing.sample("theta", -1, grid.nodes)
+    _no_solve(monkeypatch)
+    with pytest.raises(DomainError, match="one value per node"):
+        picard_solve(grid, -1.0, 1.0, 2, forcing, BoundaryData())
 
 
 # --- per-grid kernel cache ------------------------------------------------------

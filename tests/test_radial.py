@@ -41,6 +41,15 @@ def test_grid_invariants(grid):
         RadialGrid(np.append(np.linspace(1.0, 10.0, 20), np.inf))
 
 
+def test_graded_takes_an_integer_cell_count():
+    # a fractional n would put the last node past r_max (11.09 for n = 8.5)
+    for n in (8.5, 64.0, "64"):
+        with pytest.raises(DomainError, match="integer"):
+            RadialGrid.graded(n, 10.0)
+    g = RadialGrid.graded(np.int64(64), 10.0)
+    assert len(g) == 65 and g.r_max == 10.0
+
+
 @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
 def test_non_finite_radius_is_not_a_node(grid, r):
     # abs(x - nan) > tol is False for every node, so a NaN radius must be
@@ -644,6 +653,23 @@ def test_fd_meridional_oracle_pure_stream():
         errs.append(np.max(np.abs(phi - exact)))
     assert errs[-1] < 5e-4
     assert np.log2(errs[0] / errs[1]) > 1.8
+
+
+@pytest.mark.parametrize("oracle", ["fd_bvp_solve", "fd_meridional_solve"])
+def test_fd_oracle_failed_factorization_is_numeric_error(monkeypatch, oracle):
+    import scipy.sparse.linalg as spla
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "spsolve", singular)
+    g = RadialGrid.graded(64, 10.0, 1.5)
+    with pytest.raises(NumericError, match="singular"):
+        if oracle == "fd_bvp_solve":
+            fd_bvp_solve(g, lambda r: 0 * r, lambda r: 0 * r, 1.0,
+                         np.zeros(len(g)), 1.0, 2.0)
+        else:
+            fd_meridional_solve(g, 1, -1.0, np.zeros(len(g)), 1e-3, 0.0, 10.0)
 
 
 def test_fd_oracle_singular_system_reported():

@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
-"""Compare the `excyl solve` and `excyl nonunique` artifacts of two source
-trees.
+"""Compare the `excyl solve`, `excyl nonunique` and `excyl oracle` artifacts
+of two source trees.
 
 Usage:
 
     python tools/compare_artifacts.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `excyl` package (the
-`src` directory of a checkout).  The script makes six runs under each
+`src` directory of a checkout).  The script makes eight runs under each
 tree.  It runs `excyl solve` on four small built-in configurations: nu = -1
 with a forcing that gives a nonzero 1/r tail coefficient sigma, nu = -3,
 nu = -1 at K = 40 with boundary data up to mode 40, whose exp-weighted
 suffixes run at rates up to 2K = 80, and nu = -3 at K = 24 with data on
 mode 1 only, whose iterates never reach past mode 8 (modes 1, 2, 4, 8, 8,
-...).  The other three runs are `excyl nonunique --delta-mu 0.06` on the
-nu = -3 configuration, on the narrow nu = -3 one and on the nu = -3 one
-with relaxation = 0.7; they step the two problems of a non-uniqueness pair
-in lockstep on one grid and write separation.csv.  On the narrow one the
-steps run below the full band and the first problem retires before the
-second; the relaxed one blends each problem's iterates.  For every run it
-compares the exit status.  For every artifact it prints "identical" when
-the bytes agree, "same numbers, different text" when only the spelling
-differs (such as -0 against 0), or else the largest deviation of the
-file's numbers relative to the largest magnitude in the base file.
+...).  Three more runs are `excyl nonunique --delta-mu 0.06` on the nu = -3
+configuration, on the narrow nu = -3 one and on the nu = -3 one with
+relaxation = 0.7; they step the two problems of a non-uniqueness pair in
+lockstep on one grid and write separation.csv.  On the narrow one the steps
+run below the full band and the first problem retires before the second;
+the relaxed one blends each problem's iterates.  The last run is `excyl
+oracle`, the finite-difference oracle cases, whose stdout is saved as
+oracle.txt.  For every run it compares the exit status.  For every
+artifact it prints "identical" when the bytes agree, "same numbers,
+different text" when only the spelling differs (such as -0 against 0), or
+else the largest deviation of the file's numbers relative to the largest
+magnitude in the base file.
 
 Exit status: 0 when every run exits alike and every artifact is
 byte-identical, 1 otherwise.
@@ -40,6 +42,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 CONFIGS = {
     "nu-1-sigma": """\
@@ -102,22 +105,28 @@ z,1 = 5e-4
 CONFIGS["nu-3-relaxed"] = CONFIGS["nu-3"].replace(
     "r_max = 60.0\n", "r_max = 60.0\nrelaxation = 0.7\n")
 
-# (label, configuration, excyl subcommand and its options)
+# (label, configuration, excyl subcommand and its options); a run without
+# a configuration writes no files, so its stdout is saved as its artifact
 RUNS = [(name, name, ["solve"])
         for name in ("nu-1-sigma", "nu-3", "nu-1-wide", "nu-3-narrow")] + [
     (f"{name}-nonunique", name, ["nonunique", "--delta-mu", "0.06"])
-    for name in ("nu-3", "nu-3-narrow", "nu-3-relaxed")]
+    for name in ("nu-3", "nu-3-narrow", "nu-3-relaxed")] + [
+    ("oracle", None, ["oracle"])]
 
 _NUMBER = re.compile(
     r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 
 
-def _run(src: Path, command: list, config: Path, out: Path) -> int:
+def _run(src: Path, command: list, config: Optional[Path], out: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    args = [] if config is None else [str(config), *command[1:], "--output",
+                                      str(out)]
     proc = subprocess.run(
-        [sys.executable, "-m", "excyl.cli", command[0], str(config),
-         *command[1:], "--output", str(out)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        [sys.executable, "-m", "excyl.cli", command[0], *args],
+        env=env, capture_output=True, text=True)
+    if config is None:
+        out.mkdir(parents=True)
+        (out / f"{command[0]}.txt").write_text(proc.stdout)
     if proc.returncode not in (0, 3):  # 3: wrote artifacts, not converged
         sys.stderr.write(proc.stderr)
     return proc.returncode
@@ -151,7 +160,7 @@ def compare(base_src: Path, head_src: Path, work: Path) -> bool:
     for name, text in CONFIGS.items():
         (work / f"{name}.ini").write_text(text)
     for name, config_name, command in RUNS:
-        config = work / f"{config_name}.ini"
+        config = None if config_name is None else work / f"{config_name}.ini"
         outs, codes = [], []
         for side, src in (("base", base_src), ("head", head_src)):
             out = work / side / name
