@@ -32,6 +32,13 @@ The loop passes that integer to assemble_rhs, which convolves only the
 modes -B..B, and to solve_linear_system, which solves only the modes up to
 the new band; both keep the bits of the full-band computation.
 
+The quadratic term reads the iterate's parts below 2^-511 as zero
+(QUADRATIC_FLOOR): the high modes decay like e^{-|k| r}, and their far-field
+tails multiplied together would run through the subnormal range, where
+every product costs a microcode assist on x86.  A product of two parts at or
+above the floor is a normal double.  The iterate, its norms and distances,
+the linear couplings and the mode solves read every part as it is.
+
 Lockstep: one loop steps P problems that share the grid, nu, K, the forcing
 and the loop settings and may differ in mu and the boundary data.  Their
 iterates stack along a leading problem axis (FourierField data
@@ -116,6 +123,11 @@ def compute_tau(nu: float, lambda_theta: float, lambda_z: float,
     return TauInfo(tau, lam_th_bar, lam_z_bar)
 
 
+# the quadratic term reads iterate parts below this as zero: the product of
+# two parts at or above it is at least 2^-1022, the smallest normal double
+QUADRATIC_FLOOR = 2.0 ** -511
+
+
 @dataclass
 class RhsAssembly:
     """Per-mode forcing arrays for k >= 0 plus bookkeeping.
@@ -157,6 +169,14 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
     are convolved and only rows up to 2B formed (convolve_product); the
     rows above keep the forcing as it is, which is what -(+0) + f gives.
     The zero iterate has B = -1 and convolves nothing.
+
+    The products read a copy of the values and first derivatives of the
+    modes -B..B in which every real or imaginary part below
+    QUADRATIC_FLOOR = 2^-511 in magnitude is zero; NaN and inf are kept.
+    A product of two kept parts is at least 2^-1022, so none is subnormal
+    (see the module docstring), and each product dropped is below 2^-511
+    times a part of the other factor.  vbar itself and the swirl that the
+    linear sigma and mu couplings read are not floored.
     """
     grid = vbar.grid
     r = grid.nodes
@@ -181,8 +201,13 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
 
     # the products read the modes -B..B only: stack those, (2B+1, P, n)
     reach = max(k_max if band is None else band, 0)
-    modes = FourierField(grid, vbar.data[..., :reach + 1, :, :],
-                         has_derivatives=vbar.has_derivatives)
+    parts = vbar.data[..., :reach + 1, :2, :]  # orders 0 and 1
+    if band != -1:  # the zero iterate convolves nothing
+        # a copy with every real or imaginary part below the floor zeroed;
+        # NaN (times False) and inf (times True) stay as they are
+        flat = parts.view(float)
+        parts = (flat * (np.abs(flat) >= QUADRATIC_FLOOR)).view(complex)
+    modes = FourierField(grid, parts, has_derivatives=vbar.has_derivatives)
     vr, vth, vz = (modes.stack(c) for c in COMPONENTS)
     il = 1j * np.arange(-reach, reach + 1)[:, None, None]
 

@@ -612,8 +612,10 @@ def fd_bvp_solve(grid: RadialGrid, p1: Callable, p0: Callable, ksq: float,
     """
     r = grid.nodes
     f = _sample(rhs, grid)
-    dtype = complex if np.iscomplexobj(f) or np.iscomplexobj(bc_left) else float
-    mat = _fd_interior(r, [(p1(r[1:-1]), p0(r[1:-1]), ksq)], dtype)
+    block = (p1(r[1:-1]), p0(r[1:-1]), ksq)
+    # complex when the data or a sampled coefficient is
+    dtype = complex if any(map(np.iscomplexobj, (f, bc_left) + block)) else float
+    mat = _fd_interior(r, [block], dtype)
     mat[0, 0] = 1.0
     b = f.astype(dtype)
     b[0], b[-1] = bc_left, 0.0

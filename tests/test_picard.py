@@ -7,6 +7,7 @@ from excyl.errors import ConfigError, DomainError, NumericError
 from excyl.fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
                            FourierField, bnorm)
 from excyl.picard import (
+    QUADRATIC_FLOOR,
     assemble_rhs,
     compute_tau,
     nonuniqueness_pair,
@@ -291,6 +292,91 @@ def test_band_limited_assembly_bitwise_equal_to_full_products(grid, nu, band):
     assert_same_bits(got.absorbed_fr0, absorbed)
     assert got.convolution_tail == tail
     assert (tail > 0.0) == (2 * band > k_max)
+
+
+def _below_floor(x):
+    """Mask of the nonzero real and imaginary parts below QUADRATIC_FLOOR."""
+    parts = np.asarray(x).view(float)
+    return (parts != 0.0) & (np.abs(parts) < QUADRATIC_FLOOR)
+
+
+def test_quadratic_term_stays_out_of_the_subnormal_range(monkeypatch):
+    # data on every mode: the far-field tails of the high modes fall through
+    # the whole double range, yet no convolution reads a part below the
+    # floor, so no product and no row it returns is subnormal
+    import excyl.picard
+
+    convolve = excyl.picard.convolve_product
+    seen = []
+
+    def spy(a, b, *args, **kwargs):
+        out = convolve(a, b, *args, **kwargs)
+        seen.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(excyl.picard, "convolve_product", spy)
+    k_max = 16
+    g = RadialGrid.graded(128, 100.0, 2.0)
+    boundary = BoundaryData(g_theta={k: 4e-4 / k ** 2
+                                     for k in range(1, k_max + 1)})
+    picard_solve(g, -1.0, 1.0, k_max, ForcingData(), boundary)
+    assert len(seen) > 8  # beyond the zero iterate
+    tiny = np.finfo(float).tiny
+    for a, b, out in seen:
+        assert not _below_floor(a).any() and not _below_floor(b).any()
+        parts = out.view(float)
+        assert not ((parts != 0.0) & (np.abs(parts) < tiny)).any()
+
+
+@pytest.mark.parametrize("nu", [-1.0, -3.0])
+def test_assembly_reads_parts_below_the_floor_as_zero(grid, nu):
+    # sub-floor parts, zeros of either sign among them, in the values and
+    # both derivatives of every component: the assembly has the bits of the
+    # same iterate with those parts zeroed by hand.  The zero swirl mode's
+    # values also feed the linear sigma and mu couplings, which read them
+    # as they are, so they keep no sub-floor part here.
+    k_max = 4
+    vbar = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)
+    rng = np.random.default_rng(29)
+    decay = np.exp(-(grid.nodes - 1.0)) / grid.nodes
+    shape = vbar.data.shape
+    vbar.data[:] = decay * (rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape)) * 1e-2
+    vbar.data[:, 0] = vbar.data[:, 0].real
+    vbar.data[0, 0] = 0.0
+    if vbar.sigma is not None:
+        vbar.sigma = 0.3
+    parts = vbar.data.view(float)
+    small = rng.random(parts.shape) < 0.3
+    small[COMPONENTS.index("theta"), 0, 0] = False
+    parts[small] = rng.choice([1e-200, -3e-160, 5e-320, -2.0 ** -512,
+                               np.nextafter(QUADRATIC_FLOOR, 0.0), -0.0],
+                              size=np.count_nonzero(small))
+    zeroed = FourierField(grid, vbar.data.copy(), vbar.sigma)
+    zeroed.data.view(float)[small] = 0.0
+    assert _below_floor(vbar.data).any()
+    before = vbar.data.copy()
+    forcing = _several_mode_forcing()
+    got = assemble_rhs(vbar, forcing, 0.7, nu)
+    want = assemble_rhs(zeroed, forcing, 0.7, nu)
+    assert_same_bits(got.rhs, want.rhs)
+    assert_same_bits(got.absorbed_fr0, want.absorbed_fr0)
+    assert got.convolution_tail == want.convolution_tail
+    assert_same_bits(vbar.data, before)  # the iterate is not touched
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_iterate_part_reaches_the_rhs(grid, value):
+    k_max = 2
+    vbar = FourierField.zero(grid, k_max, with_sigma=False)
+    vbar.set_mode(1, "theta", _profile(grid, 1e-2))
+    vbar.set_mode(1, "r", _profile(grid, 1e-3))
+    node = len(grid) // 2
+    vbar.data[COMPONENTS.index("r"), 1, 0, node] = value
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 are NaN
+        rhs = assemble_rhs(vbar, ForcingData(), 0.0, -3.0).rhs
+    assert not np.all(np.isfinite(rhs[..., node]))
+    assert np.all(np.isfinite(np.delete(rhs, node, axis=-1)))
 
 
 def test_forcing_sampled_once_per_solve(grid):

@@ -679,3 +679,15 @@ def test_fd_oracle_singular_system_reported():
         # to hit generically; non-finite rhs is the reliable failure signal
         fd_bvp_solve(g, lambda r: 0 * r, lambda r: 0 * r, 0.0,
                      np.full(len(g), np.nan), 0.0, 2.0)
+
+
+def test_fd_oracle_complex_coefficient_with_real_data():
+    # the system is complex when a sampled coefficient is, so real data
+    # solve the same problem as the same data held complex
+    g = RadialGrid.graded(64, 10.0, 1.5)
+    p1, p0 = (lambda r: 1.0 / r), (lambda r: 1j / r ** 2)
+    f = g.nodes ** -4.0
+    sol = fd_bvp_solve(g, p1, p0, 1.0, f, 1.0, 2.0)
+    want = fd_bvp_solve(g, p1, p0, 1.0, f.astype(complex), 1.0, 2.0)
+    assert_same_bits(sol, want)
+    assert np.max(np.abs(sol.imag)) > 0.0

@@ -24,7 +24,10 @@ oracle.txt.  For every run it compares the exit status.  For every
 artifact it prints "identical" when the bytes agree, "same numbers,
 different text" when only the spelling differs (such as -0 against 0), or
 else the largest deviation of the file's numbers relative to the largest
-magnitude in the base file.
+magnitude in the base file.  For the text reports summary.txt and
+oracle.txt it then prints how many lines differ and the labels of the
+first five, such as "decay fit r,11" (the text before " = " or ": ", or
+the case and n of an oracle CSV row).
 
 Exit status: 0 when every run exits alike and every artifact is
 byte-identical, 1 otherwise.
@@ -41,6 +44,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -116,6 +120,9 @@ RUNS = [(name, name, ["solve"])
 _NUMBER = re.compile(
     r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 
+# artifacts whose differing lines are also listed by label
+TEXT_REPORTS = ("summary.txt", "oracle.txt")
+
 
 def _run(src: Path, command: list, config: Optional[Path], out: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
@@ -155,6 +162,24 @@ def _deviation(base: str, head: str) -> str:
     return f"max deviation {rel:.3e} of the file's max ({worst:.3e} absolute)"
 
 
+def _label(line: str) -> str:
+    """What a report line states: the text before " = " or ": ", else the
+    first two comma-separated fields (an oracle CSV row: case and n)."""
+    for sep in (" = ", ": "):
+        if sep in line:
+            return line.split(sep, 1)[0].strip()
+    return ",".join(line.split(",")[:2])
+
+
+def _differing_lines(base: str, head: str) -> str:
+    """How many lines differ, and the labels of the first five."""
+    pairs = list(zip_longest(base.splitlines(), head.splitlines()))
+    labels = [_label(a if a is not None else b) for a, b in pairs if a != b]
+    more = "; ..." if len(labels) > 5 else ""
+    return (f"{len(labels)} of {len(pairs)} lines differ: "
+            f"{'; '.join(labels[:5])}{more}")
+
+
 def compare(base_src: Path, head_src: Path, work: Path) -> bool:
     same = True
     for name, text in CONFIGS.items():
@@ -177,9 +202,12 @@ def compare(base_src: Path, head_src: Path, work: Path) -> bool:
             if missing:
                 verdict = f"missing in {' and '.join(missing)}"
             else:
-                verdict = _deviation(*(p.read_text() for p in paths))
+                texts = [p.read_text() for p in paths]
+                verdict = _deviation(*texts)
             same &= verdict == "identical"
             print(f"  {fname}: {verdict}")
+            if fname in TEXT_REPORTS and not missing and verdict != "identical":
+                print(f"    {_differing_lines(*texts)}")
     return same
 
 
