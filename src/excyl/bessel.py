@@ -162,10 +162,7 @@ class BesselOrder:
 
 
 def _as_order(order) -> float:
-    alpha = float(order)
-    if not np.isfinite(alpha) or alpha < 0:
-        raise DomainError(f"Bessel order must be finite and >= 0, got {alpha}")
-    return alpha
+    return BesselOrder(float(order)).alpha
 
 
 def _as_positive(x) -> np.ndarray:
@@ -269,14 +266,12 @@ def _kernel_setup(k, nu, r, kind):
 
 def kernel_K(k, nu, r, kind="swirl") -> ScaledValue:
     """Decaying kernel r^{nu/2} K_a(|k| r) (a = |1+nu/2|, |1-nu/2| or 1)."""
-    alpha, kk, r, half_nu = _kernel_setup(k, nu, r, kind)
-    return np.power(r, half_nu) * bessel_k(alpha, kk * r)
+    return kernel_K_derivs(k, nu, r, kind, upto=1)[0]
 
 
 def kernel_I(k, nu, r, kind="swirl") -> ScaledValue:
     """Growing kernel r^{nu/2} I_a(|k| r)."""
-    alpha, kk, r, half_nu = _kernel_setup(k, nu, r, kind)
-    return np.power(r, half_nu) * bessel_i(alpha, kk * r)
+    return kernel_I_derivs(k, nu, r, kind, upto=1)[0]
 
 
 def kernel_K_derivs(k, nu, r, kind="swirl", upto=2, shared=None):

@@ -38,16 +38,18 @@ import configparser
 import io
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
+import warnings
+from dataclasses import MISSING, dataclass, fields, field as dc_field
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .bessel import (bessel_i, bessel_i_prime, bessel_k, bessel_k_prime,
-                     wronskian_check)
+                     kernel_K, wronskian_check)
 from .errors import ConfigError, ConvergenceError, ExcylError, NumericError
-from .fourier import BoundaryData, ForcingData, ForcingMode, FourierField
+from .fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
+                      FourierField)
 from .picard import (check_iteration_settings, compute_tau, nonuniqueness_pair,
                      picard_solve)
 from .radial import RadialGrid, RadialProfile, fd_bvp_solve
@@ -56,13 +58,6 @@ from .residuals import attach_residual_report, residual_asns
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CONVERGENCE, EXIT_IO = 0, 1, 2, 3, 4
 
 _FMT = "%.17g"
-
-_PARAM_TYPES = {
-    "nu": float, "mu": float, "k_max": int, "r_max": float, "n_radial": int,
-    "grid_gamma": float, "lambda_theta": float, "lambda_z": float,
-    "lambda": float, "tol_picard": float, "max_iters": int,
-    "relaxation": float, "output_dir": str,
-}
 
 _FAMILY_RE = re.compile(r"^\s*(power_decay|power_exp_decay)\s*\(([^)]*)\)\s*$")
 
@@ -86,19 +81,13 @@ class RunConfig:
     forcing: List[Tuple[str, int, str, Tuple[float, ...]]] = dc_field(default_factory=list)
 
     def validate(self):
-        if not (np.isfinite(self.nu) and self.nu < 0):
-            raise ConfigError("hypothesis violated: a finite nu < 0 is "
-                              "required (boundary sink strength)")
+        # ForcingData checks the decay exponents, compute_tau nu and tau > 0;
+        # the grid parameters are checked here (the grid raises DomainError)
+        self.forcing_data()
+        self.tau_info()
         if not np.isfinite(self.mu):
             raise ConfigError("mu must be finite")
-        if not self.lambda_theta > 3.0:
-            raise ConfigError("hypothesis violated: lambda_theta > 3 required")
-        if not self.lambda_z > 2.0:
-            raise ConfigError("hypothesis violated: lambda_z > 2 required")
-        if not self.lambda_ > 1.5:
-            raise ConfigError("hypothesis violated: lambda > 3/2 required")
-        check_iteration_settings(self.tol_picard, self.max_iters,
-                                 self.relaxation)
+        check_iteration_settings(**self.settings())
         if self.k_max < 1 or self.n_radial < 8:
             raise ConfigError("need k_max >= 1 and n_radial >= 8")
         if not (np.isfinite(self.r_max) and self.r_max > 1.0):
@@ -108,13 +97,16 @@ class RunConfig:
         # BoundaryData rejects non-finite values (NumericError) before the
         # g_{r,0} normalization (ConfigError)
         self.boundary_data()
-        # tau > 0 is a hypothesis too; computing it raises ConfigError if not
-        self.tau_info()
         return self
 
     def tau_info(self):
         return compute_tau(self.nu, self.lambda_theta, self.lambda_z,
                            self.lambda_)
+
+    def settings(self) -> dict:
+        """picard_solve's loop settings, as keyword arguments."""
+        return dict(tol=self.tol_picard, max_iters=self.max_iters,
+                    relaxation=self.relaxation)
 
     # -- builders -------------------------------------------------------------
 
@@ -149,6 +141,12 @@ class RunConfig:
                            lambda_z=self.lambda_z, lambda_=self.lambda_)
 
 
+# [params] key -> (RunConfig attribute, type) in field order; the type is
+# the default's, and "lambda" is stored as lambda_ (a Python keyword)
+_PARAMS = {f.name.rstrip("_"): (f.name, type(f.default))
+           for f in fields(RunConfig) if f.default is not MISSING}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the flat INI run description."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -160,10 +158,9 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
     if cp.has_section("params"):
         for key, raw in cp.items("params"):
-            if key not in _PARAM_TYPES:
+            if key not in _PARAMS:
                 raise ConfigError(f"unknown parameter {key!r}")
-            attr = "lambda_" if key == "lambda" else key
-            typ = _PARAM_TYPES[key]
+            attr, typ = _PARAMS[key]
             try:
                 setattr(cfg, attr, typ(raw))
             except ValueError as exc:
@@ -185,7 +182,7 @@ def _parse_mode_key(key: str) -> Tuple[str, int]:
     except ValueError as exc:
         raise ConfigError(
             f"mode key {key!r} must look like 'component,k'") from exc
-    if comp not in ("r", "theta", "z"):
+    if comp not in COMPONENTS:
         raise ConfigError(f"unknown component {comp!r} in {key!r}")
     return comp, k
 
@@ -226,8 +223,7 @@ def render_config(cfg: RunConfig) -> str:
     """Inverse of parse_config (round-trips exactly)."""
     out = io.StringIO()
     out.write("[params]\n")
-    for key in _PARAM_TYPES:
-        attr = "lambda_" if key == "lambda" else key
+    for key, (attr, _) in _PARAMS.items():
         val = getattr(cfg, attr)
         out.write(f"{key} = {val!r}\n" if isinstance(val, float)
                   else f"{key} = {val}\n")
@@ -277,8 +273,7 @@ def _write_residuals(path: Path, rep):
 def _solve_bundle(cfg: RunConfig):
     grid = cfg.grid()
     bundle = picard_solve(grid, cfg.nu, cfg.mu, cfg.k_max, cfg.forcing_data(),
-                          cfg.boundary_data(), tol=cfg.tol_picard,
-                          max_iters=cfg.max_iters, relaxation=cfg.relaxation)
+                          cfg.boundary_data(), **cfg.settings())
     attach_residual_report(bundle)
     return bundle
 
@@ -391,8 +386,7 @@ def cmd_nonunique(args) -> int:
     grid = cfg.grid()
     first, second, rep = nonuniqueness_pair(
         grid, cfg.nu, cfg.mu, cfg.k_max, cfg.forcing_data(),
-        cfg.boundary_data(), args.delta_mu, tol=cfg.tol_picard,
-        max_iters=cfg.max_iters, relaxation=cfg.relaxation)
+        cfg.boundary_data(), args.delta_mu, **cfg.settings())
     attach_residual_report(first)
     attach_residual_report(second)
     out_dir = Path(args.output or cfg.output_dir)
@@ -462,7 +456,6 @@ def cmd_oracle(args) -> int:
             p0 = lambda r: -(1.0 + nu) / r ** 2
             sol = fd_bvp_solve(g, p1, p0, ksq, f(g.nodes), bc, decay)
             if exact is None:
-                from .bessel import kernel_K
                 kk = kernel_K(1, nu, g.nodes)
                 ref = kk.mantissa * np.exp(kk.exp_shift - kk.exp_shift[0]) \
                     / kk.mantissa[0]
@@ -495,15 +488,13 @@ def cmd_calibrate(args) -> int:
     forcing = cfg.forcing_data()
     lo, hi = 0.0, np.inf
     amp = args.start
-    import warnings as _w
     for _ in range(args.steps):
         b = BoundaryData(g_theta={1: amp})
         try:
-            with _w.catch_warnings():
-                _w.simplefilter("ignore")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 bundle = picard_solve(grid, cfg.nu, cfg.mu, cfg.k_max, forcing,
-                                      b, tol=cfg.tol_picard,
-                                      max_iters=cfg.max_iters)
+                                      b, **cfg.settings())
             ok = bundle.converged
         except (ConvergenceError, NumericError):
             ok = False

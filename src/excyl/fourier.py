@@ -55,8 +55,8 @@ class FourierField:
 
     The Picard loop steps P problems at once on a field whose data has a
     leading problem axis, (P, 3, K+1, 3, n), and whose sigma is a (P,)
-    array (or None); k_max and stack read such a field, the other methods
-    take one problem.
+    array (or None); k_max, stack, blend and - read such a field, the other
+    methods take one problem.
     """
 
     grid: RadialGrid
@@ -129,10 +129,12 @@ class FourierField:
     def _combine(self, other: "FourierField", op) -> "FourierField":
         if self.data.shape != other.data.shape:
             raise DomainError("fields differ in grid size or truncation")
-        if self.sigma is None and other.sigma is None:
-            sigma = None
-        else:
-            sigma = op(self.sigma or 0.0, other.sigma or 0.0)
+        sigma = None
+        if self.sigma is not None or other.sigma is not None:
+            # per problem, a missing or -0 sigma reads +0 (s + 0.0 is s for
+            # every other s, NaN included)
+            sigma = op(*(0.0 if s is None else s + 0.0
+                         for s in (self.sigma, other.sigma)))
         return FourierField(self.grid, op(self.data, other.data), sigma,
                             self.has_derivatives and other.has_derivatives)
 
@@ -179,12 +181,8 @@ class BoundaryData:
         return 0.0
 
     def k_support(self) -> Tuple[int, ...]:
-        ks = set()
-        for d in (self.g_r, self.g_theta, self.g_z):
-            for k in d:
-                ks.add(k)
-                ks.add(-k)
-        return tuple(sorted(ks))
+        return _symmetric_support(k for d in (self.g_r, self.g_theta, self.g_z)
+                                  for k in d)
 
     def shifted_swirl_mean(self, delta: float) -> "BoundaryData":
         """New data with g_{theta,0} shifted by delta (mu-tilde construction)."""
@@ -280,11 +278,12 @@ class ForcingData:
         return mode.decay
 
     def k_support(self) -> Tuple[int, ...]:
-        ks = set()
-        for (_, k) in self.modes:
-            ks.add(k)
-            ks.add(-k)
-        return tuple(sorted(ks))
+        return _symmetric_support(k for _, k in self.modes)
+
+
+def _symmetric_support(ks) -> Tuple[int, ...]:
+    """The modes ks and their conjugates -ks, sorted, each once."""
+    return tuple(sorted({m for k in ks for m in (k, -k)}))
 
 
 # ----------------------------------------------------------------------------

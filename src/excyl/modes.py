@@ -65,6 +65,7 @@ import numpy as np
 
 from .bessel import kernel_I_derivs, kernel_K_derivs
 from .errors import DomainError, NumericError
+from .fourier import COMPONENTS, FourierField
 from .radial import (
     RadialGrid,
     RadialProfile,
@@ -488,8 +489,6 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
     rows of the cached stacks and scan plans, and rows m+1..K of the
     field, w and phi stay +0.
     """
-    from .fourier import COMPONENTS, FourierField
-
     r = grid.nodes
     f = np.asarray(rhs, dtype=complex)
     single = f.ndim == 3

@@ -403,18 +403,13 @@ def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
         v_new, merid = solve_linear_system(
             grid, nu, step_mus, k_max, rhs.rhs, decays,
             [boundaries[p] for p in active], band)
+        if relaxation != 1.0:
+            v_new = v.blend(v_new, relaxation)
         going = []
         for i, p in enumerate(active):
             state = states[p]
             v_p = FourierField(grid, v_new.data[i], None if v_new.sigma is None
                                else float(v_new.sigma[i]))
-            if relaxation != 1.0:
-                # one problem at a time, as its own solve blends: blend
-                # turns a -0 sigma +0, which a blend of the stack would not
-                v_p = state.v_current.blend(v_p, relaxation)
-                v_new.data[i] = v_p.data
-                if with_sigma:
-                    v_new.sigma[i] = v_p.sigma
             diff = bnorm(v_p - state.v_current, tau.tau)
             if not np.isfinite(diff):
                 errors[p] = NumericError(
@@ -469,15 +464,15 @@ def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
 
 
 def _first_non_finite(v: FourierField) -> str:
-    """Name the first non-finite block of an iterate: sigma, then (component, k)."""
+    """Name the first non-finite block of an iterate: sigma, then (component,
+    k) in k-major order, over the derivative orders the field holds."""
     if v.sigma is not None and not np.isfinite(v.sigma):
         return "sigma"
-    for k in range(v.k_max + 1):
-        for comp in COMPONENTS:
-            p = v.profile(comp, k)
-            if not all(np.all(np.isfinite(a)) for a in (p.values, p.d1, p.d2)
-                       if a is not None):
-                return f"({comp}, {k})"
+    orders = 3 if v.has_derivatives else 1
+    bad = ~np.isfinite(v.data[:, :, :orders]).all(axis=(2, 3))  # (c, k)
+    ks, cs = np.nonzero(bad.T)
+    if len(ks):
+        return f"({COMPONENTS[cs[0]]}, {ks[0]})"
     return "no single mode (the norm overflowed)"
 
 

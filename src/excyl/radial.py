@@ -58,6 +58,7 @@ __all__ = [
     "exp_weighted_suffix",
     "exp_weighted_integrals",
     "tail_closure",
+    "decay_fit",
     "fd_bvp_solve",
     "fd_meridional_solve",
 ]
@@ -323,17 +324,34 @@ def tail_closure(value_at_rmax, r_max: float, p: float):
     return value_at_rmax * r_max / (p - 1.0)
 
 
-def _check_declared_tail(values, grid: RadialGrid, p: float, total) -> None:
-    """Warn when the fitted last-decade slope contradicts the declared one."""
+def decay_fit(values: np.ndarray, grid: RadialGrid):
+    """Least-squares slope of log|v| vs log r over the last decade of nodes.
+
+    Returns (slope, r_squared) or None when the window is effectively zero.
+    """
     mask = grid.last_decade_mask()
     v = np.abs(np.asarray(values)[mask])
+    if np.any(v <= 0.0) or np.max(v) < 1e-280:
+        return None
+    x = np.log(grid.nodes[mask])
+    y = np.log(v)
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), r2
+
+
+def _check_declared_tail(values, grid: RadialGrid, p: float, total) -> None:
+    """Warn when the fitted last-decade slope contradicts the declared one."""
     closure = np.abs(tail_closure(values[-1], grid.r_max, p))
-    if closure <= 1e-12 * max(np.abs(total), 1e-300) or np.any(v <= 0):
+    if closure <= 1e-12 * max(np.abs(total), 1e-300):
         return
-    slope = np.polyfit(np.log(grid.nodes[mask]), np.log(v), 1)[0]
-    if abs(slope + p) > 0.25:
+    fit = decay_fit(values, grid)
+    if fit is not None and abs(fit[0] + p) > 0.25:
         warnings.warn(
-            f"declared tail exponent {p} but fitted slope {-slope:.3f}; "
+            f"declared tail exponent {p} but fitted slope {-fit[0]:.3f}; "
             "outer integral tail closure may be inaccurate",
             RuntimeWarning, stacklevel=3)
 

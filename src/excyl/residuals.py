@@ -21,9 +21,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError
-from .fourier import COMPONENTS, BoundaryData, ForcingData, FourierField
-from .radial import RadialGrid
+from .errors import NumericError
+from .fourier import (COMPONENTS, BoundaryData, ForcingData, FourierField,
+                      convolve_product)
+from .modes import recover_pressure
+from .radial import decay_fit
 
 __all__ = [
     "ResidualReport",
@@ -91,7 +93,6 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
                   forcing: Optional[ForcingData] = None,
                   pressure: Optional[Dict[int, np.ndarray]] = None,
                   boundary: Optional[BoundaryData] = None,
-                  z_count: Optional[int] = None,
                   z_offset: float = 0.0) -> ResidualReport:
     """Residuals of the full stationary system for the synthesized velocity.
 
@@ -103,9 +104,7 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     grid = field_v.grid
     r = grid.nodes
     k_max = field_v.k_max
-    n_z = z_count if z_count is not None else 4 * k_max + 1
-    if n_z < 2 * k_max + 1:
-        raise DomainError("too few z samples for the mode content")
+    n_z = 4 * k_max + 1
     z = 2.0 * np.pi * np.arange(n_z) / n_z + z_offset
 
     # solver-produced mode content is differentiated numerically below; the
@@ -217,30 +216,8 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     return report
 
 
-def decay_fit(values: np.ndarray, grid: RadialGrid):
-    """Least-squares slope of log|v| vs log r over the last decade of nodes.
-
-    Returns (slope, r_squared) or None when the window is effectively zero.
-    """
-    mask = grid.last_decade_mask()
-    v = np.abs(np.asarray(values)[mask])
-    if np.max(np.abs(values)) == 0.0 or np.any(v <= 0.0) \
-            or np.max(v) < 1e-280:
-        return None
-    x = np.log(grid.nodes[mask])
-    y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
-
-
 def attach_residual_report(bundle) -> ResidualReport:
     """Recover the pressure modes and audit a converged solution bundle."""
-    from .modes import recover_pressure
-
     grid = bundle.v.grid
     pressure: Dict[int, np.ndarray] = {}
     if bundle.rhs_final is not None:
@@ -271,8 +248,6 @@ def manufactured_forcing(field_star: FourierField,
     {(component, k >= 0): sampled array}.  The zero radial mode is whatever
     the pressure gradient absorbs and is returned too (the solver ignores it).
     """
-    from .fourier import convolve_product
-
     grid = field_star.grid
     r = grid.nodes
     k_max = field_star.k_max

@@ -214,6 +214,26 @@ def test_kernel_homogeneous_ode_residual(kind, csq, k, nu):
         assert np.max(rel) < 1e-7
 
 
+@pytest.mark.parametrize("kind", ["swirl", "vorticity", "stream"])
+@pytest.mark.parametrize("nu", [-3.0, -2.0, -1.0, -0.5])
+@pytest.mark.parametrize("k", [1, 3, 17])
+def test_kernel_values_have_the_bits_of_the_plain_bessel_product(kind, nu, k):
+    # r^{nu/2} B_a(|k| r) (no weight for the stream kernel), mantissa and
+    # shift, is the value row of the kernel triples the solvers read
+    r = np.concatenate((np.geomspace(1.0, 90.0, 257), [2.5, 1e4]))
+    alpha = float({"swirl": BesselOrder.swirl(nu),
+                   "vorticity": BesselOrder.vorticity(nu),
+                   "stream": BesselOrder.stream()}[kind])
+    weight = np.power(r, 0.0 if kind == "stream" else 0.5 * nu)
+    for kernel, derivs, bessel in ((kernel_K, kernel_K_derivs, bessel_k),
+                                   (kernel_I, kernel_I_derivs, bessel_i)):
+        want = weight * bessel(alpha, k * r)
+        for got in (kernel(k, nu, r, kind), derivs(k, nu, r, kind)[0],
+                    derivs(k, nu, r, kind, upto=1)[0]):
+            assert_same_bits(got.mantissa, want.mantissa)
+            assert_same_bits(got.exp_shift, want.exp_shift)
+
+
 def test_kernel_monotonicity():
     # decaying kernel decreases, growing kernel increases on r >= 1
     r = np.geomspace(1.0, 50.0, 200)

@@ -373,6 +373,27 @@ def test_calibrate_without_a_diverged_trial_is_convergence_failure(tmp_path,
     assert "no trial diverged in 2 steps" in capsys.readouterr().err
 
 
+def test_calibrate_trials_use_the_configs_loop_settings(tmp_path,
+                                                       monkeypatch):
+    import excyl.cli
+
+    seen = []
+    solve = excyl.cli.picard_solve
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(excyl.cli, "picard_solve", recording)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CALIBRATE_RUN + "relaxation = 0.7\nmax_iters = 40\n"
+                   "tol_picard = 1e-9\n")
+    rc = main(["calibrate", str(cfg), "--output", str(tmp_path / "cal"),
+               "--start", "20", "--steps", "3"])
+    assert rc in (EXIT_OK, EXIT_CONVERGENCE)
+    assert seen == [{"tol": 1e-9, "max_iters": 40, "relaxation": 0.7}] * 3
+
+
 @pytest.mark.parametrize("extra, name", [
     (("--steps", "0"), "--steps"), (("--steps", "-1"), "--steps"),
     (("--start", "0"), "--start"), (("--start=-0.5",), "--start"),

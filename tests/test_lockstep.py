@@ -92,6 +92,25 @@ def test_lockstep_keeps_sigma_and_each_problems_band():
                    BoundaryData(g_theta={3: 5e-4})])
 
 
+def test_relaxed_lockstep_with_sigma_keeps_each_problems_bits():
+    # nu = -1 carries sigma, which the stacked blend reads per problem; the
+    # all-zero second problem keeps sigma exactly 0 and retires after one
+    # step (22, 1 and 23 iterations)
+    g = RadialGrid.graded(192, 60.0, 2.0)
+    problems = [(1.0, BoundaryData(g_theta={1: 1e-3, 3: 0.0})),
+                (0.5, BoundaryData(g_theta={3: 0.0})),
+                (2.0, BoundaryData(g_theta={0: -1e-3, 3: 5e-4},
+                                   g_z={1: 2e-4}))]
+    bundles = _lockstep(g, -1.0, [mu for mu, _ in problems], 8,
+                        ForcingData(), [b for _, b in problems],
+                        relaxation=0.6)
+    for (mu, b), got in zip(problems, bundles):
+        _assert_same_bundle(got, picard_solve(g, -1.0, mu, 8, ForcingData(),
+                                              b, relaxation=0.6))
+    assert [b.iterations for b in bundles] == [22, 1, 23]
+    assert bundles[1].sigma == 0.0 and bundles[0].sigma != 0.0
+
+
 def _error_of(solve):
     with pytest.raises(ConvergenceError) as info:
         solve()

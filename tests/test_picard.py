@@ -641,6 +641,31 @@ def test_picard_non_finite_iterate_is_numeric_error(grid, monkeypatch):
         picard_solve(grid, -3.0, 1.0, 2, forcing, BoundaryData())
 
 
+@pytest.mark.parametrize("where, slot, message", [
+    ("value", (COMPONENTS.index("z"), 2, 0, 5), "(z, 2)"),
+    ("derivative", (COMPONENTS.index("r"), 1, 2, 40), "(r, 1)"),
+    ("sigma", None, "sigma"),
+    ("values-only derivative", (COMPONENTS.index("theta"), 0, 1, 7),
+     "(theta, 3)")])
+def test_first_non_finite_names_the_first_poisoned_block(where, slot,
+                                                         message):
+    # sigma comes first, then (component, k) with k the slower index; a
+    # field known by its values only does not look at its derivative slots
+    from excyl.picard import _first_non_finite
+
+    g = RadialGrid.graded(64, 60.0, 2.0)
+    v = FourierField.zero(g, 3, with_sigma=True)
+    v.data[COMPONENTS.index("theta"), 3, 0, 9] = np.inf  # a later block
+    if slot is None:
+        v.sigma = float("nan")
+    else:
+        v.data[slot] = complex(0.0, np.nan)
+    v.has_derivatives = where != "values-only derivative"
+    assert _first_non_finite(v) == message
+    v.data[...], v.sigma = 0.0, 0.0
+    assert _first_non_finite(v) == "no single mode (the norm overflowed)"
+
+
 def test_non_finite_forcing_is_rejected_where_it_enters(grid):
     def f(r):
         out = 1e-4 * r ** -10.0

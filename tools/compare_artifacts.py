@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Compare the `excyl solve`, `excyl nonunique` and `excyl oracle` artifacts
-of two source trees.
+"""Compare the `excyl solve`, `excyl nonunique`, `excyl calibrate`, `excyl
+bessel` and `excyl oracle` artifacts of two source trees.
 
 Usage:
 
     python tools/compare_artifacts.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `excyl` package (the
-`src` directory of a checkout).  The script makes eight runs under each
+`src` directory of a checkout).  The script makes ten runs under each
 tree.  It runs `excyl solve` on four small built-in configurations: nu = -1
 with a forcing that gives a nonzero 1/r tail coefficient sigma, nu = -3,
 nu = -1 at K = 40 with boundary data up to mode 40, whose exp-weighted
@@ -18,16 +18,21 @@ configuration, on the narrow nu = -3 one and on the nu = -3 one with
 relaxation = 0.7; they step the two problems of a non-uniqueness pair in
 lockstep on one grid and write separation.csv.  On the narrow one the steps
 run below the full band and the first problem retires before the second;
-the relaxed one blends each problem's iterates.  The last run is `excyl
-oracle`, the finite-difference oracle cases, whose stdout is saved as
-oracle.txt.  For every run it compares the exit status.  For every
+the relaxed one blends each problem's iterates.  One run is `excyl
+calibrate --steps 3` on the nu = -3 configuration, which writes
+calibration.txt.  The last two write nothing, so their stdout is the
+artifact: `excyl bessel` at the orders 0, 1.5 and 2.5 and at x = 1e-3, 2
+and 50, plain and --scaled, saved as bessel.txt, and `excyl oracle`, the
+finite-difference oracle cases, saved as oracle.txt.  For every run it
+compares the exit status (the largest of a run's commands).  For every
 artifact it prints "identical" when the bytes agree, "same numbers,
 different text" when only the spelling differs (such as -0 against 0), or
 else the largest deviation of the file's numbers relative to the largest
-magnitude in the base file.  For the text reports summary.txt and
-oracle.txt it then prints how many lines differ and the labels of the
+magnitude in the base file.  For the text reports summary.txt, bessel.txt
+and oracle.txt it then prints how many lines differ and the labels of the
 first five, such as "decay fit r,11" (the text before " = " or ": ", or
-the case and n of an oracle CSV row).
+the first two fields of a CSV row: the order and x of a bessel row, the
+case and n of an oracle one).
 
 Exit status: 0 when every run exits alike and every artifact is
 byte-identical, 1 otherwise.
@@ -109,34 +114,44 @@ z,1 = 5e-4
 CONFIGS["nu-3-relaxed"] = CONFIGS["nu-3"].replace(
     "r_max = 60.0\n", "r_max = 60.0\nrelaxation = 0.7\n")
 
-# (label, configuration, excyl subcommand and its options); a run without
-# a configuration writes no files, so its stdout is saved as its artifact
-RUNS = [(name, name, ["solve"])
+# (label, configuration, excyl command lines: subcommand and options); a
+# run without a configuration writes no files, so the stdout of its
+# commands is saved as its artifact
+RUNS = [(name, name, [["solve"]])
         for name in ("nu-1-sigma", "nu-3", "nu-1-wide", "nu-3-narrow")] + [
-    (f"{name}-nonunique", name, ["nonunique", "--delta-mu", "0.06"])
+    (f"{name}-nonunique", name, [["nonunique", "--delta-mu", "0.06"]])
     for name in ("nu-3", "nu-3-narrow", "nu-3-relaxed")] + [
-    ("oracle", None, ["oracle"])]
+    ("nu-3-calibrate", "nu-3", [["calibrate", "--steps", "3"]]),
+    ("bessel", None, [["bessel", "--order", order, "--x", x, *scaled]
+                      for order in ("0", "1.5", "2.5")
+                      for x in ("1e-3", "2", "50")
+                      for scaled in ([], ["--scaled"])]),
+    ("oracle", None, [["oracle"]])]
 
 _NUMBER = re.compile(
     r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 
 # artifacts whose differing lines are also listed by label
-TEXT_REPORTS = ("summary.txt", "oracle.txt")
+TEXT_REPORTS = ("summary.txt", "bessel.txt", "oracle.txt")
 
 
-def _run(src: Path, command: list, config: Optional[Path], out: Path) -> int:
+def _run(src: Path, commands: list, config: Optional[Path], out: Path) -> int:
+    """Run the command lines in turn and return the largest exit status."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    args = [] if config is None else [str(config), *command[1:], "--output",
-                                      str(out)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "excyl.cli", command[0], *args],
-        env=env, capture_output=True, text=True)
+    status, stdout = 0, ""
+    for command in commands:
+        args = command[1:] if config is None else [
+            str(config), *command[1:], "--output", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "excyl.cli", command[0], *args],
+            env=env, capture_output=True, text=True)
+        if proc.returncode not in (0, 3):  # 3: wrote artifacts, not converged
+            sys.stderr.write(proc.stderr)
+        status, stdout = max(status, proc.returncode), stdout + proc.stdout
     if config is None:
         out.mkdir(parents=True)
-        (out / f"{command[0]}.txt").write_text(proc.stdout)
-    if proc.returncode not in (0, 3):  # 3: wrote artifacts, not converged
-        sys.stderr.write(proc.stderr)
-    return proc.returncode
+        (out / f"{commands[0][0]}.txt").write_text(stdout)
+    return status
 
 
 def _deviation(base: str, head: str) -> str:
@@ -164,7 +179,8 @@ def _deviation(base: str, head: str) -> str:
 
 def _label(line: str) -> str:
     """What a report line states: the text before " = " or ": ", else the
-    first two comma-separated fields (an oracle CSV row: case and n)."""
+    first two comma-separated fields (a CSV row of bessel.txt: order and x,
+    or of oracle.txt: case and n)."""
     for sep in (" = ", ": "):
         if sep in line:
             return line.split(sep, 1)[0].strip()
@@ -184,12 +200,12 @@ def compare(base_src: Path, head_src: Path, work: Path) -> bool:
     same = True
     for name, text in CONFIGS.items():
         (work / f"{name}.ini").write_text(text)
-    for name, config_name, command in RUNS:
+    for name, config_name, commands in RUNS:
         config = None if config_name is None else work / f"{config_name}.ini"
         outs, codes = [], []
         for side, src in (("base", base_src), ("head", head_src)):
             out = work / side / name
-            codes.append(_run(src, command, config, out))
+            codes.append(_run(src, commands, config, out))
             outs.append(out)
         print(f"[{name}] exit status base {codes[0]}, head {codes[1]}")
         same &= codes[0] == codes[1]
