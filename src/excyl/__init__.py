@@ -45,6 +45,7 @@ from .fourier import (
 from .modes import (
     MeridionalModeSolution,
     ZeroModeSwirlSolution,
+    has_sigma_tail,
     recover_pressure,
     solve_linear_system,
     solve_meridional_mode,

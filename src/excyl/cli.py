@@ -50,6 +50,7 @@ from .bessel import (bessel_i, bessel_i_prime, bessel_k, bessel_k_prime,
 from .errors import ConfigError, ConvergenceError, ExcylError, NumericError
 from .fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
                       FourierField)
+from .modes import has_sigma_tail
 from .picard import (check_iteration_settings, compute_tau, nonuniqueness_pair,
                      picard_solve)
 from .radial import RadialGrid, RadialProfile, fd_bvp_solve
@@ -255,10 +256,9 @@ def _write_csv(path: Path, header: List[str], columns: List[np.ndarray]):
 def _write_mode_csv(path: Path, grid: RadialGrid, profs: Dict[str, np.ndarray]):
     header = ["r"]
     cols = [grid.nodes]
+    zero = np.zeros(len(grid), dtype=complex)
     for name in ("v_r", "v_theta", "v_z", "w", "phi"):
-        vals = profs.get(name)
-        if vals is None:
-            vals = np.zeros(len(grid), dtype=complex)
+        vals = profs.get(name, zero)
         header += [f"re_{name}", f"im_{name}"]
         cols += [np.real(vals), np.imag(vals)]
     _write_csv(path, header, cols)
@@ -283,11 +283,7 @@ def _write_solution(cfg: RunConfig, bundle, out_dir: Path):
     (out_dir / "config.ini").write_text(render_config(cfg))
     grid = bundle.v.grid
     for k in range(0, cfg.k_max + 1):
-        profs = {
-            "v_r": bundle.v.profile("r", k).values,
-            "v_theta": bundle.v.profile("theta", k).values,
-            "v_z": bundle.v.profile("z", k).values,
-        }
+        profs = {f"v_{c}": bundle.v.profile(c, k).values for c in COMPONENTS}
         if bundle.meridional is not None and k >= 1:
             profs["w"] = bundle.meridional.w[k - 1]
             profs["phi"] = bundle.meridional.phi[k - 1]
@@ -349,8 +345,7 @@ def cmd_verify(args) -> int:
     sol_dir = Path(args.solution_dir)
     cfg = parse_config((sol_dir / "config.ini").read_text())
     grid = cfg.grid()
-    field = FourierField.zero(grid, cfg.k_max,
-                              with_sigma=-2.0 <= cfg.nu < 0.0)
+    field = FourierField.zero(grid, cfg.k_max, has_sigma_tail(cfg.nu))
     for k in range(0, cfg.k_max + 1):
         data = np.genfromtxt(sol_dir / f"mode_{k}.csv", delimiter=",",
                              names=True)

@@ -8,7 +8,7 @@ into its ODE: the zero-mode vertical solve carries the forcing terms with
 the opposite sign to the raw variation-of-parameters layout (the combination
 below satisfies -(v'' + (1-nu)/r v') = f exactly; see the substitution tests).
 
-Zero modes (Euler-type kernels):
+Zero modes (Euler-type kernels; has_sigma_tail(nu) picks the swirl's):
 
   swirl, nu < -2:
       v = -1/(nu+2) [ r^{nu+1} C(r) + r^{-1} S(r) ] + (g + S(1)/(nu+2)) r^{nu+1}
@@ -78,6 +78,7 @@ from .radial import (
 )
 
 __all__ = [
+    "has_sigma_tail",
     "ZeroModeSwirlSolution",
     "MeridionalModeSolution",
     "MeridionalStacks",
@@ -90,12 +91,31 @@ __all__ = [
 ]
 
 
+def has_sigma_tail(nu: float) -> bool:
+    """Whether the zero swirl mode carries a sigma/r tail: -2 <= nu < 0."""
+    return bool(-2.0 <= nu < 0.0)
+
+
+def _check_mode(nu: float, f_decay: float, floor: int, what: str) -> None:
+    """DomainError unless the sink strength nu is finite and < 0, then
+    NumericError unless the forcing of `what` decays faster than r^-floor
+    (1 suffices for a nonzero mode, whose kernels damp the tails; the
+    nonlinear construction's > 3/2 is the forcing space's check)."""
+    if 0.0 <= nu:
+        raise DomainError("background sink strength nu must be negative")
+    if not np.isfinite(nu):  # NaN or -inf
+        raise DomainError(
+            f"background sink strength nu must be finite, got {nu!r}")
+    if f_decay <= floor:
+        raise NumericError(f"{what} forcing must decay faster than r^-{floor}")
+
+
 @dataclass
 class ZeroModeSwirlSolution:
     """Regular part of v_theta0 plus the 1/r tail coefficient.
 
-    sigma is None for nu < -2 (structurally absent) and a real number for
-    -2 <= nu < 0; the full mode is v_regular + sigma/r.
+    sigma is a real number where has_sigma_tail(nu) and None elsewhere
+    (structurally absent); the full mode is v_regular + sigma/r.
     """
 
     v_regular: RadialProfile
@@ -137,14 +157,11 @@ def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
     f may stack P problems, (P, n+1) with g_theta0 (P,): the profile's
     arrays are then (P, n+1) and sigma (P,).
     """
-    if nu >= 0:
-        raise DomainError("background sink strength nu must be negative")
-    if f_decay <= 3.0:
-        raise NumericError("zero-mode swirl forcing must decay faster than r^-3")
+    _check_mode(nu, f_decay, 3, "zero-mode swirl")
     r = grid.nodes
     fv = np.asarray(_sample(f, grid), dtype=complex)
 
-    if nu < -2.0:
+    if not has_sigma_tail(nu):
         # one rate-0 row per problem on each side
         c_in, s_out = (side[..., 0, :] for side in exp_weighted_integrals(
             grid, (fv * r ** (-nu))[..., None, :], 0.0,
@@ -181,10 +198,7 @@ def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
 
     f may stack P problems as for solve_zero_swirl.
     """
-    if nu >= 0:
-        raise DomainError("background sink strength nu must be negative")
-    if f_decay <= 2.0:
-        raise NumericError("zero-mode vertical forcing must decay faster than r^-2")
+    _check_mode(nu, f_decay, 2, "zero-mode vertical")
     r = grid.nodes
     fv = np.asarray(_sample(f, grid), dtype=complex)
     c_in, s_out = (side[..., 0, :] for side in exp_weighted_integrals(
@@ -310,16 +324,6 @@ def _first_rows(stack: SimpleNamespace, m: int) -> SimpleNamespace:
     return SimpleNamespace(**{name: a[:m] for name, a in vars(stack).items()})
 
 
-def _check_nonzero_mode(nu: float, f_decay: float) -> None:
-    if nu >= 0:
-        raise DomainError("background sink strength nu must be negative")
-    # decay > 1 suffices for the mode integrals (the kernels damp the tails
-    # exponentially); the nonlinear construction separately requires > 3/2
-    # through the forcing-space validation
-    if f_decay <= 1.0:
-        raise NumericError("nonzero-mode forcing must decay faster than r^-1")
-
-
 def _swirl_rows(grid: RadialGrid, ks, nu: float, fv: np.ndarray, g):
     """Swirl solves of the first m modes of ks at once: forcing rows fv
     (..., m, n), boundary values g (..., m), where the leading axes stack
@@ -414,7 +418,7 @@ def solve_swirl_mode(grid: RadialGrid, k: int, nu: float, f, g_theta_k: complex,
     """
     if k == 0:
         raise DomainError("use solve_zero_swirl for the zero mode")
-    _check_nonzero_mode(nu, f_decay)
+    _check_mode(nu, f_decay, 1, "nonzero-mode")
     fv = np.asarray(_sample(f, grid), dtype=complex)
     vals, d1, d2 = _swirl_rows(grid, (k,), nu, fv[None],
                                np.array([g_theta_k], dtype=complex))
@@ -439,7 +443,7 @@ def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
     """
     if k == 0:
         raise DomainError("use solve_zero_meridional for the zero mode")
-    _check_nonzero_mode(nu, f_decay)
+    _check_mode(nu, f_decay, 1, "nonzero-mode")
     frv = np.asarray(_sample(f_r, grid), dtype=complex)
     fzv = np.asarray(_sample(f_z, grid), dtype=complex)
     sol = _meridional_rows(grid, (k,), nu, frv[None], fzv[None],
@@ -516,7 +520,7 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
         for d, values in enumerate((prof.values, prof.d1, prof.d2)):
             data[:, c, 0, d] = values
 
-    _check_nonzero_mode(nu, decays["nonzero"])
+    _check_mode(nu, decays["nonzero"], 1, "nonzero-mode")
     w = phi = np.zeros((len(f), 0, len(grid)), dtype=complex)
     if m >= 1:
         ks = tuple(range(1, k_max + 1))
@@ -533,12 +537,11 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
             out[:, 1, :, d] = swirl[d]
             out[:, 2, :, d] = merid.v_z[d]
         w, phi = merid.w[0], merid.phi[0]
-    w, phi = _zero_padded(w, k_max), _zero_padded(phi, k_max)
+    w, phi, sigma = _zero_padded(w, k_max), _zero_padded(phi, k_max), swirl0.sigma
     if single:
-        return (FourierField(grid, data[0], swirl0.sigma if swirl0.sigma is None
-                             else float(swirl0.sigma[0])),
-                MeridionalStacks(w=w[0], phi=phi[0]))
-    return FourierField(grid, data, swirl0.sigma), MeridionalStacks(w=w, phi=phi)
+        data, w, phi = data[0], w[0], phi[0]
+        sigma = None if sigma is None else float(sigma[0])
+    return FourierField(grid, data, sigma), MeridionalStacks(w=w, phi=phi)
 
 
 def _zero_padded(rows: np.ndarray, k_max: int) -> np.ndarray:

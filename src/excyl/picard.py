@@ -5,7 +5,7 @@ One Picard step maps the previous iterate vbar to the solution v of the
 linearized system driven by
 
     fbar_r     = -(vbar.grad) vbar_r + vbar_theta^2/r
-                 + 2 sigma_bar vbar_theta / r^2   (only when -2 <= nu < 0)
+                 + 2 sigma_bar vbar_theta / r^2   (only when has_sigma_tail)
                  + f_r                             [zero mode absorbed]
     fbar_theta = -(vbar.grad) vbar_theta - vbar_r vbar_theta / r + f_theta
     fbar_z     = -(vbar.grad) vbar_z + f_z
@@ -19,8 +19,8 @@ of the full absorbed profile is kept so the pressure can be recovered.
 The decay index of the solution space is
 
     tau = min( lam_theta_bar - 3, lam_z_bar - 2, lambda - 3/2 ),
-    lam_theta_bar = lam_theta            for nu >= -2,
-                    min(lam_theta, 2 - nu/2)  for nu < -2,
+    lam_theta_bar = lam_theta                 where has_sigma_tail(nu),
+                    min(lam_theta, 2 - nu/2)  elsewhere (nu < -2),
     lam_z_bar     = min(lam_z, 2 - nu/2),
 
 and iterate distances are measured in the tau-weighted solution norm.
@@ -77,7 +77,7 @@ from .fourier import (
     enorm,
     vnorm,
 )
-from .modes import MeridionalStacks, solve_linear_system
+from .modes import MeridionalStacks, has_sigma_tail, solve_linear_system
 from .radial import RadialGrid
 
 __all__ = [
@@ -99,6 +99,10 @@ class TauInfo:
     tau: float
     lambda_bar_theta: float
     lambda_bar_z: float
+    # the forcing decays the mode solves declare: the data's, capped at 3 + 2 tau
+    decay_theta0: float
+    decay_z0: float
+    decay_nonzero: float
 
 
 def compute_tau(nu: float, lambda_theta: float, lambda_z: float,
@@ -111,16 +115,16 @@ def compute_tau(nu: float, lambda_theta: float, lambda_z: float,
         raise ConfigError(
             "data space hypotheses violated: need lambda_theta > 3, "
             "lambda_z > 2, lambda > 3/2")
-    if nu < -2.0:
-        lam_th_bar = min(lambda_theta, 2.0 - 0.5 * nu)
-    else:
-        lam_th_bar = lambda_theta
+    lam_th_bar = (lambda_theta if has_sigma_tail(nu)
+                  else min(lambda_theta, 2.0 - 0.5 * nu))
     lam_z_bar = min(lambda_z, 2.0 - 0.5 * nu)
     tau = min(lam_th_bar - 3.0, lam_z_bar - 2.0, lambda_ - 1.5)
     if tau <= 0.0:
         raise ConfigError(
             f"decay exponents give non-positive solution index tau = {tau}")
-    return TauInfo(tau, lam_th_bar, lam_z_bar)
+    cap = 3.0 + 2.0 * tau
+    return TauInfo(tau, lam_th_bar, lam_z_bar, min(lambda_theta, cap),
+                   min(lambda_z, cap), min(lambda_, cap))
 
 
 # the quadratic term reads iterate parts below this as zero: the product of
@@ -189,7 +193,7 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
         mu = (mu,)
     problems = len(vbar.data)
     mu = np.asarray(mu, dtype=float)[:, None]
-    with_sigma = -2.0 <= nu < 0.0
+    with_sigma = has_sigma_tail(nu)
     sigma_bar = (np.asarray(vbar.sigma, dtype=float)
                  if (with_sigma and vbar.sigma is not None)
                  else np.zeros(problems))
@@ -249,12 +253,9 @@ def assemble_rhs(vbar: FourierField, forcing: ForcingData, mu: float,
                       convolution_tail_norm(cen_r[:, p], k_max))
                   for p in range(problems))
     if single:
-        return RhsAssembly(rhs=rhs[0], absorbed_fr0=absorbed[0],
-                           absorbed_fr0_decay=absorbed_decay,
-                           convolution_tail=tails[0])
+        rhs, absorbed, tails = rhs[0], absorbed[0], tails[0]
     return RhsAssembly(rhs=rhs, absorbed_fr0=absorbed,
-                       absorbed_fr0_decay=absorbed_decay,
-                       convolution_tail=tails)
+                       absorbed_fr0_decay=absorbed_decay, convolution_tail=tails)
 
 
 @dataclass
@@ -377,12 +378,11 @@ def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
         raise DomainError("problems stepped in lockstep must reach the same "
                           f"highest mode; their data reach {tops}")
 
-    with_sigma = -2.0 <= nu < 0.0
+    with_sigma = has_sigma_tail(nu)
     states = [IterationState(FourierField.zero(grid, k_max, with_sigma))
               for _ in mus]
-    decays = {("theta", 0): min(forcing.lambda_theta, 3.0 + 2.0 * tau.tau),
-              ("z", 0): min(forcing.lambda_z, 3.0 + 2.0 * tau.tau),
-              "nonzero": min(forcing.lambda_, 3.0 + 2.0 * tau.tau)}
+    decays = {("theta", 0): tau.decay_theta0, ("z", 0): tau.decay_z0,
+              "nonzero": tau.decay_nonzero}
     # the forcing does not depend on the iterate: sample it once per solve
     samples = forcing.sample_stack(k_max, grid.nodes)
     samples.setflags(write=False)
@@ -509,7 +509,8 @@ def nonuniqueness_pair(grid: RadialGrid, nu: float, mu: float, k_max: int,
     The two solves step in lockstep on the grid (picard_kwargs are
     picard_solve's settings); each keeps the bits of its own picard_solve.
     """
-    if nu >= -2.0:
+    # every nu >= -2 (a NaN or -inf nu fails compute_tau's check instead)
+    if has_sigma_tail(nu) or 0.0 <= nu:
         raise ConfigError(
             "the non-uniqueness construction requires nu < -2 (whether the "
             "problem is non-unique for nu >= -2 is open)")

@@ -92,6 +92,15 @@ def test_zero_swirl_rejects_slow_decay(grid):
         solve_zero_swirl(grid, 0.5, _zeros(grid), 0.0, 5.0)
 
 
+@pytest.mark.parametrize("nu", [np.nan, -np.inf])
+@pytest.mark.parametrize("solve", [solve_zero_swirl, solve_zero_meridional])
+def test_zero_modes_reject_a_non_finite_nu(grid, solve, nu):
+    # NaN and -inf are no sink strength: refused, not solved into
+    # non-finite profiles
+    with pytest.raises(DomainError, match="must be finite"):
+        solve(grid, nu, grid.nodes ** -6.0, 1e-3, 6.0)
+
+
 def test_solved_norm_stable_under_refinement():
     # weighted sup of the solved subcritical swirl: finite and moving by
     # less than 1% between N and 2N

@@ -6,6 +6,7 @@ import pytest
 from excyl.errors import ConfigError, DomainError, NumericError
 from excyl.fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
                            FourierField, bnorm)
+from excyl.modes import has_sigma_tail, solve_zero_swirl
 from excyl.picard import (
     QUADRATIC_FLOOR,
     assemble_rhs,
@@ -192,7 +193,7 @@ def _reference_assembly(vbar, forcing, mu, nu):
     rows 0..2K, also on the zero iterate, and the forcing sampled per k."""
     r = vbar.grid.nodes
     k_max = vbar.k_max
-    with_sigma = -2.0 <= nu < 0.0
+    with_sigma = -2.0 <= nu < 0.0  # this oracle's own copy of the rule
     sigma_bar = vbar.sigma if (with_sigma and vbar.sigma is not None) else 0.0
     vr, vth, vz = (vbar.stack(c) for c in COMPONENTS)
     d_vr, d_vth, d_vz = (vbar.stack(c, 1) for c in COMPONENTS)
@@ -235,7 +236,7 @@ def _several_mode_forcing():
 def test_assembly_bitwise_equal_to_full_products(grid, case):
     nu = -3.0 if case == "nu=-3" else -1.0
     k_max = 4
-    vbar = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)
+    vbar = FourierField.zero(grid, k_max, has_sigma_tail(nu))
     if case == "zero-sigma":
         vbar.sigma = 0.2
     if case.startswith("nu="):
@@ -273,7 +274,7 @@ def test_band_limited_assembly_bitwise_equal_to_full_products(grid, nu, band):
     # convolving only its modes -band..band gives every rhs row, the audit
     # copy and the tail the bits of the products over all modes
     k_max = 4
-    vbar = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)
+    vbar = FourierField.zero(grid, k_max, has_sigma_tail(nu))
     rng = np.random.default_rng(23 + band)
     decay = np.exp(-(grid.nodes - 1.0)) / grid.nodes
     inside = vbar.data[:, :band + 1]
@@ -336,7 +337,7 @@ def test_assembly_reads_parts_below_the_floor_as_zero(grid, nu):
     # values also feed the linear sigma and mu couplings, which read them
     # as they are, so they keep no sub-floor part here.
     k_max = 4
-    vbar = FourierField.zero(grid, k_max, with_sigma=-2.0 <= nu < 0.0)
+    vbar = FourierField.zero(grid, k_max, has_sigma_tail(nu))
     rng = np.random.default_rng(29)
     decay = np.exp(-(grid.nodes - 1.0)) / grid.nodes
     shape = vbar.data.shape
@@ -442,9 +443,9 @@ def test_picard_fixed_point_stability(grid):
     tol = 1e-11
     bundle = picard_solve(grid, -1.0, 1.0, 5, ForcingData(), b, tol=tol)
     rhs = assemble_rhs(bundle.v, bundle.forcing, bundle.mu, bundle.nu)
-    decays = {("theta", 0): 3.0 + 2 * bundle.tau.tau,
-              ("z", 0): 3.0 + 2 * bundle.tau.tau,
-              "nonzero": 3.0 + 2 * bundle.tau.tau}
+    tau = bundle.tau
+    decays = {("theta", 0): tau.decay_theta0, ("z", 0): tau.decay_z0,
+              "nonzero": tau.decay_nonzero}
     v_again, _ = solve_linear_system(grid, bundle.nu, bundle.mu, 5, rhs.rhs,
                                      decays, b)
     assert bnorm(v_again - bundle.v, bundle.tau.tau) <= 10 * tol
@@ -589,6 +590,52 @@ def test_picard_ball_invariance(grid):
 def test_nonuniqueness_requires_supercritical(grid):
     with pytest.raises(ConfigError, match="nu < -2"):
         nonuniqueness_pair(grid, -1.0, 1.0, 2, ForcingData(), BoundaryData(), 0.05)
+
+
+@pytest.mark.parametrize("nu, tail", [(0.5, False), (0.0, False),
+                                      (-1.0, True), (-2.0, True),
+                                      (-3.0, False), (np.nan, False),
+                                      (np.inf, False), (-np.inf, False)])
+def test_has_sigma_tail(nu, tail):
+    assert has_sigma_tail(nu) is tail
+
+
+@pytest.mark.parametrize("nu", [-2.0 - 1e-12, -2.0, np.nextafter(-2.0, 0.0)])
+def test_sigma_split_sits_at_one_nu_everywhere(grid, nu, monkeypatch):
+    # every site that splits on nu = -2 agrees with has_sigma_tail on both
+    # sides of the split and at it (nextafter(-2, -inf) is left out: tau
+    # rounds to 0 there and compute_tau refuses it)
+    import excyl.picard
+
+    tail = has_sigma_tail(nu)
+    zero = np.zeros(len(grid), dtype=complex)
+    assert (solve_zero_swirl(grid, nu, zero, 1e-3, 10.0).sigma is None) \
+        == (not tail)
+    assert (compute_tau(nu, 10.0, 10.0, 10.0).lambda_bar_theta < 10.0) \
+        == (not tail)
+    # the 2 sigma v_theta / r^2 coupling, set up as in test_rhs_sigma_coupling
+    vbar = FourierField.zero(grid, 1, with_sigma=True)
+    vbar.sigma = 0.3
+    c = _profile(grid, 1e-2)
+    vbar.set_mode(1, "theta", c)
+    rhs = assemble_rhs(vbar, ForcingData(), 0.0, nu).rhs
+    f_r1 = rhs[COMPONENTS.index("r"), 1]
+    want = 2.0 * 0.3 * c.values / grid.nodes ** 2 if tail else 0.0 * f_r1
+    np.testing.assert_allclose(f_r1, want, rtol=1e-12, atol=0.0)
+
+    # the pair refuses before it would solve anything
+    def no_solve(*args, **kwargs):
+        raise AssertionError("nonuniqueness_pair went on to solve")
+
+    monkeypatch.setattr(excyl.picard, "_lockstep", no_solve)
+    if tail:
+        with pytest.raises(ConfigError, match="nu < -2"):
+            nonuniqueness_pair(grid, nu, 1.0, 1, ForcingData(),
+                               BoundaryData(), 0.05)
+    else:
+        with pytest.raises(AssertionError, match="went on to solve"):
+            nonuniqueness_pair(grid, nu, 1.0, 1, ForcingData(),
+                               BoundaryData(), 0.05)
 
 
 def test_nonuniqueness_zero_shift_is_identity(grid):

@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Compare the `excyl solve`, `excyl nonunique`, `excyl calibrate`, `excyl
-bessel` and `excyl oracle` artifacts of two source trees.
+"""Compare the `excyl solve`, `excyl verify`, `excyl nonunique`, `excyl
+calibrate`, `excyl bessel` and `excyl oracle` artifacts of two source trees.
 
 Usage:
 
     python tools/compare_artifacts.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `excyl` package (the
-`src` directory of a checkout).  The script makes ten runs under each
-tree.  It runs `excyl solve` on four small built-in configurations: nu = -1
-with a forcing that gives a nonzero 1/r tail coefficient sigma, nu = -3,
+`src` directory of a checkout).  The script makes eleven runs under each
+tree.  It runs `excyl solve` on five small built-in configurations: nu = -1
+with a forcing that gives a nonzero 1/r tail coefficient sigma, the same at
+nu = -2, the edge of the range -2 <= nu < 0 that carries sigma, nu = -3,
 nu = -1 at K = 40 with boundary data up to mode 40, whose exp-weighted
 suffixes run at rates up to 2K = 80, and nu = -3 at K = 24 with data on
 mode 1 only, whose iterates never reach past mode 8 (modes 1, 2, 4, 8, 8,
-...).  Three more runs are `excyl nonunique --delta-mu 0.06` on the nu = -3
+...).  After each solve, `excyl verify` re-audits its output directory,
+which writes residuals_verify.csv; its stdout is saved as verify.txt.
+Three more runs are `excyl nonunique --delta-mu 0.06` on the nu = -3
 configuration, on the narrow nu = -3 one and on the nu = -3 one with
 relaxation = 0.7; they step the two problems of a non-uniqueness pair in
 lockstep on one grid and write separation.csv.  On the narrow one the steps
@@ -28,11 +31,11 @@ compares the exit status (the largest of a run's commands).  For every
 artifact it prints "identical" when the bytes agree, "same numbers,
 different text" when only the spelling differs (such as -0 against 0), or
 else the largest deviation of the file's numbers relative to the largest
-magnitude in the base file.  For the text reports summary.txt, bessel.txt
-and oracle.txt it then prints how many lines differ and the labels of the
-first five, such as "decay fit r,11" (the text before " = " or ": ", or
-the first two fields of a CSV row: the order and x of a bessel row, the
-case and n of an oracle one).
+magnitude in the base file.  For the text reports summary.txt, bessel.txt,
+oracle.txt and verify.txt it then prints how many lines differ and the
+labels of the first five, such as "decay fit r,11" (the text before " = "
+or ": ", or the first two fields of a CSV row: the order and x of a bessel
+row, the case and n of an oracle one).
 
 Exit status: 0 when every run exits alike and every artifact is
 byte-identical, 1 otherwise.
@@ -113,12 +116,17 @@ z,1 = 5e-4
 # nu = -3 again, under-relaxed: the blended iterates of a lockstep pair
 CONFIGS["nu-3-relaxed"] = CONFIGS["nu-3"].replace(
     "r_max = 60.0\n", "r_max = 60.0\nrelaxation = 0.7\n")
+# nu-1-sigma at nu = -2, the last nu whose zero swirl mode carries sigma
+CONFIGS["nu-2-edge"] = CONFIGS["nu-1-sigma"].replace("nu = -1.0\n",
+                                                     "nu = -2.0\n")
 
 # (label, configuration, excyl command lines: subcommand and options); a
 # run without a configuration writes no files, so the stdout of its
-# commands is saved as its artifact
-RUNS = [(name, name, [["solve"]])
-        for name in ("nu-1-sigma", "nu-3", "nu-1-wide", "nu-3-narrow")] + [
+# commands is saved as its artifact; verify reads the directory the solve
+# before it wrote
+RUNS = [(name, name, [["solve"], ["verify"]])
+        for name in ("nu-1-sigma", "nu-2-edge", "nu-3", "nu-1-wide",
+                     "nu-3-narrow")] + [
     (f"{name}-nonunique", name, [["nonunique", "--delta-mu", "0.06"]])
     for name in ("nu-3", "nu-3-narrow", "nu-3-relaxed")] + [
     ("nu-3-calibrate", "nu-3", [["calibrate", "--steps", "3"]]),
@@ -132,22 +140,33 @@ _NUMBER = re.compile(
     r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 
 # artifacts whose differing lines are also listed by label
-TEXT_REPORTS = ("summary.txt", "bessel.txt", "oracle.txt")
+TEXT_REPORTS = ("summary.txt", "bessel.txt", "oracle.txt", "verify.txt")
 
 
 def _run(src: Path, commands: list, config: Optional[Path], out: Path) -> int:
-    """Run the command lines in turn and return the largest exit status."""
+    """Run the command lines in turn and return the largest exit status.
+
+    `verify` re-audits out, and its stdout is saved there as verify.txt."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     status, stdout = 0, ""
     for command in commands:
-        args = command[1:] if config is None else [
-            str(config), *command[1:], "--output", str(out)]
+        if command[0] == "verify":
+            args = [str(out)]
+        elif config is None:
+            args = command[1:]
+        else:
+            args = [str(config), *command[1:], "--output", str(out)]
         proc = subprocess.run(
             [sys.executable, "-m", "excyl.cli", command[0], *args],
             env=env, capture_output=True, text=True)
         if proc.returncode not in (0, 3):  # 3: wrote artifacts, not converged
             sys.stderr.write(proc.stderr)
-        status, stdout = max(status, proc.returncode), stdout + proc.stdout
+        status = max(status, proc.returncode)
+        if command[0] == "verify":
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "verify.txt").write_text(proc.stdout)
+        else:
+            stdout += proc.stdout
     if config is None:
         out.mkdir(parents=True)
         (out / f"{commands[0][0]}.txt").write_text(stdout)
