@@ -46,7 +46,6 @@ from .modes import (
     MeridionalModeSolution,
     ZeroModeSwirlSolution,
     has_sigma_tail,
-    recover_pressure,
     solve_linear_system,
     solve_meridional_mode,
     solve_swirl_mode,
@@ -74,6 +73,7 @@ from .radial import (
     integrate_outer,
     weighted_sup,
 )
-from .residuals import ResidualReport, decay_fit, residual_asns
+from .residuals import (ResidualReport, decay_fit, recover_pressure,
+                        residual_asns)
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields, field as dc_field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
 from .modes import has_sigma_tail
 from .picard import (check_iteration_settings, compute_tau, nonuniqueness_pair,
                      picard_solve)
-from .radial import RadialGrid, RadialProfile, fd_bvp_solve
+from .radial import RadialGrid, fd_bvp_solve
 from .residuals import attach_residual_report, residual_asns
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CONVERGENCE, EXIT_IO = 0, 1, 2, 3, 4
@@ -253,15 +253,39 @@ def _write_csv(path: Path, header: List[str], columns: List[np.ndarray]):
     path.write_text(",".join(header) + "\n" + body)
 
 
-def _write_mode_csv(path: Path, grid: RadialGrid, profs: Dict[str, np.ndarray]):
-    header = ["r"]
+# a mode CSV holds r, then the real and imaginary parts of these rows
+_MODE_ROWS = ("v_r", "v_theta", "v_z", "w", "phi")
+_MODE_HEADER = ["r"] + [f"{p}_{n}" for n in _MODE_ROWS for p in ("re", "im")]
+
+
+def _write_mode_csv(path: Path, grid: RadialGrid, rows: List[np.ndarray]):
+    """rows are v_r, v_theta, v_z, then w and phi when present (zero
+    columns when not)."""
     cols = [grid.nodes]
-    zero = np.zeros(len(grid), dtype=complex)
-    for name in ("v_r", "v_theta", "v_z", "w", "phi"):
-        vals = profs.get(name, zero)
-        header += [f"re_{name}", f"im_{name}"]
+    for vals in rows + [np.zeros(len(grid))] * (len(_MODE_ROWS) - len(rows)):
         cols += [np.real(vals), np.imag(vals)]
-    _write_csv(path, header, cols)
+    _write_csv(path, _MODE_HEADER, cols)
+
+
+def _read_mode_csv(path: Path, grid: RadialGrid) -> np.ndarray:
+    """The rows v_r, v_theta, v_z, (3, n+1), of a mode CSV that solve wrote
+    on this grid.  Other columns, a row count other than n_radial + 1, an r
+    column other than the grid's nodes or a value that is not a finite
+    number is a ConfigError; a missing file is an OSError."""
+    header, *lines = path.read_text().splitlines() or [""]
+    if header.split(",") != _MODE_HEADER:
+        raise ConfigError(f"{path}: columns are not {','.join(_MODE_HEADER)}")
+    if len(lines) != len(grid):
+        raise ConfigError(f"{path}: {len(lines)} rows, not {len(grid)}")
+    try:
+        table = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not np.array_equal(table[:, 0], grid.nodes):
+        raise ConfigError(f"{path}: the r column is not the grid's nodes")
+    if not np.all(np.isfinite(table)):
+        raise ConfigError(f"{path} holds a value that is not finite")
+    return table[:, 1:7:2].T + 1j * table[:, 2:7:2].T
 
 
 def _write_residuals(path: Path, rep):
@@ -283,11 +307,10 @@ def _write_solution(cfg: RunConfig, bundle, out_dir: Path):
     (out_dir / "config.ini").write_text(render_config(cfg))
     grid = bundle.v.grid
     for k in range(0, cfg.k_max + 1):
-        profs = {f"v_{c}": bundle.v.profile(c, k).values for c in COMPONENTS}
+        rows = list(bundle.v.data[:, k, 0])  # v_r, v_theta, v_z
         if bundle.meridional is not None and k >= 1:
-            profs["w"] = bundle.meridional.w[k - 1]
-            profs["phi"] = bundle.meridional.phi[k - 1]
-        _write_mode_csv(out_dir / f"mode_{k}.csv", grid, profs)
+            rows += [bundle.meridional.w[k - 1], bundle.meridional.phi[k - 1]]
+        _write_mode_csv(out_dir / f"mode_{k}.csv", grid, rows)
     _write_residuals(out_dir / "residuals.csv", bundle.residual_report)
     (out_dir / "summary.txt").write_text(_summary_text(cfg, bundle))
 
@@ -346,12 +369,9 @@ def cmd_verify(args) -> int:
     cfg = parse_config((sol_dir / "config.ini").read_text())
     grid = cfg.grid()
     field = FourierField.zero(grid, cfg.k_max, has_sigma_tail(cfg.nu))
+    field.has_derivatives = False  # the CSVs hold values only
     for k in range(0, cfg.k_max + 1):
-        data = np.genfromtxt(sol_dir / f"mode_{k}.csv", delimiter=",",
-                             names=True)
-        for comp, name in (("r", "v_r"), ("theta", "v_theta"), ("z", "v_z")):
-            vals = data[f"re_{name}"] + 1j * data[f"im_{name}"]
-            field.set_mode(k, comp, RadialProfile(grid, vals))  # values only
+        field.data[:, k, 0] = _read_mode_csv(sol_dir / f"mode_{k}.csv", grid)
     if field.sigma is not None:
         field.sigma = _summary_sigma(sol_dir / "summary.txt")
     rep = residual_asns(field, cfg.nu, cfg.mu, forcing=cfg.forcing_data(),

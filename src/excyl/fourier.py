@@ -346,9 +346,10 @@ def synthesize(fieldv: FourierField, r, z, nu: float = 0.0, mu: float = 0.0,
     out = {}
     for comp in COMPONENTS:
         acc = 0.0
-        for k in range(-fieldv.k_max, fieldv.k_max + 1):
-            prof = fieldv.profile(comp, k).values
-            coeff = _interp_complex(fieldv.grid.nodes, prof, r)
+        for k, row in zip(range(-fieldv.k_max, fieldv.k_max + 1),
+                          fieldv.stack(comp)):
+            coeff = (np.interp(r, fieldv.grid.nodes, np.real(row))
+                     + 1j * np.interp(r, fieldv.grid.nodes, np.imag(row)))
             acc = acc + coeff * np.exp(1j * k * z)
         out[comp] = np.asarray(acc, dtype=complex)
     if fieldv.sigma is not None:
@@ -365,12 +366,6 @@ def synthesize(fieldv: FourierField, r, z, nu: float = 0.0, mu: float = 0.0,
     return tuple(np.real(out[c]) for c in COMPONENTS)
 
 
-def _interp_complex(x, y, xq):
-    if np.ndim(xq) == 0 or np.asarray(xq).shape == ():
-        xq = np.asarray(xq, dtype=float)
-    return np.interp(xq, x, np.real(y)) + 1j * np.interp(xq, x, np.imag(y))
-
-
 # ----------------------------------------------------------------------------
 # norms
 
@@ -378,14 +373,10 @@ def _interp_complex(x, y, xq):
 def vnorm(g: BoundaryData) -> float:
     """Boundary space norm: sum of (1 + k^2) |g_{j,k}|."""
     total = 0.0
-    for comp in COMPONENTS:
-        d = {"r": g.g_r, "theta": g.g_theta, "z": g.g_z}[comp]
-        seen = set()
-        for k in d:
-            for kk in (k, -k):
-                if kk not in seen:
-                    seen.add(kk)
-                    total += (1 + kk * kk) * abs(g.coefficient(comp, kk))
+    for comp, d in zip(COMPONENTS, (g.g_r, g.g_theta, g.g_z)):
+        # each given k and its conjugate -k once, in order of first mention
+        for k in dict.fromkeys(m for given in d for m in (given, -given)):
+            total += (1 + k * k) * abs(g.coefficient(comp, k))
     return total
 
 

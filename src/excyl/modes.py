@@ -1,5 +1,5 @@
-"""Per-mode linear solvers: zero-mode swirl/meridional, nonzero swirl,
-nonzero meridional via stream-function/vorticity, and pressure recovery.
+"""Per-mode linear solvers: zero-mode swirl/meridional, nonzero swirl and
+nonzero meridional via stream-function/vorticity (see residuals for pressure).
 
 All solvers evaluate explicit Green's-function representations; derivatives
 are produced by differentiating the representations (never by re-differencing
@@ -87,7 +87,6 @@ __all__ = [
     "solve_zero_meridional",
     "solve_swirl_mode",
     "solve_meridional_mode",
-    "recover_pressure",
 ]
 
 
@@ -468,19 +467,19 @@ def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
 
 
 def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
-                        rhs: np.ndarray, decays: dict, boundary,
+                        rhs: np.ndarray, tau, boundary,
                         band: Optional[int] = None):
     """Solve all modes |k| <= k_max of the linearized system.
 
     rhs is the (3, K+1, n) forcing f_{c,k} of the components c of
-    COMPONENTS (r, theta, z) and k = 0..K (RhsAssembly.rhs); decays
-    provides tail exponents under the keys ("theta", 0), ("z", 0) and
-    "nonzero".  The modes k = 1..K are solved as one stack per stage: the
-    swirl of every mode first, then the meridional pair, which takes the
-    rotation coupling 2 mu v_theta,k / r^2 from the fresh swirl.  Results
-    go straight into the field's dense array; k < 0 follows from conjugate
-    symmetry.  Returns the field and the MeridionalStacks (w, phi) of
-    modes 1..K.
+    COMPONENTS (r, theta, z) and k = 0..K (RhsAssembly.rhs); the forcing
+    tail exponents the solves declare are the TauInfo tau's decay_theta0
+    (zero swirl), decay_z0 (zero vertical) and decay_nonzero.  The modes
+    k = 1..K are solved as one stack per stage: the swirl of every mode
+    first, then the meridional pair, which takes the rotation coupling
+    2 mu v_theta,k / r^2 from the fresh swirl.  Results go straight into
+    the field's dense array; k < 0 follows from conjugate symmetry.
+    Returns the field and the MeridionalStacks (w, phi) of modes 1..K.
 
     P problems on one grid and nu are solved at once when rhs is a stack
     (P, 3, K+1, n), mu a sequence of P rates and boundary a sequence of P
@@ -513,14 +512,14 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
     data = np.zeros((len(f), len(COMPONENTS), k_max + 1, 3, len(grid)),
                     dtype=complex)
     swirl0 = solve_zero_swirl(grid, nu, f_theta[:, 0], g_theta[:, 0],
-                              decays[("theta", 0)])
+                              tau.decay_theta0)
     _, v_z0 = solve_zero_meridional(grid, nu, f_z[:, 0], g_z[:, 0],
-                                    decays[("z", 0)])
+                                    tau.decay_z0)
     for c, prof in ((1, swirl0.v_regular), (2, v_z0)):
         for d, values in enumerate((prof.values, prof.d1, prof.d2)):
             data[:, c, 0, d] = values
 
-    _check_mode(nu, decays["nonzero"], 1, "nonzero-mode")
+    _check_mode(nu, tau.decay_nonzero, 1, "nonzero-mode")
     w = phi = np.zeros((len(f), 0, len(grid)), dtype=complex)
     if m >= 1:
         ks = tuple(range(1, k_max + 1))
@@ -552,24 +551,3 @@ def _zero_padded(rows: np.ndarray, k_max: int) -> np.ndarray:
     out = np.zeros(rows.shape[:-2] + (k_max, rows.shape[-1]), dtype=rows.dtype)
     out[..., :rows.shape[-2], :] = rows
     return out
-
-
-def recover_pressure(grid: RadialGrid, k: int, nu: float, v_z: RadialProfile,
-                     f_z, f_decay: Optional[float] = None) -> RadialProfile:
-    """Pressure mode from the vertical momentum balance (k != 0):
-
-        ik pi_k = f_z + v_z'' + (1-nu)/r v_z' - k^2 v_z
-
-    For k = 0 pass the (audited) zero radial forcing as f_z: the radial
-    momentum balance reduces to pi_0' = f_{r,0}, integrated in from infinity.
-    """
-    r = grid.nodes
-    fv = np.asarray(_sample(f_z, grid), dtype=complex)
-    if k == 0:
-        if f_decay is None:
-            raise NumericError("zero-mode pressure recovery needs a decay exponent")
-        vals = -integrate_outer(fv, grid, decay_exponent=f_decay, check_tail=False)
-        return RadialProfile(grid, vals, d1=fv)
-    resid = fv + v_z.derivative(2) + (1.0 - nu) / r * v_z.derivative(1) \
-        - k * k * v_z.values
-    return RadialProfile(grid, resid / (1j * k))

@@ -381,8 +381,6 @@ def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
     with_sigma = has_sigma_tail(nu)
     states = [IterationState(FourierField.zero(grid, k_max, with_sigma))
               for _ in mus]
-    decays = {("theta", 0): tau.decay_theta0, ("z", 0): tau.decay_z0,
-              "nonzero": tau.decay_nonzero}
     # the forcing does not depend on the iterate: sample it once per solve
     samples = forcing.sample_stack(k_max, grid.nodes)
     samples.setflags(write=False)
@@ -401,7 +399,7 @@ def _lockstep(grid: RadialGrid, nu: float, mus, k_max: int,
         rhs = assemble_rhs(v, forcing, step_mus, nu, samples, band)
         band = min(k_max, max(2 * band, data_band))
         v_new, merid = solve_linear_system(
-            grid, nu, step_mus, k_max, rhs.rhs, decays,
+            grid, nu, step_mus, k_max, rhs.rhs, tau,
             [boundaries[p] for p in active], band)
         if relaxation != 1.0:
             v_new = v.blend(v_new, relaxation)
@@ -523,8 +521,9 @@ def nonuniqueness_pair(grid: RadialGrid, nu: float, mu: float, k_max: int,
     mask = grid.last_decade_mask()
     r = grid.nodes[mask]
     # z-average of u_theta is the zero swirl mode plus the background
-    u1 = np.real(first.v.profile("theta", 0).values[mask]) + mu / r
-    u2 = np.real(second.v.profile("theta", 0).values[mask]) + (mu + delta_mu) / r
+    th = COMPONENTS.index("theta")
+    u1 = np.real(first.v.data[th, 0, 0, mask]) + mu / r
+    u2 = np.real(second.v.data[th, 0, 0, mask]) + (mu + delta_mu) / r
     sep = r * (u1 - u2)
     dist = bnorm(first.v - second.v, first.tau.tau)
     basis = np.stack([np.ones_like(r), r ** (nu + 2.0)], axis=1)

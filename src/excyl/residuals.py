@@ -6,9 +6,10 @@ in z.  Nothing from the solvers' analytic derivative formulas enters here, so
 a wrong derivative or sign in a representation shows up as a residual.
 
 Momentum residuals target the stationary axisymmetric system in cylindrical
-components (advection + pressure gradient - viscous - forcing).  When no
-pressure is supplied, the r/z pair is checked in curl (pressure-eliminated)
-form d/dz(R_r) - d/dr(R_z); with 4K+1 z-samples that combination is evaluated
+components (advection + pressure gradient - viscous - forcing).  A solve
+supplies its pressure modes 0..K as one (K+1, n) array (recover_pressure);
+without them the r/z pair is checked in curl (pressure-eliminated) form
+d/dz(R_r) - d/dr(R_z); with 4K+1 z-samples that combination is evaluated
 without aliasing.  Residual maxima are split at r_max/2: the inner half
 reflects discretization quality, the outer half absorbs domain-truncation
 effects.
@@ -21,14 +22,14 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 from .fourier import (COMPONENTS, BoundaryData, ForcingData, FourierField,
                       convolve_product)
-from .modes import recover_pressure
-from .radial import decay_fit
+from .radial import decay_fit, integrate_outer
 
 __all__ = [
     "ResidualReport",
+    "recover_pressure",
     "residual_asns",
     "decay_fit",
     "attach_residual_report",
@@ -89,17 +90,36 @@ def _synth(name: str, stack: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _check_real(name, stack.T @ np.exp(1j * np.outer(k, z)))
 
 
+def recover_pressure(v: FourierField, nu: float, rhs) -> np.ndarray:
+    """The (K+1, n) pressure modes 0..K of a field v whose last step solved
+    the RhsAssembly rhs: pi_0' = f_{r,0} (the absorbed zero radial forcing)
+    integrated in from infinity, and for k = 1..K the vertical balance
+    ik pi_k = f_z + v_z'' + (1-nu)/r v_z' - k^2 v_z."""
+    r = v.grid.nodes
+    z = COMPONENTS.index("z")
+    pressure = np.empty((v.k_max + 1, len(r)), dtype=complex)
+    pressure[0] = -integrate_outer(rhs.absorbed_fr0, v.grid,
+                                   decay_exponent=rhs.absorbed_fr0_decay,
+                                   check_tail=False)
+    k = np.arange(1, v.k_max + 1)[:, None]
+    v_z, d1, d2 = v.data[z, 1:].swapaxes(0, 1)
+    pressure[1:] = (rhs.rhs[z, 1:] + d2 + (1.0 - nu) / r * d1
+                    - k * k * v_z) / (1j * k)
+    return pressure
+
+
 def residual_asns(field_v: FourierField, nu: float, mu: float,
                   forcing: Optional[ForcingData] = None,
-                  pressure: Optional[Dict[int, np.ndarray]] = None,
+                  pressure: Optional[np.ndarray] = None,
                   boundary: Optional[BoundaryData] = None,
                   z_offset: float = 0.0) -> ResidualReport:
     """Residuals of the full stationary system for the synthesized velocity.
 
     field_v holds the reduced solution; the scale-critical background
-    (nu/r) e_r + (mu/r) e_theta is added here.  pressure maps k >= 0 to
-    sampled pressure-mode values; without it the r/z momentum residuals are
-    evaluated in curl form.
+    (nu/r) e_r + (mu/r) e_theta is added here.  pressure is the (K+1, n)
+    array of the pressure modes 0..K (recover_pressure), any other shape a
+    DomainError; without it the r/z momentum residuals are evaluated in
+    curl form.
     """
     grid = field_v.grid
     r = grid.nodes
@@ -159,9 +179,10 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     cont = dr_u_r + u_r / rc + dz(u_z, 1)
 
     if pressure is not None:
-        zero = np.zeros(len(grid))
-        half = np.array([pressure.get(k, zero) for k in range(k_max + 1)],
-                        dtype=complex)
+        half = np.asarray(pressure, dtype=complex)
+        if half.shape != (k_max + 1, len(grid)):
+            raise DomainError(f"pressure must be the ({k_max + 1}, {len(grid)}) "
+                              f"array of modes 0..K, got shape {half.shape}")
         p = _synth("pressure", np.concatenate((np.conj(half[:0:-1]), half)), z)
         # supplied modes are the reduced pressure; the background pair
         # (nu/r, mu/r) carries its own exact pressure -(nu^2+mu^2)/(2 r^2)
@@ -191,7 +212,7 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
                 boundary_mismatch,
                 float(np.max(np.abs(u[0, :] - base - np.real(g)))))
 
-    report = ResidualReport(
+    return ResidualReport(
         momentum_r=mx(res_r, inner),
         momentum_theta=mx(eq_th, inner),
         momentum_z=mx(res_z, inner),
@@ -206,52 +227,37 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
                                  np.max(np.abs(eq_th), axis=1),
                                  np.max(np.abs(res_z), axis=1)], axis=1),
         curve_divergence=np.max(np.abs(cont), axis=1),
+        decay_fits={(comp, k): fit for k in range(k_max + 1)
+                    for c, comp in enumerate(COMPONENTS)
+                    if (fit := decay_fit(field_v.data[c, k, 0], grid))
+                    is not None},
     )
-    for k in range(0, k_max + 1):
-        for comp in COMPONENTS:
-            prof = field_v.profile(comp, k)
-            fit = decay_fit(prof.values, grid)
-            if fit is not None:
-                report.decay_fits[(comp, k)] = fit
-    return report
 
 
 def attach_residual_report(bundle) -> ResidualReport:
     """Recover the pressure modes and audit a converged solution bundle."""
-    grid = bundle.v.grid
-    pressure: Dict[int, np.ndarray] = {}
-    if bundle.rhs_final is not None:
-        p0 = recover_pressure(grid, 0, bundle.nu, None,
-                              bundle.rhs_final.absorbed_fr0,
-                              bundle.rhs_final.absorbed_fr0_decay)
-        pressure[0] = p0.values
-        f_z = bundle.rhs_final.rhs[2]
-        for k in range(1, bundle.v.k_max + 1):
-            vz = bundle.v.profile("z", k)
-            pressure[k] = recover_pressure(grid, k, bundle.nu, vz,
-                                           f_z[k]).values
+    pressure = (None if bundle.rhs_final is None
+                else recover_pressure(bundle.v, bundle.nu, bundle.rhs_final))
     report = residual_asns(bundle.v, bundle.nu, bundle.mu,
-                           forcing=bundle.forcing,
-                           pressure=pressure or None,
+                           forcing=bundle.forcing, pressure=pressure,
                            boundary=bundle.boundary)
     bundle.residual_report = report
     return report
 
 
-def manufactured_forcing(field_star: FourierField,
-                         pressure_star: Dict[int, np.ndarray],
+def manufactured_forcing(field_star: FourierField, pressure_star: np.ndarray,
                          nu: float, mu: float):
     """Forcing arrays that make field_star an exact reduced solution.
 
-    Pushes the manufactured modes (with their analytic derivatives) through
-    the reduced momentum equations, quadratic terms included; returns
-    {(component, k >= 0): sampled array}.  The zero radial mode is whatever
-    the pressure gradient absorbs and is returned too (the solver ignores it).
+    Pushes the manufactured modes (with their analytic derivatives) and the
+    (K+1, n) pressure modes 0..K through the reduced momentum equations,
+    quadratic terms included; returns {(component, k >= 0): sampled array}.
+    The zero radial mode is whatever the pressure gradient absorbs and is
+    returned too (the solver ignores it).
     """
     grid = field_star.grid
     r = grid.nodes
     k_max = field_star.k_max
-    zero = np.zeros(len(grid), dtype=complex)
 
     vals = {c: field_star.stack(c) for c in COMPONENTS}
     d1 = {c: field_star.stack(c, 1) for c in COMPONENTS}
@@ -259,25 +265,25 @@ def manufactured_forcing(field_star: FourierField,
     il = {c: ik * vals[c] for c in COMPONENTS}
 
     conv = lambda a, b: convolve_product(a, b, k_max)
-    quad = {}
-    quad["r"] = conv(vals["r"], d1["r"]), conv(vals["z"], il["r"])
-    quad["theta"] = conv(vals["r"], d1["theta"]), conv(vals["z"], il["theta"])
-    quad["z"] = conv(vals["r"], d1["z"]), conv(vals["z"], il["z"])
+    quad = {c: conv(vals["r"], d1[c]) + conv(vals["z"], il[c])
+            for c in COMPONENTS}
     cen = conv(vals["theta"], vals["theta"])
     stretch = conv(vals["r"], vals["theta"])
 
     sigma = field_star.sigma or 0.0
+    lin_coeff = {"r": (1.0 - nu), "theta": (1.0 + nu), "z": 0.0}
     out = {}
     for k in range(0, k_max + 1):
-        lin_coeff = {"r": (1.0 - nu), "theta": (1.0 + nu), "z": 0.0}
         v_th = vals["theta"][k_max + k]
-        for comp in COMPONENTS:
-            prof = field_star.profile(comp, k)
-            v = prof.values
-            lin = -(prof.d2 + (1.0 - nu) / r * prof.d1
+        pk = pressure_star[k]
+        grad_p = {"r": grid.differentiate(pk, 1), "theta": 0.0,
+                  "z": 1j * k * pk}
+        for c, comp in enumerate(COMPONENTS):
+            # the stack(c, 1) calls above refuse a field without derivatives
+            v, v_d1, v_d2 = field_star.data[c, k]
+            lin = -(v_d2 + (1.0 - nu) / r * v_d1
                     - lin_coeff[comp] / r ** 2 * v - k * k * v)
-            a, b = quad[comp]
-            q = a[k] + b[k]
+            q = quad[comp][k]
             if comp == "theta":
                 q = q + stretch[k] / r
             if comp == "r":
@@ -286,12 +292,5 @@ def manufactured_forcing(field_star: FourierField,
                     - 2.0 * mu * v_th / r ** 2
                 if k == 0:
                     q = q - (sigma * sigma + 2.0 * mu * sigma) / r ** 3
-            grad_p = zero
-            pk = pressure_star.get(k)
-            if pk is not None:
-                if comp == "r":
-                    grad_p = grid.differentiate(np.asarray(pk), 1)
-                elif comp == "z":
-                    grad_p = 1j * k * np.asarray(pk)
-            out[(comp, k)] = lin + q + grad_p
+            out[(comp, k)] = lin + q + grad_p[comp]
     return out

@@ -1,6 +1,7 @@
 """Config round-trip, run orchestration, artifact layout, determinism."""
 
 import filecmp
+import shutil
 
 import numpy as np
 import pytest
@@ -261,6 +262,109 @@ def test_verify_needs_the_summary_sigma(tmp_path, capsys):
                                if not ln.startswith("sigma = ")))
     assert main(["verify", str(out)]) == EXIT_CONFIG
     assert "sigma" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def solved_dir(tmp_path_factory):
+    """A SMALL_RUN solution directory (n = 256, K = 3), solved once."""
+    root = tmp_path_factory.mktemp("solved")
+    (root / "run.ini").write_text(SMALL_RUN)
+    out = root / "out"
+    assert main(["solve", str(root / "run.ini"), "--output", str(out)]) \
+        == EXIT_OK
+    return out
+
+
+def _edit_row(row, col, text):
+    """row (a line of 11 comma-separated fields) with field col replaced."""
+    cols = row.split(",")
+    cols[col] = text
+    return ",".join(cols)
+
+
+# (mode file, edit of its lines) for every way a mode CSV can stop being
+# the one solve wrote; field 0 is r, field 1 re_v_r
+_CORRUPTIONS = {
+    "renamed column": (1, lambda ls: [ls[0].replace("re_v_r", "re_v_x")]
+                       + ls[1:]),
+    "missing last row": (2, lambda ls: ls[:-1]),
+    "r off the nodes": (0, lambda ls: ls[:5] + [_edit_row(ls[5], 0, "1.5")]
+                        + ls[6:]),
+    "unparseable value": (0, lambda ls: ls[:5] + [
+        _edit_row(_edit_row(ls[5], 0, "1"), 3, "abc")] + ls[6:]),
+    "non-finite value": (3, lambda ls: ls[:9] + [_edit_row(ls[9], 5, "nan")]
+                         + ls[10:]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_verify_rejects_corrupted_mode_csvs(tmp_path, capsys, solved_dir,
+                                            corruption):
+    # a mode file must have solve's columns, n_radial + 1 rows, the grid's
+    # nodes as its r column and finite values; anything else is a config
+    # error naming the file, not a traceback, a numeric error or a NaN audit
+    out = tmp_path / "out"
+    shutil.copytree(solved_dir, out)
+    k, edit = _CORRUPTIONS[corruption]
+    path = out / f"mode_{k}.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_CONFIG
+    assert f"mode_{k}.csv" in capsys.readouterr().err
+
+
+_NU_3_RUN = """
+[params]
+nu = -3.0
+mu = 1.0
+k_max = 3
+n_radial = 256
+r_max = 60.0
+
+[boundary]
+theta,1 = 1e-3
+z,1 = 5e-4
+r,2 = 5e-4
+"""
+
+
+@pytest.mark.parametrize("config", [SMALL_RUN, _NU_3_RUN],
+                         ids=["nu-1-sigma", "nu-3"])
+def test_verify_repeats_the_pressure_free_report_lines(tmp_path, capsys,
+                                                       config):
+    # verify audits the written values without a pressure, in curl form;
+    # every report line that needs no pressure must equal solve's.  The r,
+    # z and outer momentum lines differ, and the curl audit of the values
+    # reads far above solve's direct one (ROADMAP item 2): inner r and z
+    # 2.2e-8 and 1.6e-8 against 2.9e-6 at nu = -1, 5.2e-7 and 1.6e-6
+    # against 1.2e-4 at nu = -3
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(config)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg_file), "--output", str(out)]) == EXIT_OK
+    summary = (out / "summary.txt").read_text()
+    report = summary.split("[residuals]\n")[1].split("\n\n")[0]
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_OK
+    solve, verify = ({ln.split(":")[0]: ln for ln in text.splitlines()}
+                     for text in (report, capsys.readouterr().out))
+    assert solve.keys() == verify.keys()
+    differ = {f"momentum residual ({which})"
+              for which in ("r, inner half", "z, inner half", "outer half")}
+    fits = [label for label in solve if label.startswith("decay fit ")]
+    assert len(fits) >= 6
+    for label in solve:
+        if label in differ:
+            assert solve[label] != verify[label], label
+        elif label != "pressure handling":
+            assert solve[label] == verify[label], label
+    assert solve["pressure handling"].endswith(" direct")
+    assert verify["pressure handling"].endswith(" curl")
+    for which in ("r", "z"):
+        label = f"momentum residual ({which}, inner half)"
+        value = {side: float(lines[label].split()[-1])
+                 for side, lines in (("solve", solve), ("verify", verify))}
+        assert value["verify"] > 10.0 * value["solve"], label
 
 
 def test_verify_missing_summary_is_io_error(tmp_path, capsys):

@@ -5,16 +5,17 @@ import pytest
 
 from excyl.bessel import kernel_I_derivs, kernel_K, kernel_K_derivs
 from excyl.errors import DomainError, NumericError
-from excyl.fourier import BoundaryData
+from excyl.fourier import BoundaryData, FourierField
 from excyl.modes import (
-    recover_pressure,
     solve_linear_system,
     solve_meridional_mode,
     solve_swirl_mode,
     solve_zero_meridional,
     solve_zero_swirl,
 )
+from excyl.picard import RhsAssembly, TauInfo
 from excyl.radial import RadialGrid, RadialProfile, fd_bvp_solve, fd_meridional_solve
+from excyl.residuals import recover_pressure
 
 from oracles import assert_same_bits
 
@@ -31,6 +32,22 @@ def _zeros(grid):
 def _no_forcing(grid, k_max):
     """solve_linear_system's (3, K+1, n) forcing, all zero."""
     return np.zeros((3, k_max + 1, len(grid)), dtype=complex)
+
+
+def _decays(theta0=10.0, z0=10.0, nonzero=10.0):
+    """A TauInfo that carries only the solve decays solve_linear_system reads."""
+    return TauInfo(np.nan, np.nan, np.nan, theta0, z0, nonzero)
+
+
+def _pressure(grid, k, nu, v_z, f_z, fr0=None, fr0_decay=10.0):
+    """recover_pressure's modes 0..k for a field whose only mode is v_z at k,
+    with vertical forcing f_z at k and absorbed zero radial forcing fr0."""
+    field = FourierField.zero(grid, k, with_sigma=False)
+    field.set_mode(k, "z", v_z)
+    rhs = _no_forcing(grid, k)
+    rhs[2, k] = f_z
+    absorbed = _zeros(grid) if fr0 is None else fr0
+    return recover_pressure(field, nu, RhsAssembly(rhs, absorbed, fr0_decay, 0.0))
 
 
 # --- zero-mode swirl ----------------------------------------------------------
@@ -334,8 +351,8 @@ def test_meridional_stream_equation_residual(grid):
 
 def test_pressure_zero_for_zero_solution(grid):
     prof = RadialProfile.zero(grid)
-    p = recover_pressure(grid, 1, -1.0, prof, _zeros(grid), 10.0)
-    assert np.max(np.abs(p.values)) == 0.0
+    p = _pressure(grid, 1, -1.0, prof, _zeros(grid))
+    assert np.max(np.abs(p[1])) == 0.0
 
 
 def test_pressure_manufactured_mode(grid):
@@ -350,15 +367,15 @@ def test_pressure_manufactured_mode(grid):
     f_z = -(d2 + (1.0 - nu) / r * d1 - k * k * v) + 1j * k * pi_star
     prof = RadialProfile(grid, v.astype(complex), d1.astype(complex),
                          d2.astype(complex))
-    p = recover_pressure(grid, k, nu, prof, f_z, 2.0)
-    np.testing.assert_allclose(p.values, pi_star, rtol=1e-12, atol=1e-14)
+    p = _pressure(grid, k, nu, prof, f_z)
+    np.testing.assert_allclose(p[k], pi_star, rtol=1e-12, atol=1e-14)
 
 
 def test_pressure_zero_mode_integrates_inward(grid):
     # pi_0' = f_{r,0}: with f = -2 s^-3 the zero-mode pressure is r^-2
     f = -2.0 * grid.nodes ** -3.0
-    p = recover_pressure(grid, 0, -1.0, RadialProfile.zero(grid), f, 3.0)
-    np.testing.assert_allclose(p.values, grid.nodes ** -2.0, rtol=1e-6)
+    p = _pressure(grid, 0, -1.0, RadialProfile.zero(grid), _zeros(grid), f, 3.0)
+    np.testing.assert_allclose(p[0], grid.nodes ** -2.0, rtol=1e-6)
 
 
 def test_pressure_radial_momentum_residual(grid):
@@ -371,9 +388,9 @@ def test_pressure_radial_momentum_residual(grid):
     g_z = -probe.closure.A_k * g_r / probe.closure.B_k
     sol = solve_meridional_mode(grid, k, nu, _zeros(grid), _zeros(grid),
                                 g_r, g_z, 10.0)
-    p = recover_pressure(grid, k, nu, sol.v_z, _zeros(grid), 10.0)
+    p = _pressure(grid, k, nu, sol.v_z, _zeros(grid))
     r = grid.nodes
-    dp = grid.differentiate(p.values, 1)
+    dp = grid.differentiate(p[k], 1)
     res = -(sol.v_r.d2 + (1.0 - nu) / r * sol.v_r.d1
             - ((1.0 - nu) / r ** 2 + k * k) * sol.v_r.values) + dp
     inner = (r > 1.2) & (r < 50.0)
@@ -386,7 +403,7 @@ def test_pressure_radial_momentum_residual(grid):
 def test_driver_mirrors_and_couples(grid):
     boundary = BoundaryData(g_theta={1: 1e-2}, g_r={1: 5e-3}, g_z={1: -2e-3j})
     rhs = _no_forcing(grid, 2)
-    decays = {("theta", 0): 10.0, ("z", 0): 10.0, "nonzero": 10.0}
+    decays = _decays()
     field, merid = solve_linear_system(grid, -1.0, 2.0, 2, rhs, decays,
                                        boundary)
     assert field.divergence_defect() < 1e-10
@@ -415,7 +432,7 @@ def test_driver_rows_equal_single_mode_solves(grid):
         rhs[2, k] = -2e-5j * (k + 1) * r ** -7.0
     boundary = BoundaryData(g_theta={1: 1e-3, 3: 2e-4j}, g_r={2: 5e-4},
                             g_z={1: -3e-4j, 2: 1e-4})
-    decays = {("theta", 0): 6.0, ("z", 0): 7.0, "nonzero": lam}
+    decays = _decays(6.0, 7.0, lam)
     field, merid = solve_linear_system(grid, nu, mu, k_max, rhs, decays,
                                        boundary)
     assert merid.w.shape == merid.phi.shape == (k_max, len(grid))
@@ -520,7 +537,7 @@ def test_fresh_grid_evaluates_each_distinct_bessel_order_once(monkeypatch, nu,
         monkeypatch.setattr(excyl.bessel, name, counting)
     g = RadialGrid.graded(128, 60.0, 2.0)
     k_max = 3
-    decays = {("theta", 0): 10.0, ("z", 0): 10.0, "nonzero": 10.0}
+    decays = _decays()
     b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
     solve_linear_system(g, nu, 1.0, k_max, _no_forcing(g, k_max), decays, b)
     assert len(calls) == len(set(calls)) == 2 * k_max * distinct

@@ -443,11 +443,8 @@ def test_picard_fixed_point_stability(grid):
     tol = 1e-11
     bundle = picard_solve(grid, -1.0, 1.0, 5, ForcingData(), b, tol=tol)
     rhs = assemble_rhs(bundle.v, bundle.forcing, bundle.mu, bundle.nu)
-    tau = bundle.tau
-    decays = {("theta", 0): tau.decay_theta0, ("z", 0): tau.decay_z0,
-              "nonzero": tau.decay_nonzero}
     v_again, _ = solve_linear_system(grid, bundle.nu, bundle.mu, 5, rhs.rhs,
-                                     decays, b)
+                                     bundle.tau, b)
     assert bnorm(v_again - bundle.v, bundle.tau.tau) <= 10 * tol
 
 

@@ -506,9 +506,12 @@ def test_first_rows_scan_reads_the_full_plan():
 
 
 def _pressure(g, f):
-    from excyl.modes import recover_pressure
+    from excyl.fourier import FourierField
+    from excyl.picard import RhsAssembly
+    from excyl.residuals import recover_pressure
 
-    return recover_pressure(g, 0, -1.0, None, f, 4.0)
+    rhs = RhsAssembly(np.zeros((3, 1, len(g)), dtype=complex), f, 4.0, 0.0)
+    return recover_pressure(FourierField.zero(g, 0, False), -1.0, rhs)
 
 
 def _swirl_mode(g, f):

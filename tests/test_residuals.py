@@ -4,14 +4,17 @@ solutions through both the linear and nonlinear paths."""
 import numpy as np
 import pytest
 
-from excyl.errors import NumericError
+from excyl.errors import DomainError, NumericError
 from excyl.fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
                            FourierField)
 from excyl.modes import solve_linear_system
-from excyl.picard import picard_solve
-from excyl.radial import RadialGrid, RadialProfile
+from excyl.picard import TauInfo, picard_solve
+from excyl.radial import RadialGrid, RadialProfile, integrate_outer
 from excyl.residuals import (attach_residual_report, decay_fit,
-                             manufactured_forcing, residual_asns)
+                             manufactured_forcing, recover_pressure,
+                             residual_asns)
+
+from oracles import assert_same_bits
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +117,9 @@ def _boundary_of(field):
 
 def _pressure_of(grid, amp):
     r = grid.nodes
-    return {0: amp * np.exp(-(r - 1.0)),
-            1: amp * (0.2 + 0.1j) * np.exp(-(r - 1.0))}
+    return np.array([amp * np.exp(-(r - 1.0)),
+                     amp * (0.2 + 0.1j) * np.exp(-(r - 1.0)),
+                     np.zeros(len(grid))])
 
 
 def test_manufactured_forcing_closes_residual(grid):
@@ -153,7 +157,7 @@ def test_manufactured_linear_solve_recovers_field():
             lin[c, k] = arr + quad.rhs[c, k]
         # assemble_rhs already dropped the k=0 radial mode; the linear driver
         # ignores it anyway
-        decays = {("theta", 0): 10.0, ("z", 0): 10.0, "nonzero": 10.0}
+        decays = TauInfo(np.nan, np.nan, np.nan, 10.0, 10.0, 10.0)
         solved, _ = solve_linear_system(g, nu, mu, 2, lin, decays,
                                         _boundary_of(field))
         err = 0.0
@@ -198,6 +202,45 @@ def test_audit_holds_with_a_sizable_sigma():
     assert bundle.converged
     assert bundle.sigma == pytest.approx(1e-2, rel=0.05)
     assert bundle.residual_report.max_momentum < 1e-6
+
+
+def _reference_pressure(bundle):
+    """Independent copy of the pressure recovery one mode at a time: the
+    zero mode integrated in from the absorbed radial forcing, then the
+    vertical balance of each mode k = 1..K on its own profile."""
+    grid, nu, rhs = bundle.v.grid, bundle.nu, bundle.rhs_final
+    r = grid.nodes
+    rows = [-integrate_outer(np.asarray(rhs.absorbed_fr0, dtype=complex),
+                             grid, decay_exponent=rhs.absorbed_fr0_decay,
+                             check_tail=False)]
+    for k in range(1, bundle.v.k_max + 1):
+        v_z = bundle.v.profile("z", k)
+        f_z = np.asarray(rhs.rhs[2][k], dtype=complex)
+        resid = f_z + v_z.derivative(2) + (1.0 - nu) / r * v_z.derivative(1) \
+            - k * k * v_z.values
+        rows.append(resid / (1j * k))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("nu", [-1.0, -2.5])
+def test_dense_pressure_keeps_the_per_mode_bits(grid, nu):
+    # the (K+1, n) pressure of one vectorised expression has the bits of
+    # the mode-by-mode recovery, and the audit takes no other shape; at
+    # nu = -1 the factor 1 - nu = 2 is exact, so -2.5 checks its rounding
+    forcing = ForcingData({
+        ("theta", 0): ForcingMode(lambda r: 1e-4 * r ** -10.0, 10.0),
+        ("r", 0): ForcingMode(lambda r: 2e-4 * r ** -6.0, 6.0),
+        ("z", 2): ForcingMode(lambda r: (1e-4 - 3e-5j) * r ** -12.0, 12.0)})
+    b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4}, g_r={3: 2e-4})
+    bundle = picard_solve(grid, nu, 1.0, 4, forcing, b)
+    assert bundle.converged and bundle.v.k_max >= 3
+    pressure = recover_pressure(bundle.v, bundle.nu, bundle.rhs_final)
+    assert pressure.shape == (5, len(grid))
+    assert np.max(np.abs(pressure[1:])) > 0.0
+    assert_same_bits(pressure, _reference_pressure(bundle))
+    for bad in (pressure[:-1], np.zeros((5, len(grid) + 1), dtype=complex)):
+        with pytest.raises(DomainError, match="pressure"):
+            residual_asns(bundle.v, nu, 1.0, forcing=forcing, pressure=bad)
 
 
 def test_tampered_solution_detected(grid):

@@ -19,7 +19,10 @@ which writes residuals_verify.csv; its stdout is saved as verify.txt.
 Three more runs are `excyl nonunique --delta-mu 0.06` on the nu = -3
 configuration, on the narrow nu = -3 one and on the nu = -3 one with
 relaxation = 0.7; they step the two problems of a non-uniqueness pair in
-lockstep on one grid and write separation.csv.  On the narrow one the steps
+lockstep on one grid and write separation.csv.  Their stdout, which holds
+the fitted limit, the distance of the pair and the residual maxima of both
+audits, is saved as nonunique.txt, with the run's output directory (named
+by its `wrote` line) replaced by OUTPUT_DIR.  On the narrow one the steps
 run below the full band and the first problem retires before the second;
 the relaxed one blends each problem's iterates.  One run is `excyl
 calibrate --steps 3` on the nu = -3 configuration, which writes
@@ -32,7 +35,7 @@ artifact it prints "identical" when the bytes agree, "same numbers,
 different text" when only the spelling differs (such as -0 against 0), or
 else the largest deviation of the file's numbers relative to the largest
 magnitude in the base file.  For the text reports summary.txt, bessel.txt,
-oracle.txt and verify.txt it then prints how many lines differ and the
+oracle.txt, verify.txt and nonunique.txt it then prints how many lines differ and the
 labels of the first five, such as "decay fit r,11" (the text before " = "
 or ": ", or the first two fields of a CSV row: the order and x of a bessel
 row, the case and n of an oracle one).
@@ -123,7 +126,7 @@ CONFIGS["nu-2-edge"] = CONFIGS["nu-1-sigma"].replace("nu = -1.0\n",
 # (label, configuration, excyl command lines: subcommand and options); a
 # run without a configuration writes no files, so the stdout of its
 # commands is saved as its artifact; verify reads the directory the solve
-# before it wrote
+# before it wrote, and the stdout of verify and nonunique is saved too
 RUNS = [(name, name, [["solve"], ["verify"]])
         for name in ("nu-1-sigma", "nu-2-edge", "nu-3", "nu-1-wide",
                      "nu-3-narrow")] + [
@@ -140,13 +143,19 @@ _NUMBER = re.compile(
     r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 
 # artifacts whose differing lines are also listed by label
-TEXT_REPORTS = ("summary.txt", "bessel.txt", "oracle.txt", "verify.txt")
+TEXT_REPORTS = ("summary.txt", "bessel.txt", "oracle.txt", "verify.txt",
+                "nonunique.txt")
+# subcommands whose stdout is saved as <subcommand>.txt in the output
+# directory, with the directory's own path replaced by this placeholder
+SAVED_STDOUT = ("verify", "nonunique")
+OUTPUT_PLACEHOLDER = "OUTPUT_DIR"
 
 
 def _run(src: Path, commands: list, config: Optional[Path], out: Path) -> int:
     """Run the command lines in turn and return the largest exit status.
 
-    `verify` re-audits out, and its stdout is saved there as verify.txt."""
+    `verify` re-audits out; its stdout and nonunique's are saved there as
+    verify.txt and nonunique.txt."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     status, stdout = 0, ""
     for command in commands:
@@ -162,9 +171,10 @@ def _run(src: Path, commands: list, config: Optional[Path], out: Path) -> int:
         if proc.returncode not in (0, 3):  # 3: wrote artifacts, not converged
             sys.stderr.write(proc.stderr)
         status = max(status, proc.returncode)
-        if command[0] == "verify":
+        if command[0] in SAVED_STDOUT:
             out.mkdir(parents=True, exist_ok=True)
-            (out / "verify.txt").write_text(proc.stdout)
+            (out / f"{command[0]}.txt").write_text(
+                proc.stdout.replace(str(out), OUTPUT_PLACEHOLDER))
         else:
             stdout += proc.stdout
     if config is None:
