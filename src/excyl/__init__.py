@@ -63,7 +63,6 @@ from .picard import (
 from .radial import (
     RadialGrid,
     RadialProfile,
-    WeightedNorm,
     exp_weighted_integrals,
     exp_weighted_prefix,
     exp_weighted_suffix,

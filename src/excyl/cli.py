@@ -117,12 +117,18 @@ class RunConfig:
     def boundary_data(self) -> BoundaryData:
         g = {"r": {}, "theta": {}, "z": {}}
         for comp, k, val in self.boundary:
-            g[comp][k] = g[comp].get(k, 0.0) + val
+            g[comp][k] = val
         return BoundaryData(g_r=g["r"], g_theta=g["theta"], g_z=g["z"])
 
     def forcing_data(self) -> ForcingData:
+        # the families are real, so modes k and -k must be one function
+        spec = {(comp, k): f"{fam}{args}"
+                for comp, k, fam, args in self.forcing}
         modes = {}
         for comp, k, family, args in self.forcing:
+            if spec.get((comp, -k), spec[comp, k]) != spec[comp, k]:
+                raise ConfigError(f"forcing {comp},{k} = {spec[comp, k]} and "
+                                  f"{comp},{-k} = {spec[comp, -k]} differ")
             if family == "power_decay":
                 amp, p = args
 
@@ -150,12 +156,16 @@ _PARAMS = {f.name.rstrip("_"): (f.name, type(f.default))
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the flat INI run description."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can name the section "", so [DEFAULT] is an unknown section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    for section in cp.sections():
+        if section not in ("params", "boundary", "forcing"):
+            raise ConfigError(f"unknown section [{section}]")
     cfg = RunConfig()
     if cp.has_section("params"):
         for key, raw in cp.items("params"):
@@ -169,9 +179,13 @@ def parse_config(text: str) -> RunConfig:
     for section, parser in (("boundary", _parse_boundary_item),
                             ("forcing", _parse_forcing_item)):
         if cp.has_section(section):
-            items = getattr(cfg, section)
+            keys = {}  # (component, k) -> the key that gave it
             for key, raw in cp.items(section):
-                items.append(parser(key, raw))
+                item = parser(key, raw)
+                if keys.setdefault(item[:2], key) != key:
+                    raise ConfigError(f"[{section}] gives {item[0]},{item[1]} "
+                                      f"twice: {keys[item[:2]]!r}, {key!r}")
+                getattr(cfg, section).append(item)
     return cfg.validate()
 
 
@@ -384,15 +398,18 @@ def cmd_verify(args) -> int:
 def _summary_sigma(path: Path) -> float:
     """The 1/r tail coefficient from a solve summary's `sigma = ` line.
 
-    A missing summary is an OSError; a missing or unparseable line is a
-    ConfigError.
+    A missing summary is an OSError; a missing line, or one that does not
+    hold a finite float, is a ConfigError.
     """
     for line in path.read_text().splitlines():
         if line.startswith("sigma = "):
             try:
-                return float(line[len("sigma = "):])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: bad sigma line {line!r}") from exc
+                sigma = float(line[len("sigma = "):])
+            except ValueError:
+                sigma = np.nan
+            if not np.isfinite(sigma):
+                raise ConfigError(f"{path}: bad sigma line {line!r}")
+            return sigma
     raise ConfigError(f"{path} has no 'sigma = <float>' line")
 
 

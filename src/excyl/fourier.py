@@ -109,16 +109,6 @@ class FourierField:
             half = half.swapaxes(0, 1)
         return np.concatenate((np.conj(half[:0:-1]), half))
 
-    def divergence_defect(self) -> float:
-        """Max over modes of | ik v_z + v_r' + v_r/r | on the grid."""
-        vr, vz = self.data[0, :, 0], self.data[2, :, 0]
-        if self.has_derivatives:
-            d1 = self.data[0, :, 1]
-        else:
-            d1 = self.grid.differentiate(vr.T, 1).T
-        ik = 1j * np.arange(self.k_max + 1)[:, None]
-        return float(np.max(np.abs(ik * vz + d1 + vr / self.grid.nodes)))
-
     def __sub__(self, other: "FourierField") -> "FourierField":
         return self._combine(other, lambda a, b: a - b)
 
@@ -253,24 +243,6 @@ class ForcingData:
                 out[c, k] = self.sample(comp, k, r)
         return out
 
-    @classmethod
-    def from_grid_arrays(cls, grid, arrays, decay: float = 10.0,
-                         lambda_theta: float = 10.0, lambda_z: float = 10.0,
-                         lambda_: float = 10.0) -> "ForcingData":
-        """Wrap sampled arrays {(component, k >= 0): values} as forcing modes."""
-        modes = {}
-        for (comp, k), vals in arrays.items():
-            vals = np.asarray(vals, dtype=complex)
-
-            def func(r, _v=vals, _g=grid):
-                re = np.interp(r, _g.nodes, np.real(_v))
-                im = np.interp(r, _g.nodes, np.imag(_v))
-                return re + 1j * im
-
-            modes[(comp, k)] = ForcingMode(func, decay)
-        return cls(modes=modes, lambda_theta=lambda_theta, lambda_z=lambda_z,
-                   lambda_=lambda_)
-
     def decay(self, component: str, k: int) -> float:
         mode = self.modes.get((component, k)) or self.modes.get((component, -k))
         if mode is None:
@@ -389,12 +361,12 @@ def enorm(f: ForcingData, grid: RadialGrid) -> float:
         vals = f.sample(comp, k, r)
         if k == 0:
             if comp == "theta":
-                total += weighted_sup(vals, grid, f.lambda_theta).value
+                total += weighted_sup(vals, grid, f.lambda_theta)
             elif comp == "z":
-                total += weighted_sup(vals, grid, f.lambda_z).value
+                total += weighted_sup(vals, grid, f.lambda_z)
             # f_{r,0} is unrestricted (absorbed into the pressure zero mode)
         else:
-            total += weighted_sup(vals, grid, f.lambda_).value
+            total += weighted_sup(vals, grid, f.lambda_)
     return total
 
 

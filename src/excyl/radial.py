@@ -50,7 +50,6 @@ from .errors import DomainError, NumericError
 __all__ = [
     "RadialGrid",
     "RadialProfile",
-    "WeightedNorm",
     "weighted_sup",
     "integrate_inner",
     "integrate_outer",
@@ -143,14 +142,6 @@ class RadialGrid:
 
     def __len__(self):
         return self.nodes.size
-
-    def node_index(self, r: float) -> int:
-        if not math.isfinite(r):
-            raise DomainError(f"r = {r} is not a grid node")
-        idx = int(np.argmin(np.abs(self.nodes - r)))
-        if abs(self.nodes[idx] - r) > 1e-9 * max(1.0, abs(r)):
-            raise DomainError(f"r = {r} is not a grid node")
-        return idx
 
     def last_decade_mask(self) -> np.ndarray:
         return self.nodes >= self.r_max / 10.0
@@ -284,23 +275,10 @@ class RadialProfile:
             return self.d2
         raise DomainError("only derivatives of order <= 2 are stored")
 
-    def weighted_sup(self, zeta: float, order: int = 0) -> "WeightedNorm":
-        return weighted_sup(self.derivative(order), self.grid, zeta)
 
-
-@dataclass(frozen=True)
-class WeightedNorm:
-    """sup over nodes of r^zeta |s(r)| plus the node where it is attained."""
-
-    zeta: float
-    value: float
-    argmax_r: float
-
-
-def weighted_sup(values, grid: RadialGrid, zeta: float) -> WeightedNorm:
-    w = grid.nodes ** zeta * np.abs(np.asarray(values))
-    i = int(np.argmax(w))
-    return WeightedNorm(zeta, float(w[i]), float(grid.nodes[i]))
+def weighted_sup(values, grid: RadialGrid, zeta: float) -> float:
+    """sup over nodes of r^zeta |s(r)| (NaN when a value is NaN)."""
+    return float(np.max(grid.nodes ** zeta * np.abs(np.asarray(values))))
 
 
 # ----------------------------------------------------------------------------
@@ -356,27 +334,20 @@ def _check_declared_tail(values, grid: RadialGrid, p: float, total) -> None:
             RuntimeWarning, stacklevel=3)
 
 
-def integrate_inner(f, grid: RadialGrid, r: Optional[float] = None):
-    """int_1^r f ds at grid nodes (all nodes when r is None), along the last
-    axis of f."""
-    prefix = exp_weighted_integrals(grid, f, 0.0, None, None)[0]
-    if r is None:
-        return prefix
-    return prefix[..., grid.node_index(r)]
+def integrate_inner(f, grid: RadialGrid):
+    """int_1^r f ds at every node r, along the last axis of f."""
+    return exp_weighted_integrals(grid, f, 0.0, None, None)[0]
 
 
-def integrate_outer(f, grid: RadialGrid, r: Optional[float] = None,
-                    decay_exponent: Optional[float] = None, check_tail: bool = True):
-    """int_r^inf f ds = quadrature to r_max + analytic power-law tail, along
-    the last axis of f."""
+def integrate_outer(f, grid: RadialGrid, decay_exponent: Optional[float] = None,
+                    check_tail: bool = True):
+    """int_r^inf f ds at every node r = quadrature to r_max + analytic
+    power-law tail, along the last axis of f."""
     if decay_exponent is None:
         raise NumericError("outer integrals need a declared decay exponent")
-    out = exp_weighted_integrals(grid, None, None, f, 0.0,
-                                 decay_exponent=decay_exponent,
-                                 check_tail=check_tail)[1]
-    if r is None:
-        return out
-    return out[..., grid.node_index(r)]
+    return exp_weighted_integrals(grid, None, None, f, 0.0,
+                                  decay_exponent=decay_exponent,
+                                  check_tail=check_tail)[1]
 
 
 # ----------------------------------------------------------------------------

@@ -69,6 +69,17 @@ def test_validation_messages():
         parse_config("[params]\nnu = -1.0\n[forcing]\ntheta,0 = cubic(1,2)\n")
 
 
+@pytest.mark.parametrize("text, section", [
+    ("[boundry]\ntheta,1 = 1e-3\n", "boundry"),
+    # configparser would otherwise merge [DEFAULT] into every section
+    ("[DEFAULT]\nnu = -3.0\n", "DEFAULT"),
+    (MINIMAL + "[Forcing]\ntheta,0 = power_decay(1e-3, 10)\n", "Forcing")],
+    ids=["misspelled", "DEFAULT", "capitalised"])
+def test_unknown_sections_are_config_errors(text, section):
+    with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+        parse_config(text)
+
+
 def test_forcing_families():
     cfg = parse_config(SMALL_RUN)
     f = cfg.forcing_data()
@@ -170,6 +181,46 @@ def test_bad_forcing_arguments_are_config_errors(tmp_path, capsys, item):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, lines, message", [
+    ("boundary", ["theta,1 = 1e-3", "theta, 1 = 1e-3"],
+     "theta,1 twice: 'theta,1', 'theta, 1'"),
+    ("forcing", ["z,1 = power_decay(1e-3, 5)", "z, 1 = power_decay(2e-3, 5)"],
+     "z,1 twice: 'z,1', 'z, 1'"),
+    # a real family's modes k and -k are one function
+    ("forcing", ["theta,1 = power_decay(1e-3, 5)",
+                 "theta,-1 = power_decay(2e-3, 5)"], "differ"),
+    ("forcing", ["r,2 = power_decay(1e-3, 5)",
+                 "r,-2 = power_exp_decay(1e-3, 5, 0.0)"], "differ")],
+    ids=["boundary-twice", "forcing-twice", "pair-args", "pair-family"])
+def test_mode_given_twice_is_config_error(tmp_path, capsys, section, lines,
+                                          message):
+    text = MINIMAL + f"[{section}]\n" + "\n".join(lines) + "\n"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mode_keys_are_read_as_integers(tmp_path):
+    # 'theta, 1', 'z,+2' and 'r,02' name modes 1, 2 and 2; config.ini
+    # writes them back as 'theta,1', 'z,2' and 'r,2'
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(MINIMAL.replace("mu = 0.0", "mu = 1.0\nk_max = 2\n"
+                                   "n_radial = 64\nr_max = 30.0")
+                   + "[boundary]\ntheta, 1 = 1e-3\nz,+2 = 5e-4\n"
+                   "[forcing]\nr,02 = power_decay(1e-4, 10)\n")
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == EXIT_OK
+    written = (out / "config.ini").read_text()
+    for key in ("theta,1 = ", "z,2 = ", "r,2 = "):
+        assert key in written
+    assert main(["verify", str(out)]) == EXIT_OK
+
+
 def test_non_finite_forcing_amplitude_is_numeric_error(tmp_path, capsys):
     # the amplitude is left to the sampling check, which names the mode
     cfg = tmp_path / "nan.ini"
@@ -256,8 +307,13 @@ def test_verify_needs_the_summary_sigma(tmp_path, capsys):
     summary = out / "summary.txt"
     text = summary.read_text()
     assert main(["verify", str(out)]) == EXIT_OK
-    summary.write_text(text.replace("sigma = ", "sigma = not-a-number # "))
-    assert main(["verify", str(out)]) == EXIT_CONFIG
+    for bad in ("not-a-number", "nan", "inf"):
+        summary.write_text("".join(
+            f"sigma = {bad}\n" if ln.startswith("sigma = ") else ln
+            for ln in text.splitlines(keepends=True)))
+        assert main(["verify", str(out)]) == EXIT_CONFIG
+        assert f"summary.txt: bad sigma line 'sigma = {bad}'" \
+            in capsys.readouterr().err
     summary.write_text("".join(ln for ln in text.splitlines(keepends=True)
                                if not ln.startswith("sigma = ")))
     assert main(["verify", str(out)]) == EXIT_CONFIG

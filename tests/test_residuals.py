@@ -122,6 +122,13 @@ def _pressure_of(grid, amp):
                      np.zeros(len(grid))])
 
 
+def _forcing_on_nodes(arrays, **lambdas):
+    """ForcingData that returns each sampled array {(component, k): values}
+    (decay 10) when it is sampled on the grid nodes."""
+    return ForcingData({key: ForcingMode(lambda r, v=v: v, 10.0)
+                        for key, v in arrays.items()}, **lambdas)
+
+
 def test_manufactured_forcing_closes_residual(grid):
     # independent consistency loop: the manufactured field with its
     # manufactured forcing and pressure must satisfy the full system
@@ -129,7 +136,7 @@ def test_manufactured_forcing_closes_residual(grid):
     field = _manufactured_field(grid, nu, amp=1e-2, sigma=5e-3)
     pressure = _pressure_of(grid, 1e-2)
     arrays = manufactured_forcing(field, pressure, nu, mu)
-    forcing = ForcingData.from_grid_arrays(grid, arrays)
+    forcing = _forcing_on_nodes(arrays)
     rep = residual_asns(field, nu, mu, forcing=forcing, pressure=pressure,
                         boundary=_boundary_of(field))
     assert rep.max_momentum < 1e-7
@@ -179,8 +186,8 @@ def test_manufactured_nonlinear_solve_recovers_field(grid):
     field = _manufactured_field(grid, nu, amp=1e-3, sigma=5e-4)
     pressure = _pressure_of(grid, 1e-3)
     arrays = manufactured_forcing(field, pressure, nu, mu)
-    forcing = ForcingData.from_grid_arrays(grid, arrays, lambda_theta=4.0,
-                                           lambda_z=3.0, lambda_=2.0)
+    forcing = _forcing_on_nodes(arrays, lambda_theta=4.0, lambda_z=3.0,
+                                lambda_=2.0)
     bundle = picard_solve(grid, nu, mu, 2, forcing, _boundary_of(field))
     assert bundle.converged
     assert bundle.sigma == pytest.approx(field.sigma, rel=1e-4)
