@@ -33,7 +33,7 @@ sol = solve_zero_swirl(grid, -1.0, np.zeros(len(grid)), 1.0, 10.0)
 print(f"  sigma = {sol.sigma}, regular part max = {np.max(np.abs(sol.v_regular.values)):.1e}")
 
 print("zero-mode vertical, nu=-1, f = r^-3, g = 0  (exact: log r / r)")
-_, vz = solve_zero_meridional(grid, -1.0, r ** -3.0, 0.0, 3.0)
+vz = solve_zero_meridional(grid, -1.0, r ** -3.0, 0.0, 3.0)
 print(f"  max error = {np.max(np.abs(vz.values - np.log(r)/r)):.2e}")
 
 print("swirl mode k=2, nu=-1, f = 0, g = 0.3  (exact: decaying kernel ratio)")

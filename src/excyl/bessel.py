@@ -81,10 +81,6 @@ class ScaledValue:
         self.mantissa = np.array(m)
         self.exp_shift = np.array(s)
 
-    @classmethod
-    def of(cls, value):
-        return cls(value, np.zeros(np.shape(value)))
-
     def value(self):
         """Collapse to an ordinary float/complex array (may overflow)."""
         return self.mantissa * np.exp(self.exp_shift)
@@ -106,26 +102,17 @@ class ScaledValue:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, ScaledValue):
-            return ScaledValue(self.mantissa / other.mantissa,
-                               self.exp_shift - other.exp_shift)
-        return ScaledValue(self.mantissa / other, self.exp_shift)
-
     def __neg__(self):
         return ScaledValue(-self.mantissa, self.exp_shift)
 
     def __add__(self, other):
-        if not isinstance(other, ScaledValue):
-            other = ScaledValue.of(other)
         shift = np.maximum(self.exp_shift, other.exp_shift)
         m = (self.mantissa * np.exp(self.exp_shift - shift)
              + other.mantissa * np.exp(other.exp_shift - shift))
         return ScaledValue(m, shift)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ScaledValue)
-                       else ScaledValue.of(-np.asarray(other)))
+        return self + (-other)
 
     def __repr__(self):
         return f"ScaledValue({self.mantissa!r}, exp_shift={self.exp_shift!r})"

@@ -131,19 +131,26 @@ class RunConfig:
                                   f"{comp},{-k} = {spec[comp, -k]} differ")
             if family == "power_decay":
                 amp, p = args
+                c = 0.0
 
                 def f(r, _a=amp, _p=p):
                     return _a * r ** (-_p)
-
-                decay = p
             else:  # power_exp_decay
                 amp, p, c = args
 
                 def f(r, _a=amp, _p=p, _c=c):
                     return _a * r ** (-_p) * np.exp(-_c * (r - 1.0))
 
-                decay = p + 10.0  # effectively faster than any power
-            modes[(comp, k)] = ForcingMode(f, decay)
+            # a power law (c = 0) must decay as fast as its mode's exponent
+            # (f_{r,0} has none: it is absorbed into the pressure); c > 0
+            # decays faster than any power
+            attr = ("lambda_" if k else
+                    {"theta": "lambda_theta", "z": "lambda_z"}.get(comp))
+            if c == 0.0 and attr and p < getattr(self, attr):
+                raise ConfigError(
+                    f"forcing {comp},{k} = {spec[comp, k]} decays slower than "
+                    f"{attr.rstrip('_')} = {getattr(self, attr)!r}")
+            modes[(comp, k)] = ForcingMode(f, p if c == 0.0 else p + 10.0)
         return ForcingData(modes=modes, lambda_theta=self.lambda_theta,
                            lambda_z=self.lambda_z, lambda_=self.lambda_)
 
@@ -152,6 +159,15 @@ class RunConfig:
 # the default's, and "lambda" is stored as lambda_ (a Python keyword)
 _PARAMS = {f.name.rstrip("_"): (f.name, type(f.default))
            for f in fields(RunConfig) if f.default is not MISSING}
+
+
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of path: other bytes are a ConfigError naming the
+    file, a missing file an OSError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -286,7 +302,7 @@ def _read_mode_csv(path: Path, grid: RadialGrid) -> np.ndarray:
     on this grid.  Other columns, a row count other than n_radial + 1, an r
     column other than the grid's nodes or a value that is not a finite
     number is a ConfigError; a missing file is an OSError."""
-    header, *lines = path.read_text().splitlines() or [""]
+    header, *lines = _read_text(path).splitlines() or [""]
     if header.split(",") != _MODE_HEADER:
         raise ConfigError(f"{path}: columns are not {','.join(_MODE_HEADER)}")
     if len(lines) != len(grid):
@@ -366,7 +382,7 @@ def _summary_text(cfg: RunConfig, bundle) -> str:
 
 
 def cmd_solve(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(_read_text(Path(args.config)))
     bundle = _solve_bundle(cfg)
     out_dir = Path(args.output or cfg.output_dir)
     _write_solution(cfg, bundle, out_dir)
@@ -380,7 +396,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     sol_dir = Path(args.solution_dir)
-    cfg = parse_config((sol_dir / "config.ini").read_text())
+    cfg = parse_config(_read_text(sol_dir / "config.ini"))
     grid = cfg.grid()
     field = FourierField.zero(grid, cfg.k_max, has_sigma_tail(cfg.nu))
     field.has_derivatives = False  # the CSVs hold values only
@@ -388,8 +404,8 @@ def cmd_verify(args) -> int:
         field.data[:, k, 0] = _read_mode_csv(sol_dir / f"mode_{k}.csv", grid)
     if field.sigma is not None:
         field.sigma = _summary_sigma(sol_dir / "summary.txt")
-    rep = residual_asns(field, cfg.nu, cfg.mu, forcing=cfg.forcing_data(),
-                        boundary=cfg.boundary_data())
+    rep = residual_asns(field, cfg.nu, cfg.mu, cfg.forcing_data(),
+                        cfg.boundary_data())
     print(rep.as_text())
     _write_residuals(sol_dir / "residuals_verify.csv", rep)
     return EXIT_OK
@@ -401,7 +417,7 @@ def _summary_sigma(path: Path) -> float:
     A missing summary is an OSError; a missing line, or one that does not
     hold a finite float, is a ConfigError.
     """
-    for line in path.read_text().splitlines():
+    for line in _read_text(path).splitlines():
         if line.startswith("sigma = "):
             try:
                 sigma = float(line[len("sigma = "):])
@@ -414,7 +430,7 @@ def _summary_sigma(path: Path) -> float:
 
 
 def cmd_nonunique(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(_read_text(Path(args.config)))
     grid = cfg.grid()
     first, second, rep = nonuniqueness_pair(
         grid, cfg.nu, cfg.mu, cfg.k_max, cfg.forcing_data(),
@@ -515,7 +531,7 @@ def cmd_calibrate(args) -> int:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     if not (np.isfinite(args.start) and args.start > 0.0):
         raise ConfigError(f"--start must be finite and > 0, got {args.start!r}")
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(_read_text(Path(args.config)))
     grid = cfg.grid()
     forcing = cfg.forcing_data()
     lo, hi = 0.0, np.inf

@@ -309,12 +309,15 @@ def synthesize(fieldv: FourierField, r, z, nu: float = 0.0, mu: float = 0.0,
     """Evaluate (u_r, u_theta, u_z) at radius r and height(s) z.
 
     The sigma/r swirl tail is part of the reduced solution and is always
-    included; the nu/r and mu/r background terms only when requested.
+    included; the nu/r and mu/r background terms only when requested.  A
+    radius outside the grid range or a non-finite height is a DomainError.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < fieldv.grid.nodes[0]) or np.any(r > fieldv.grid.nodes[-1]):
-        raise DomainError("radius outside the grid range")
+    if not np.all((fieldv.grid.nodes[0] <= r) & (r <= fieldv.grid.nodes[-1])):
+        raise DomainError("radius outside the grid range (or not a number)")
     z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("heights z must be finite")
     out = {}
     for comp in COMPONENTS:
         acc = 0.0

@@ -105,7 +105,7 @@ def _check_mode(nu: float, f_decay: float, floor: int, what: str) -> None:
     if not np.isfinite(nu):  # NaN or -inf
         raise DomainError(
             f"background sink strength nu must be finite, got {nu!r}")
-    if f_decay <= floor:
+    if not f_decay > floor:  # NaN included
         raise NumericError(f"{what} forcing must decay faster than r^-{floor}")
 
 
@@ -125,8 +125,6 @@ class ZeroModeSwirlSolution:
 class ClosureCoefficients:
     A_k: complex
     B_k: complex
-    D_k: complex
-    G_kF: complex
 
 
 @dataclass
@@ -144,7 +142,6 @@ class MeridionalModeSolution:
     v_z: RadialProfile
     w: RadialProfile
     phi: RadialProfile
-    phi_bar: complex
     w_bar: complex
     closure: ClosureCoefficients
 
@@ -191,9 +188,10 @@ def solve_zero_swirl(grid: RadialGrid, nu: float, f, g_theta0: complex,
 
 
 def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
-                          f_decay: float):
-    """Zero-mode (v_r, v_z): v_r = 0 forced by the boundary normalization;
-    v_z solves -(v'' + (1-nu)/r v') = f with v(1) = g_z0, decaying.
+                          f_decay: float) -> RadialProfile:
+    """Zero-mode v_z, solving -(v'' + (1-nu)/r v') = f with v(1) = g_z0,
+    decaying.  The zero-mode v_r is 0: that is the boundary normalization
+    g_{r,0} = 0.
 
     f may stack P problems as for solve_zero_swirl.
     """
@@ -207,9 +205,7 @@ def solve_zero_meridional(grid: RadialGrid, nu: float, f, g_z0: complex,
     vals = const * r ** nu - (r ** nu * c_in + s_out) / nu
     d1 = const * nu * r ** (nu - 1.0) - r ** (nu - 1.0) * c_in
     d2 = -(1.0 - nu) / r * d1 - fv
-    v_z = RadialProfile(grid, vals, d1, d2)
-    zero = np.zeros_like(vals)
-    return RadialProfile(grid, zero, zero.copy(), zero.copy()), v_z
+    return RadialProfile(grid, vals, d1, d2)
 
 
 def _kernel_rows(grid: RadialGrid, ks, nu: float, kind: str, shared=None):
@@ -352,8 +348,8 @@ def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
     leading axes stack problems.
 
     Returns v_r, v_z and phi as (values, d1, d2) and w as (values, d1),
-    each array (..., m, n), plus the per-row scalars phi_bar, w_bar
-    (mantissas at shift +|k|) and g_kf (shift -|k|), each (..., m).
+    each array (..., m, n), plus the per-row scalar w_bar (its mantissa at
+    shift +|k|), (..., m).
     """
     full = _meridional_stack(grid, ks, nu)
     m = frv.shape[-2]
@@ -383,10 +379,9 @@ def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
                                              h_vals * st.rS0, rates[1],
                                              first_rows=m)
 
-    # closure: w_bar = D^{-1} (A g_r + B g_z - G); A, B and G are mantissas
-    # at shift -|k|, D at -2|k|, so w_bar is one at +|k|
-    g_kf = s_h_out[..., 0]
-    w_bar = (st.a_k * g_r + st.b_k * g_z - g_kf) / st.d_k
+    # closure: w_bar = D^{-1} (A g_r + B g_z - G) with G = s_h_out(1); A, B
+    # and G are mantissas at shift -|k|, D at -2|k|, so w_bar is one at +|k|
+    w_bar = (st.a_k * g_r + st.b_k * g_z - s_h_out[..., 0]) / st.d_k
     phi_bar = -(st.T0[:, 0] * g_z) - (st.T0[:, 0] + st.T1[:, 0]) * (g_r / ik[:, 0])
     wb, pb = w_bar[..., None], phi_bar[..., None]
 
@@ -405,7 +400,7 @@ def _meridional_rows(grid: RadialGrid, ks, nu: float, frv: np.ndarray,
         v_z=(d_phi + phi / r, d2_phi + d_phi / r - phi / r ** 2,
              -dw_vals + k * k * d_phi),
         w=(w_vals, dw_vals), phi=(phi, d_phi, d2_phi),
-        phi_bar=phi_bar, w_bar=w_bar, g_kf=g_kf)
+        w_bar=w_bar)
 
 
 def solve_swirl_mode(grid: RadialGrid, k: int, nu: float, f, g_theta_k: complex,
@@ -457,13 +452,11 @@ def solve_meridional_mode(grid: RadialGrid, k: int, nu: float, f_r, f_z,
     with np.errstate(over="ignore", under="ignore"):
         closure = ClosureCoefficients(
             A_k=complex(st.a_k[0] * np.exp(-kk)),
-            B_k=complex(st.b_k[0] * np.exp(-kk)),
-            D_k=complex(st.d_k[0] * np.exp(-2.0 * kk)),
-            G_kF=complex(sol.g_kf[0] * np.exp(-kk)))
+            B_k=complex(st.b_k[0] * np.exp(-kk)))
         return MeridionalModeSolution(
             v_r=profile(sol.v_r), v_z=profile(sol.v_z), w=profile(sol.w),
-            phi=profile(sol.phi), phi_bar=complex(sol.phi_bar[0] * np.exp(kk)),
-            w_bar=complex(sol.w_bar[0] * np.exp(kk)), closure=closure)
+            phi=profile(sol.phi), w_bar=complex(sol.w_bar[0] * np.exp(kk)),
+            closure=closure)
 
 
 def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
@@ -513,8 +506,8 @@ def solve_linear_system(grid: RadialGrid, nu: float, mu: float, k_max: int,
                     dtype=complex)
     swirl0 = solve_zero_swirl(grid, nu, f_theta[:, 0], g_theta[:, 0],
                               tau.decay_theta0)
-    _, v_z0 = solve_zero_meridional(grid, nu, f_z[:, 0], g_z[:, 0],
-                                    tau.decay_z0)
+    v_z0 = solve_zero_meridional(grid, nu, f_z[:, 0], g_z[:, 0],
+                                 tau.decay_z0)
     for c, prof in ((1, swirl0.v_regular), (2, v_z0)):
         for d, values in enumerate((prof.values, prof.d1, prof.d2)):
             data[:, c, 0, d] = values

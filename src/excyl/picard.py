@@ -488,7 +488,6 @@ class SeparationReport:
     radii: np.ndarray
     values: np.ndarray
     limit_estimate: float
-    delta_mu: float
     bundle_distance: float
     fitted_limit: float
     fitted_coefficient: float
@@ -529,7 +528,7 @@ def nonuniqueness_pair(grid: RadialGrid, nu: float, mu: float, k_max: int,
     basis = np.stack([np.ones_like(r), r ** (nu + 2.0)], axis=1)
     (limit, coefficient), *_ = np.linalg.lstsq(basis, sep, rcond=None)
     report = SeparationReport(
-        radii=r, values=sep, limit_estimate=float(sep[-1]), delta_mu=delta_mu,
+        radii=r, values=sep, limit_estimate=float(sep[-1]),
         bundle_distance=dist, fitted_limit=float(limit),
         fitted_coefficient=float(coefficient),
         fit_residual=float(np.max(np.abs(sep - basis @ (limit, coefficient)))))

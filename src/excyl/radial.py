@@ -262,19 +262,6 @@ class RadialProfile:
         z = np.zeros(len(grid), dtype=complex)
         return cls(grid, z, z.copy(), z.copy())
 
-    def derivative(self, order: int) -> np.ndarray:
-        if order == 0:
-            return self.values
-        if order == 1:
-            if self.d1 is None:
-                raise NumericError("profile is missing its first derivative")
-            return self.d1
-        if order == 2:
-            if self.d2 is None:
-                raise NumericError("profile is missing its second derivative")
-            return self.d2
-        raise DomainError("only derivatives of order <= 2 are stored")
-
 
 def weighted_sup(values, grid: RadialGrid, zeta: float) -> float:
     """sup over nodes of r^zeta |s(r)| (NaN when a value is NaN)."""
@@ -297,8 +284,8 @@ def _sample(f, grid: RadialGrid) -> np.ndarray:
 
 def tail_closure(value_at_rmax, r_max: float, p: float):
     """int_{r_max}^inf A s^{-p} ds with A matched at the last node."""
-    if p <= 1.0:
-        raise NumericError(f"non-integrable tail: decay exponent {p} <= 1")
+    if not p > 1.0:  # NaN included
+        raise NumericError(f"non-integrable tail: decay exponent {p} is not > 1")
     return value_at_rmax * r_max / (p - 1.0)
 
 

@@ -109,17 +109,17 @@ def recover_pressure(v: FourierField, nu: float, rhs) -> np.ndarray:
 
 
 def residual_asns(field_v: FourierField, nu: float, mu: float,
-                  forcing: Optional[ForcingData] = None,
+                  forcing: ForcingData, boundary: BoundaryData,
                   pressure: Optional[np.ndarray] = None,
-                  boundary: Optional[BoundaryData] = None,
                   z_offset: float = 0.0) -> ResidualReport:
     """Residuals of the full stationary system for the synthesized velocity.
 
     field_v holds the reduced solution; the scale-critical background
-    (nu/r) e_r + (mu/r) e_theta is added here.  pressure is the (K+1, n)
-    array of the pressure modes 0..K (recover_pressure), any other shape a
-    DomainError; without it the r/z momentum residuals are evaluated in
-    curl form.
+    (nu/r) e_r + (mu/r) e_theta is added here.  forcing enters the momentum
+    residuals and boundary the boundary mismatch (ForcingData() and
+    BoundaryData() state none).  pressure is the (K+1, n) array of the
+    pressure modes 0..K (recover_pressure), any other shape a DomainError;
+    without it the r/z momentum residuals are evaluated in curl form.
     """
     grid = field_v.grid
     r = grid.nodes
@@ -139,15 +139,12 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     u_th = v_th + bg_th[:, None]
     u_z = v_z
 
-    if forcing is not None:
-        # every k is sampled on its own, so forcing given at a non-conjugate
-        # +-k pair fails the realness check
-        f_r, f_th, f_z = (
-            _synth(f"f_{comp}", np.array([forcing.sample(comp, k, r) for k in
-                                          range(-k_max, k_max + 1)]), z)
-            for comp in COMPONENTS)
-    else:
-        f_r = f_th = f_z = np.zeros((len(grid), n_z))
+    # every k is sampled on its own, so forcing given at a non-conjugate
+    # +-k pair fails the realness check
+    f_r, f_th, f_z = (
+        _synth(f"f_{comp}", np.array([forcing.sample(comp, k, r) for k in
+                                      range(-k_max, k_max + 1)]), z)
+        for comp in COMPONENTS)
 
     freqs = np.fft.fftfreq(n_z, d=1.0 / n_z)
 
@@ -203,14 +200,13 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
         return float(np.max(np.abs(a[mask, :]))) if mask.any() else 0.0
 
     boundary_mismatch = 0.0
-    if boundary is not None:
-        for comp, u, base in (("r", u_r, nu), ("theta", u_th, mu), ("z", u_z, 0.0)):
-            g = np.zeros(n_z, dtype=complex)
-            for k in boundary.k_support():
-                g += boundary.coefficient(comp, k) * np.exp(1j * k * z)
-            boundary_mismatch = max(
-                boundary_mismatch,
-                float(np.max(np.abs(u[0, :] - base - np.real(g)))))
+    for comp, u, base in (("r", u_r, nu), ("theta", u_th, mu), ("z", u_z, 0.0)):
+        g = np.zeros(n_z, dtype=complex)
+        for k in boundary.k_support():
+            g += boundary.coefficient(comp, k) * np.exp(1j * k * z)
+        boundary_mismatch = max(
+            boundary_mismatch,
+            float(np.max(np.abs(u[0, :] - base - np.real(g)))))
 
     return ResidualReport(
         momentum_r=mx(res_r, inner),
@@ -238,9 +234,8 @@ def attach_residual_report(bundle) -> ResidualReport:
     """Recover the pressure modes and audit a converged solution bundle."""
     pressure = (None if bundle.rhs_final is None
                 else recover_pressure(bundle.v, bundle.nu, bundle.rhs_final))
-    report = residual_asns(bundle.v, bundle.nu, bundle.mu,
-                           forcing=bundle.forcing, pressure=pressure,
-                           boundary=bundle.boundary)
+    report = residual_asns(bundle.v, bundle.nu, bundle.mu, bundle.forcing,
+                           bundle.boundary, pressure=pressure)
     bundle.residual_report = report
     return report
 

@@ -68,7 +68,7 @@ def test_criterion_2_linear_mode_oracle_equivalence():
     r = g.nodes
     sol = solve_zero_swirl(g, -3.0, r ** -4.0, 0.0, 4.0)
     err_a = float(np.max(np.abs(sol.v_regular.values - r ** -2.0 * np.log(r))))
-    _, vz = solve_zero_meridional(g, -1.0, r ** -3.0, 0.0, 3.0)
+    vz = solve_zero_meridional(g, -1.0, r ** -3.0, 0.0, 3.0)
     err_b = float(np.max(np.abs(vz.values - np.log(r) / r)))
     from excyl.bessel import kernel_K
     c = 0.7 - 0.2j
@@ -231,7 +231,7 @@ def test_criterion_7_background_exactness():
         nu = -4.0 * rng.random() - 1e-3
         mu = 5.0 * rng.standard_normal()
         rep = residual_asns(FourierField.zero(grid, 2, with_sigma=False),
-                            nu, mu)
+                            nu, mu, ForcingData(), BoundaryData())
         worst = max(worst, rep.max_momentum, rep.divergence)
     assert worst <= 1e-10
     dt = time.time() - t0

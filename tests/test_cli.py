@@ -69,6 +69,20 @@ def test_validation_messages():
         parse_config("[params]\nnu = -1.0\n[forcing]\ntheta,0 = cubic(1,2)\n")
 
 
+@pytest.mark.parametrize("command", ["solve", "nonunique", "calibrate"])
+def test_non_utf8_config_is_config_error(tmp_path, capsys, command):
+    # bytes that are not UTF-8 (here a UTF-16 byte-order mark) are a config
+    # error naming the file, not a UnicodeDecodeError traceback
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--output", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "run.ini" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, section", [
     ("[boundry]\ntheta,1 = 1e-3\n", "boundry"),
     # configparser would otherwise merge [DEFAULT] into every section
@@ -179,6 +193,44 @@ def test_bad_forcing_arguments_are_config_errors(tmp_path, capsys, item):
     cfg.write_text(MINIMAL + "[forcing]\n" + item + "\n")
     assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item, exponent", [
+    ("theta,0 = power_decay(1e-3, 3.5)", "lambda_theta = 10.0"),
+    ("z,0 = power_exp_decay(1e-3, 9.5, 0.0)", "lambda_z = 10.0"),
+    ("z,2 = power_decay(1e-3, 5)", "lambda = 10.0"),
+    ("r,-1 = power_exp_decay(1e-3, 2, 0)", "lambda = 10.0")])
+def test_forcing_slower_than_its_exponent_is_config_error(tmp_path, capsys,
+                                                          item, exponent):
+    # a power law weighed with a larger exponent has an enormous data norm
+    # and contradicts its own declared tail; the entry and the exponent are
+    # named
+    key = item.split(" = ")[0]
+    with pytest.raises(ConfigError, match=rf"forcing {key} = .* decays "
+                                          rf"slower than {exponent}"):
+        parse_config(MINIMAL + "[forcing]\n" + item + "\n")
+    cfg = tmp_path / "slow.ini"
+    cfg.write_text(MINIMAL + "[forcing]\n" + item + "\n")
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+    assert exponent in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_power_law_forcing_declares_its_exponent():
+    # power_exp_decay with c = 0 is the power law amp r^-p and declares p; a
+    # power law may decay as slowly as its exponent, an exponential (c > 0)
+    # and f_{r,0} (absorbed into the pressure) as slowly as they like
+    cfg = parse_config(
+        "[params]\nnu = -1.0\nlambda_theta = 3.5\n[forcing]\n"
+        "theta,0 = power_decay(1e-3, 3.5)\n"
+        "z,0 = power_exp_decay(1e-3, 10, 0)\n"
+        "r,0 = power_decay(2e-4, 2)\n"
+        "r,1 = power_exp_decay(1e-3, 2, 0.5)\n")
+    f = cfg.forcing_data()
+    assert [f.decay(comp, k) for comp, k in
+            (("theta", 0), ("z", 0), ("r", 0), ("r", 1))] == [3.5, 10.0, 2.0,
+                                                               12.0]
 
 
 @pytest.mark.parametrize("section, lines, message", [
@@ -350,6 +402,8 @@ _CORRUPTIONS = {
         _edit_row(_edit_row(ls[5], 0, "1"), 3, "abc")] + ls[6:]),
     "non-finite value": (3, lambda ls: ls[:9] + [_edit_row(ls[9], 5, "nan")]
                          + ls[10:]),
+    # written as the byte 0xFF, which no UTF-8 text holds
+    "stray 0xFF byte": (1, lambda ls: ls[:5] + [ls[5] + "\udcff"] + ls[6:]),
 }
 
 
@@ -363,10 +417,27 @@ def test_verify_rejects_corrupted_mode_csvs(tmp_path, capsys, solved_dir,
     shutil.copytree(solved_dir, out)
     k, edit = _CORRUPTIONS[corruption]
     path = out / f"mode_{k}.csv"
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    text = "\n".join(edit(path.read_text().splitlines())) + "\n"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     assert main(["verify", str(out)]) == EXIT_CONFIG
-    assert f"mode_{k}.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and f"mode_{k}.csv" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["config.ini", "summary.txt"])
+def test_verify_rejects_non_utf8_files(tmp_path, capsys, solved_dir, name):
+    # verify reads config.ini and, at nu = -1, the sigma line of summary.txt
+    out = tmp_path / "out"
+    shutil.copytree(solved_dir, out)
+    path = out / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+    assert "Traceback" not in err
 
 
 _NU_3_RUN = """

@@ -228,6 +228,13 @@ def test_synthesize_range_check(grid):
     f = FourierField.zero(grid, 1, with_sigma=False)
     with pytest.raises(DomainError):
         synthesize(f, 0.5, 0.0)
+    # a NaN radius fails every range comparison; it and a non-finite height
+    # are refused, not synthesized into NaN velocities
+    with pytest.raises(DomainError, match="radius"):
+        synthesize(f, np.nan, 0.0)
+    for z in (np.inf, np.nan, [0.0, np.nan]):
+        with pytest.raises(DomainError, match="heights"):
+            synthesize(f, 2.0, z)
 
 
 @settings(max_examples=25, deadline=None)

@@ -115,6 +115,11 @@ def test_tail_closure_exact_on_power_law(grid):
 def test_nonintegrable_tail_rejected(grid):
     with pytest.raises(NumericError):
         integrate_outer(grid.nodes ** -0.5, grid, decay_exponent=0.5)
+    # NaN is no decay exponent either, not a NaN tail
+    with pytest.raises(NumericError, match="not > 1"):
+        tail_closure(1.0, 30.0, np.nan)
+    with pytest.raises(NumericError, match="not > 1"):
+        integrate_outer(grid.nodes ** -2.0, grid, decay_exponent=np.nan)
 
 
 def test_tail_mismatch_warning(grid):
@@ -553,9 +558,6 @@ def test_weighted_sup():
 
 def test_profile_guards():
     g = RadialGrid.graded(64, 50.0, 2.0)
-    p = RadialProfile(g, np.ones(len(g)))
-    with pytest.raises(NumericError):
-        p.derivative(1)
     with pytest.raises(DomainError):
         RadialProfile(g, np.ones(7))
 

@@ -28,7 +28,7 @@ def test_background_is_exact_solution(grid):
         nu = -3.0 * rng.random() - 0.05
         mu = 4.0 * rng.standard_normal()
         field = FourierField.zero(grid, 2, with_sigma=False)
-        rep = residual_asns(field, nu, mu)
+        rep = residual_asns(field, nu, mu, ForcingData(), BoundaryData())
         assert rep.max_momentum < 1e-10
         assert rep.divergence < 1e-10
 
@@ -40,12 +40,12 @@ def test_z_translation_invariance(grid):
     b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
     bundle = picard_solve(grid, -1.0, 1.0, 4, ForcingData(), b)
     n_z = 4 * 4 + 1
-    r0 = residual_asns(bundle.v, -1.0, 1.0, forcing=bundle.forcing)
-    r1 = residual_asns(bundle.v, -1.0, 1.0, forcing=bundle.forcing,
+    r0 = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, bundle.boundary)
+    r1 = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, bundle.boundary,
                        z_offset=5 * 2.0 * np.pi / n_z)
     assert abs(r0.max_momentum - r1.max_momentum) < 1e-12
     assert abs(r0.divergence - r1.divergence) < 1e-12
-    r2 = residual_asns(bundle.v, -1.0, 1.0, forcing=bundle.forcing,
+    r2 = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, bundle.boundary,
                        z_offset=0.731)
     assert r2.max_momentum == pytest.approx(r0.max_momentum, rel=0.02)
 
@@ -137,8 +137,8 @@ def test_manufactured_forcing_closes_residual(grid):
     pressure = _pressure_of(grid, 1e-2)
     arrays = manufactured_forcing(field, pressure, nu, mu)
     forcing = _forcing_on_nodes(arrays)
-    rep = residual_asns(field, nu, mu, forcing=forcing, pressure=pressure,
-                        boundary=_boundary_of(field))
+    rep = residual_asns(field, nu, mu, forcing, _boundary_of(field),
+                        pressure=pressure)
     assert rep.max_momentum < 1e-7
     assert rep.divergence < 1e-9
     assert rep.boundary_mismatch < 1e-12
@@ -223,7 +223,7 @@ def _reference_pressure(bundle):
     for k in range(1, bundle.v.k_max + 1):
         v_z = bundle.v.profile("z", k)
         f_z = np.asarray(rhs.rhs[2][k], dtype=complex)
-        resid = f_z + v_z.derivative(2) + (1.0 - nu) / r * v_z.derivative(1) \
+        resid = f_z + v_z.d2 + (1.0 - nu) / r * v_z.d1 \
             - k * k * v_z.values
         rows.append(resid / (1j * k))
     return np.array(rows)
@@ -247,7 +247,7 @@ def test_dense_pressure_keeps_the_per_mode_bits(grid, nu):
     assert_same_bits(pressure, _reference_pressure(bundle))
     for bad in (pressure[:-1], np.zeros((5, len(grid) + 1), dtype=complex)):
         with pytest.raises(DomainError, match="pressure"):
-            residual_asns(bundle.v, nu, 1.0, forcing=forcing, pressure=bad)
+            residual_asns(bundle.v, nu, 1.0, forcing, b, pressure=bad)
 
 
 def test_tampered_solution_detected(grid):
@@ -255,13 +255,13 @@ def test_tampered_solution_detected(grid):
     b = BoundaryData(g_theta={1: 1e-3})
     bundle = picard_solve(grid, -1.0, 1.0, 3, ForcingData(), b)
     attach_residual_report(bundle)
-    clean = residual_asns(bundle.v, -1.0, 1.0, forcing=bundle.forcing)
+    clean = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, b)
     prof = bundle.v.profile("theta", 1)
     tampered = prof.values.copy()
     near = len(grid) // 8  # r ~ 2.5, where the mode is still O(data)
     tampered[near] *= 1.5
     bundle.v.set_mode(1, "theta", RadialProfile(grid, tampered, prof.d1, prof.d2))
-    rep = residual_asns(bundle.v, -1.0, 1.0, forcing=bundle.forcing)
+    rep = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, b)
     assert rep.max_momentum > 100 * max(clean.max_momentum, 1e-12)
 
 
@@ -278,7 +278,7 @@ def test_forcing_given_at_minus_k_is_counted_once(grid):
                              lambda r: np.conj(amp) * r ** -10.0, 10.0)})
     b = BoundaryData(g_theta={1: 1e-3})
     bundle = picard_solve(grid, -1.0, 1.0, 4, plus, b)
-    reports = [residual_asns(bundle.v, -1.0, 1.0, forcing=f)
+    reports = [residual_asns(bundle.v, -1.0, 1.0, f, b)
                for f in (plus, minus)]
     for name in ("momentum_r", "momentum_theta", "momentum_z", "divergence"):
         assert getattr(reports[1], name) == pytest.approx(
@@ -293,4 +293,4 @@ def test_non_conjugate_forcing_pair_is_not_real(grid):
                      ("z", -1): ForcingMode(lambda r: 1e-4j * r ** -10.0, 10.0)})
     field = FourierField.zero(grid, 2, with_sigma=False)
     with pytest.raises(NumericError, match="f_z synthesis is not real"):
-        residual_asns(field, -1.0, 1.0, forcing=f)
+        residual_asns(field, -1.0, 1.0, f, BoundaryData())

@@ -7,14 +7,16 @@ Usage:
     python tools/compare_artifacts.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are directories that hold the `excyl` package (the
-`src` directory of a checkout).  The script makes eleven runs under each
-tree.  It runs `excyl solve` on five small built-in configurations: nu = -1
+`src` directory of a checkout).  The script makes twelve runs under each
+tree.  It runs `excyl solve` on six small built-in configurations: nu = -1
 with a forcing that gives a nonzero 1/r tail coefficient sigma, the same at
 nu = -2, the edge of the range -2 <= nu < 0 that carries sigma, nu = -3,
 nu = -1 at K = 40 with boundary data up to mode 40, whose exp-weighted
-suffixes run at rates up to 2K = 80, and nu = -3 at K = 24 with data on
+suffixes run at rates up to 2K = 80, nu = -3 at K = 24 with data on
 mode 1 only, whose iterates never reach past mode 8 (modes 1, 2, 4, 8, 8,
-...).  After each solve, `excyl verify` re-audits its output directory,
+...), and nu = -1 forced on every forcing path: the zero swirl, vertical
+and radial modes (the last absorbed into the pressure), a nonzero mode,
+and a power_exp_decay forcing given only at k = -1.  After each solve, `excyl verify` re-audits its output directory,
 which writes residuals_verify.csv; its stdout is saved as verify.txt.
 Three more runs are `excyl nonunique --delta-mu 0.06` on the nu = -3
 configuration, on the narrow nu = -3 one and on the nu = -3 one with
@@ -115,6 +117,24 @@ r_max = 60.0
 theta,1 = 1e-3
 z,1 = 5e-4
 """,
+    "nu-1-forced": """\
+[params]
+nu = -1.0
+mu = 1.0
+k_max = 3
+n_radial = 256
+r_max = 60.0
+
+[boundary]
+theta,1 = 1e-3
+
+[forcing]
+theta,0 = power_decay(1e-4, 10.0)
+z,0 = power_decay(-5e-5, 10.0)
+r,0 = power_decay(2e-4, 6.0)
+r,-1 = power_exp_decay(1e-6, 2.0, 3.0)
+z,2 = power_decay(3e-5, 12.0)
+""",
 }
 # nu = -3 again, under-relaxed: the blended iterates of a lockstep pair
 CONFIGS["nu-3-relaxed"] = CONFIGS["nu-3"].replace(
@@ -129,7 +149,7 @@ CONFIGS["nu-2-edge"] = CONFIGS["nu-1-sigma"].replace("nu = -1.0\n",
 # before it wrote, and the stdout of verify and nonunique is saved too
 RUNS = [(name, name, [["solve"], ["verify"]])
         for name in ("nu-1-sigma", "nu-2-edge", "nu-3", "nu-1-wide",
-                     "nu-3-narrow")] + [
+                     "nu-3-narrow", "nu-1-forced")] + [
     (f"{name}-nonunique", name, [["nonunique", "--delta-mu", "0.06"]])
     for name in ("nu-3", "nu-3-narrow", "nu-3-relaxed")] + [
     ("nu-3-calibrate", "nu-3", [["calibrate", "--steps", "3"]]),
