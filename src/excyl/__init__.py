@@ -12,7 +12,6 @@ perturbing the background rotation rate.
 """
 
 from .bessel import (
-    BesselOrder,
     ScaledValue,
     bessel_i,
     bessel_i_prime,

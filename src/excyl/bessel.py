@@ -38,8 +38,6 @@ the order a+2 is then not evaluated at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ive, kve
 
@@ -47,7 +45,6 @@ from .errors import DomainError, NumericError
 
 __all__ = [
     "ScaledValue",
-    "BesselOrder",
     "bessel_i",
     "bessel_k",
     "bessel_i_prime",
@@ -85,11 +82,6 @@ class ScaledValue:
         """Collapse to an ordinary float/complex array (may overflow)."""
         return self.mantissa * np.exp(self.exp_shift)
 
-    def with_shift(self, shift):
-        """Re-express with the given exp_shift."""
-        shift = np.broadcast_to(np.asarray(shift, float), self.exp_shift.shape)
-        return ScaledValue(self.mantissa * np.exp(self.exp_shift - shift), shift.copy())
-
     def log_abs(self):
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.mantissa)) + self.exp_shift
@@ -118,38 +110,11 @@ class ScaledValue:
         return f"ScaledValue({self.mantissa!r}, exp_shift={self.exp_shift!r})"
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Nonnegative real order of a modified Bessel kernel.
-
-    The solver only ever needs |1 + nu/2| (swirl equation), |1 - nu/2|
-    (vorticity equation) and exactly 1 (stream function).
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise DomainError(f"Bessel order must be finite and >= 0, got {self.alpha}")
-
-    @classmethod
-    def swirl(cls, nu):
-        return cls(abs(1.0 + 0.5 * nu))
-
-    @classmethod
-    def vorticity(cls, nu):
-        return cls(abs(1.0 - 0.5 * nu))
-
-    @classmethod
-    def stream(cls):
-        return cls(1.0)
-
-    def __float__(self):
-        return float(self.alpha)
-
-
 def _as_order(order) -> float:
-    return BesselOrder(float(order)).alpha
+    alpha = float(order)
+    if not np.isfinite(alpha) or alpha < 0:
+        raise DomainError(f"Bessel order must be finite and >= 0, got {alpha}")
+    return alpha
 
 
 def _as_positive(x) -> np.ndarray:
@@ -228,41 +193,42 @@ def wronskian_check(x):
 
 
 # ----------------------------------------------------------------------------
-# radial kernels r^{nu/2} K_a(|k| r), r^{nu/2} I_a(|k| r)
+# radial kernels r^c K_a(|k| r), r^c I_a(|k| r)
 
-_KERNEL_ORDERS = {
-    "swirl": BesselOrder.swirl,
-    "vorticity": BesselOrder.vorticity,
-    "stream": lambda nu: BesselOrder.stream(),
+# kind -> (Bessel order a, weight exponent c) of its kernels at nu
+_KERNEL_KINDS = {
+    "swirl": lambda nu: (abs(1.0 + 0.5 * nu), 0.5 * nu),
+    "vorticity": lambda nu: (abs(1.0 - 0.5 * nu), 0.5 * nu),
+    "stream": lambda nu: (1.0, 0.0),
 }
 
 
 def _kernel_setup(k, nu, r, kind):
     if k == 0:
         raise DomainError("zero mode uses Euler kernels, not Bessel kernels")
-    if kind not in _KERNEL_ORDERS:
+    if kind not in _KERNEL_KINDS:
         raise DomainError(f"unknown kernel kind {kind!r}")
-    alpha = float(_KERNEL_ORDERS[kind](nu))
+    alpha, c = _KERNEL_KINDS[kind](nu)
+    alpha = _as_order(alpha)
     r = np.asarray(r, dtype=float)
     if np.any(r < 1.0):
         raise DomainError("radial kernels are defined for r >= 1")
-    # The stream-function kernel carries no r^{nu/2} weight.
-    half_nu = 0.0 if kind == "stream" else 0.5 * nu
-    return alpha, abs(int(k)), r, half_nu
+    return alpha, abs(int(k)), r, c
 
 
 def kernel_K(k, nu, r, kind="swirl") -> ScaledValue:
-    """Decaying kernel r^{nu/2} K_a(|k| r) (a = |1+nu/2|, |1-nu/2| or 1)."""
+    """Decaying kernel r^c K_a(|k| r), with a and c from the kind's row of
+    _KERNEL_KINDS."""
     return kernel_K_derivs(k, nu, r, kind, upto=1)[0]
 
 
 def kernel_I(k, nu, r, kind="swirl") -> ScaledValue:
-    """Growing kernel r^{nu/2} I_a(|k| r)."""
+    """Growing kernel r^c I_a(|k| r)."""
     return kernel_I_derivs(k, nu, r, kind, upto=1)[0]
 
 
 def kernel_K_derivs(k, nu, r, kind="swirl", upto=2, shared=None):
-    """(G, G', G'') for G(r) = r^{nu/2} K_a(|k| r), all via order recurrences.
+    """(G, G', G'') for G(r) = r^c K_a(|k| r), all via order recurrences.
 
     upto=1 returns (G, G') only and skips the order a+2.  shared is an
     optional dict that the caller keeps while it builds the kernels of one
@@ -274,7 +240,7 @@ def kernel_K_derivs(k, nu, r, kind="swirl", upto=2, shared=None):
 
 
 def kernel_I_derivs(k, nu, r, kind="swirl", upto=2, shared=None):
-    """(G, G', G'') for G(r) = r^{nu/2} I_a(|k| r); upto and shared as in
+    """(G, G', G'') for G(r) = r^c I_a(|k| r); upto and shared as in
     kernel_K_derivs, with keys ("I", order, |k|) for ive(order, |k| r)."""
     return _kernel_derivs("I", k, nu, r, kind, upto, shared)
 
@@ -284,7 +250,7 @@ _KERNEL_BESSEL = {"K": (_k_mantissa, -1.0), "I": (_i_mantissa, +1.0)}
 
 
 def _kernel_derivs(name, k, nu, r, kind, upto, shared):
-    # With c = half_nu, sign = +1 for I and -1 for K:
+    # With sign = +1 for I and -1 for K:
     #   G   = r^c B_a(kr)
     #   G'  = (c+a) r^{c-1} B_a + sign k r^c B_{a+1}
     #   G'' = (c+a)(c+a-1) r^{c-2} B_a + sign (2c+2a+1) k r^{c-1} B_{a+1} + k^2 r^c B_{a+2}

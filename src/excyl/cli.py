@@ -60,6 +60,12 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CONVERGENCE, EXIT_IO = 0, 1, 2, 3, 4
 
 _FMT = "%.17g"
 
+# Largest iterate a config may ask for, in complex values (3 components x
+# (k_max+1) modes x 3 derivative orders x (n_radial+1) nodes): 256 MiB.  A
+# solve holds about twelve times its iterate, so larger sizes are refused
+# before anything is allocated.
+MAX_ITERATE_VALUES = 2 ** 24
+
 _FAMILY_RE = re.compile(r"^\s*(power_decay|power_exp_decay)\s*\(([^)]*)\)\s*$")
 
 
@@ -91,6 +97,12 @@ class RunConfig:
         check_iteration_settings(**self.settings())
         if self.k_max < 1 or self.n_radial < 8:
             raise ConfigError("need k_max >= 1 and n_radial >= 8")
+        values = 3 * (self.k_max + 1) * 3 * (self.n_radial + 1)
+        if values > MAX_ITERATE_VALUES:
+            raise ConfigError(
+                f"k_max = {self.k_max} with n_radial = {self.n_radial} needs an "
+                f"iterate of {values} complex values, more than "
+                f"MAX_ITERATE_VALUES = {MAX_ITERATE_VALUES}")
         if not (np.isfinite(self.r_max) and self.r_max > 1.0):
             raise ConfigError("r_max must be finite and > 1")
         if not (np.isfinite(self.grid_gamma) and self.grid_gamma > 0.0):
@@ -469,9 +481,9 @@ def cmd_bessel(args) -> int:
     wr = float(wronskian_check(np.asarray(x)))
     header = "order,x,I,K,I_prime,K_prime,wronskian_defect"
     if args.scaled:
+        # I' and K' carry the shifts of I and K, so the mantissas line up
         row = [alpha, x, float(iv.mantissa), float(kv.mantissa),
-               float(ivp.with_shift(iv.exp_shift).mantissa),
-               float(kvp.with_shift(kv.exp_shift).mantissa)]
+               float(ivp.mantissa), float(kvp.mantissa)]
         header = ("order,x,I_mantissa,K_mantissa,I_prime_mantissa,"
                   "K_prime_mantissa,wronskian_defect")
     else:

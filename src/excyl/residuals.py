@@ -17,7 +17,7 @@ effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -53,6 +53,18 @@ class ResidualReport:
     curve_r: Optional[np.ndarray] = None
     curve_momentum: Optional[np.ndarray] = None   # (n, 3): r, theta, z columns
     curve_divergence: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        # an audit that reads a non-finite number measures nothing: it fails
+        # as a non-finite iterate does, naming the first such quantity
+        # (maxima, then curves, then decay fits)
+        checks = [(f.name, getattr(self, f.name)) for f in fields(self)
+                  if f.name not in ("pressure_mode", "decay_fits")]
+        checks += [(f"decay fit {comp},{k}", fit)
+                   for (comp, k), fit in sorted(self.decay_fits.items())]
+        for name, value in checks:
+            if value is not None and not np.all(np.isfinite(value)):
+                raise NumericError(f"residual audit: {name} is not finite")
 
     @property
     def max_momentum(self) -> float:

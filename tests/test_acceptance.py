@@ -5,11 +5,16 @@ with -s to see them during the run); stated runtime budgets are asserted.
 """
 
 import filecmp
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import excyl
 from excyl.bessel import bessel_i, bessel_k, wronskian_check
 from excyl.cli import main as cli_main
 from excyl.fourier import BoundaryData, ForcingData, ForcingMode
@@ -240,7 +245,22 @@ def test_criterion_7_background_exactness():
             worst_residual=worst, seconds=dt)
 
 
-def test_criterion_8_determinism(tmp_path, monkeypatch):
+def _solve_in_subprocess(cfg_file, out, blas_threads):
+    """`excyl solve` in a fresh interpreter whose BLAS runs blas_threads
+    threads (the pool is sized once, at import)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads))
+    src = str(Path(excyl.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "excyl.cli", "solve", str(cfg_file),
+         "--output", str(out)], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_criterion_8_determinism(tmp_path):
     t0 = time.time()
     cfg = """
 [params]
@@ -254,24 +274,22 @@ theta,1 = 1e-3
 """
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text(cfg)
-    outs = [tmp_path / d for d in ("a", "b", "w8")]
+    outs = [tmp_path / d for d in ("a", "b", "blas1", "blas2")]
     assert cli_main(["solve", str(cfg_file), "--output", str(outs[0])]) == 0
     assert cli_main(["solve", str(cfg_file), "--output", str(outs[1])]) == 0
-    monkeypatch.setenv("EXCYL_WORKERS", "8")
-    assert cli_main(["solve", str(cfg_file), "--output", str(outs[2])]) == 0
-    names = ["summary.txt", "residuals.csv"] + \
-        [f"mode_{k}.csv" for k in range(0, 5)]
-    for name in names:
-        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
-    # across thread counts: the implementation is bit-identical, which is
-    # stronger than the required <= 1e-13 componentwise agreement
-    worst = 0.0
-    for k in range(0, 5):
-        a = np.genfromtxt(outs[0] / f"mode_{k}.csv", delimiter=",", names=True)
-        b = np.genfromtxt(outs[2] / f"mode_{k}.csv", delimiter=",", names=True)
-        for col in a.dtype.names:
-            worst = max(worst, float(np.max(np.abs(a[col] - b[col]))))
-    assert worst <= 1e-13
+    # the only threads a solve runs are BLAS's: one and two of them write
+    # the same bytes, which is stronger than the required <= 1e-13
+    # componentwise agreement
+    _solve_in_subprocess(cfg_file, outs[2], 1)
+    _solve_in_subprocess(cfg_file, outs[3], 2)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(["config.ini", "residuals.csv", "summary.txt"]
+                           + [f"mode_{k}.csv" for k in range(0, 5)])
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert filecmp.cmp(outs[0] / name, out / name, shallow=False), \
+                (out.name, name)
     dt = time.time() - t0
-    _report(8, "bit-identical reruns, thread-count invariance",
-            max_component_diff=worst, seconds=dt)
+    _report(8, "bit-identical reruns, in process and under 1 and 2 BLAS "
+            "threads", files=len(names), runs=len(outs), seconds=dt)

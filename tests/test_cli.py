@@ -6,12 +6,14 @@ import shutil
 import numpy as np
 import pytest
 
+from excyl import residuals
 from excyl.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    MAX_ITERATE_VALUES,
     _write_csv,
     main,
     parse_config,
@@ -292,6 +294,105 @@ def test_bad_grid_and_iteration_parameters_are_config_errors(tmp_path, capsys,
     assert line.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["n_radial = 10000000000000000000000",
+                                  "k_max = 100000000000"])
+def test_sizes_past_the_iterate_ceiling_are_config_errors(tmp_path, capsys,
+                                                          line):
+    # refused by RunConfig.validate before the grid or the iterate exists
+    cfg = tmp_path / "big.ini"
+    cfg.write_text(MINIMAL + line + "\n")
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert line in err and "MAX_ITERATE_VALUES" in err
+    assert not out.exists()
+
+
+def test_iterate_ceiling_counts_three_components_and_derivatives():
+    # k_max = 1: 3 * 2 * 3 * (n_radial + 1) complex values
+    largest = MAX_ITERATE_VALUES // 18 - 1
+    parse_config(f"[params]\nnu = -1.0\nk_max = 1\nn_radial = {largest}\n")
+    with pytest.raises(ConfigError, match=f"n_radial = {largest + 1} "):
+        parse_config(f"[params]\nnu = -1.0\nk_max = 1\n"
+                     f"n_radial = {largest + 1}\n")
+
+
+_NAN_AUDIT_RUN = """
+[params]
+nu = -1.0
+mu = 1.0
+k_max = 2
+n_radial = 64
+r_max = 30.0
+
+[boundary]
+theta,1 = 1e-3
+"""
+
+
+def _nan_in_u_theta(synth):
+    def patched(name, stack, z):
+        out = synth(name, stack, z)
+        if name == "u_theta":
+            out[len(out) // 4, 0] = np.nan
+        return out
+    return patched
+
+
+def _nan_in_pressure(recover):
+    def patched(v, nu, rhs):
+        out = recover(v, nu, rhs)
+        out[1, len(v.grid) // 4] = np.nan
+        return out
+    return patched
+
+
+def _nan_slope(fit):
+    def patched(values, grid):
+        got = fit(values, grid)
+        return None if got is None else (np.nan, got[1])
+    return patched
+
+
+@pytest.mark.parametrize("target, patch, quantity", [
+    ("_synth", _nan_in_u_theta, "momentum_r"),
+    ("recover_pressure", _nan_in_pressure, "momentum_r"),
+    ("decay_fit", _nan_slope, "decay fit r,1"),
+])
+def test_non_finite_audit_is_numeric_error(tmp_path, capsys, monkeypatch,
+                                           target, patch, quantity):
+    # one NaN in the audit's synthesis, pressure or decay fits: the solve
+    # fails before it writes anything, naming the first non-finite quantity
+    monkeypatch.setattr(residuals, target, patch(getattr(residuals, target)))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_NAN_AUDIT_RUN)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert f"residual audit: {quantity} is not finite" in err
+    assert not out.exists()
+
+
+def test_non_finite_audit_fails_verify_and_nonunique(tmp_path, capsys,
+                                                     monkeypatch):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_NAN_AUDIT_RUN)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == EXIT_OK
+    pair_cfg = tmp_path / "pair.ini"
+    pair_cfg.write_text(_NAN_AUDIT_RUN.replace("nu = -1.0", "nu = -3.0"))
+    pair = tmp_path / "pair"
+    capsys.readouterr()
+    monkeypatch.setattr(residuals, "_synth",
+                        _nan_in_u_theta(residuals._synth))
+    assert main(["verify", str(out)]) == EXIT_NUMERIC
+    assert main(["nonunique", str(pair_cfg), "--output", str(pair)]) == \
+        EXIT_NUMERIC
+    assert capsys.readouterr().err.count("residual audit: ") == 2
+    assert not (out / "residuals_verify.csv").exists()
+    assert not pair.exists()
+
+
 @pytest.mark.parametrize("nu, mu", [
     ("nan", "0.0"), ("-inf", "0.0"), ("-1.0", "nan"), ("-1.0", "inf"),
     ("-1.0", "-inf")])
@@ -513,18 +614,15 @@ def test_bessel_subcommand(capsys):
     assert abs(float(vals[6])) < 1e-12  # wronskian defect
 
 
-def test_determinism_bit_identical(tmp_path, monkeypatch):
+def test_determinism_bit_identical(tmp_path):
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text(SMALL_RUN)
-    out1, out2, out8 = (tmp_path / d for d in ("d1", "d2", "d8"))
+    out1, out2 = (tmp_path / d for d in ("d1", "d2"))
     assert main(["solve", str(cfg_file), "--output", str(out1)]) == EXIT_OK
     assert main(["solve", str(cfg_file), "--output", str(out2)]) == EXIT_OK
-    monkeypatch.setenv("EXCYL_WORKERS", "8")
-    assert main(["solve", str(cfg_file), "--output", str(out8)]) == EXIT_OK
     for name in ["summary.txt", "residuals.csv"] + \
             [f"mode_{k}.csv" for k in range(0, 4)]:
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
-        assert filecmp.cmp(out1 / name, out8 / name, shallow=False), name
 
 
 def test_oracle_subcommand():
