@@ -292,20 +292,27 @@ def tail_closure(value_at_rmax, r_max: float, p: float):
 def decay_fit(values: np.ndarray, grid: RadialGrid):
     """Least-squares slope of log|v| vs log r over the last decade of nodes.
 
-    Returns (slope, r_squared) or None when the window is effectively zero.
+    The line is the closed form on the centred log-radii x of that decade,
+    cached read-only with its mask: slope = x.y / x.x for y = log|v| less
+    its mean.  Returns (slope, r_squared) or None when the window is
+    effectively zero.
     """
-    mask = grid.last_decade_mask()
+    def build():
+        mask = grid.last_decade_mask()
+        x = np.log(grid.nodes[mask])
+        return mask, x - np.mean(x)
+
+    mask, x = grid.cached("decayfit", build)
     v = np.abs(np.asarray(values)[mask])
     if np.any(v <= 0.0) or np.max(v) < 1e-280:
         return None
-    x = np.log(grid.nodes[mask])
     y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    y -= np.mean(y)
+    slope = float(x @ y) / float(x @ x)
+    ss_res = float(np.sum((y - slope * x) ** 2))
+    ss_tot = float(y @ y)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
+    return slope, r2
 
 
 def _check_declared_tail(values, grid: RadialGrid, p: float, total) -> None:

@@ -86,20 +86,44 @@ class ResidualReport:
         return "\n".join(lines)
 
 
-def _check_real(name: str, arr: np.ndarray) -> np.ndarray:
-    scale = max(float(np.max(np.abs(arr))), 1.0)
-    imag = float(np.max(np.abs(arr.imag)))
-    if imag > 1e-10 * scale:
-        raise NumericError(f"{name} synthesis is not real (residue {imag:.2e})")
-    return np.ascontiguousarray(arr.real)
-
-
 def _synth(name: str, stack: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The real (node, z) samples of sum_k stack[k] e^{ikz} for a stack of
-    the modes k = -K..K, shape (2K+1, n); a non-real sum is a NumericError."""
+    the modes k = -K..K, shape (2K+1, n).
+
+    A stack that is not finite, or whose modes -k are not the conjugates of
+    its modes k to within 1e-10 of its largest magnitude (or of 1), is a
+    NumericError naming it; the sum then runs over the modes 0..K alone."""
+    if not np.all(np.isfinite(stack)):
+        raise NumericError(f"{name} synthesis is not finite")
     k_max = len(stack) // 2
-    k = np.arange(-k_max, k_max + 1)
-    return _check_real(name, stack.T @ np.exp(1j * np.outer(k, z)))
+    half = stack[k_max:]
+    scale = max(float(np.max(np.abs(stack))), 1.0)
+    residue = 0.5 * float(np.max(np.abs(half - np.conj(stack[k_max::-1]))))
+    if residue > 1e-10 * scale:
+        raise NumericError(f"{name} synthesis is not real (residue {residue:.2e})")
+    return _synth_half(half, z)
+
+
+def _synth_half(half: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The real (node, z) samples of the real field whose modes 0..K are
+    half (K+1, n): one real product of their real and imaginary parts with
+    the cosine and sine rows, mode k != 0 counted twice for its -k twin."""
+    k = np.arange(len(half))
+    kz = np.outer(k, z)
+    weight = np.where(k == 0, 1.0, 2.0)[:, None]
+    parts = np.concatenate((half.real, -half.imag))
+    return parts.T @ np.concatenate((weight * np.cos(kz), weight * np.sin(kz)))
+
+
+def _dz(a: np.ndarray, order: int = 1) -> np.ndarray:
+    """Derivative 1 or 2 in z of real samples a (node, z) on a uniform
+    periodic z grid of period 2 pi, exact on the modes it resolves: the
+    real-input FFT along z, scaled by (ik)^order, transformed back."""
+    n_z = a.shape[1]
+    k = np.arange(n_z // 2 + 1)
+    ah = np.fft.rfft(a, axis=1)
+    ah *= 1j * k if order == 1 else -(k * k)
+    return np.fft.irfft(ah, n_z, axis=1)
 
 
 def recover_pressure(v: FourierField, nu: float, rhs) -> np.ndarray:
@@ -135,106 +159,120 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     """
     grid = field_v.grid
     r = grid.nodes
+    rc = r[:, None]
     k_max = field_v.k_max
     n_z = 4 * k_max + 1
     z = 2.0 * np.pi * np.arange(n_z) / n_z + z_offset
-
-    # solver-produced mode content is differentiated numerically below; the
-    # closed-form background nu/r, (mu + sigma)/r enters with its exact
-    # derivatives so the audit measures the solution, not FD noise on 1/r
-    v_r, v_th, v_z = (_synth(f"u_{comp}", field_v.stack(comp), z)
-                      for comp in COMPONENTS)
-    sigma = field_v.sigma or 0.0
-    bg_r = nu / r
-    bg_th = (mu + sigma) / r
-    u_r = v_r + bg_r[:, None]
-    u_th = v_th + bg_th[:, None]
-    u_z = v_z
-
-    # every k is sampled on its own, so forcing given at a non-conjugate
-    # +-k pair fails the realness check
-    f_r, f_th, f_z = (
-        _synth(f"f_{comp}", np.array([forcing.sample(comp, k, r) for k in
-                                      range(-k_max, k_max + 1)]), z)
-        for comp in COMPONENTS)
-
-    freqs = np.fft.fftfreq(n_z, d=1.0 / n_z)
-
-    def dz(a, order=1):
-        ah = np.fft.fft(a, axis=1)
-        ah *= (1j * freqs[None, :]) ** order
-        return np.real(np.fft.ifft(ah, axis=1))
-
-    rc = r[:, None]
-    # first/second r-derivatives: FD on the mode content + exact background
-    dr_u_r = grid.differentiate(v_r, 1) + (-bg_r / r)[:, None]
-    d2r_u_r = grid.differentiate(v_r, 2) + (2.0 * bg_r / r ** 2)[:, None]
-    dr_u_th = grid.differentiate(v_th, 1) + (-bg_th / r)[:, None]
-    d2r_u_th = grid.differentiate(v_th, 2) + (2.0 * bg_th / r ** 2)[:, None]
-    dr_u_z = grid.differentiate(v_z, 1)
-    d2r_u_z = grid.differentiate(v_z, 2)
-
-    def laplace(d2a, da, a):
-        return d2a + da / rc + dz(a, 2)
-
-    def adv(da, a):
-        return u_r * da + u_z * dz(a, 1)
-
-    eq_r = (adv(dr_u_r, u_r) - u_th ** 2 / rc
-            - (laplace(d2r_u_r, dr_u_r, u_r) - u_r / rc ** 2) - f_r)
-    eq_th = (adv(dr_u_th, u_th) + u_th * u_r / rc
-             - (laplace(d2r_u_th, dr_u_th, u_th) - u_th / rc ** 2) - f_th)
-    eq_z = adv(dr_u_z, u_z) - laplace(d2r_u_z, dr_u_z, u_z) - f_z
-    cont = dr_u_r + u_r / rc + dz(u_z, 1)
-
     if pressure is not None:
         half = np.asarray(pressure, dtype=complex)
         if half.shape != (k_max + 1, len(grid)):
             raise DomainError(f"pressure must be the ({k_max + 1}, {len(grid)}) "
                               f"array of modes 0..K, got shape {half.shape}")
-        p = _synth("pressure", np.concatenate((np.conj(half[:0:-1]), half)), z)
-        # supplied modes are the reduced pressure; the background pair
+
+    def forcing_of(comp):
+        # every k is sampled on its own, so forcing given at a non-conjugate
+        # +-k pair fails the realness check; a component without modes is 0
+        if not any(c == comp and abs(k) <= k_max for c, k in forcing.modes):
+            return 0.0
+        return _synth(f"f_{comp}", np.array(
+            [forcing.sample(comp, k, r) for k in range(-k_max, k_max + 1)]), z)
+
+    edge = {}  # u_comp at r = 1, for the boundary mismatch
+
+    def velocity(comp, background=None):
+        """u_comp, and with a background b/r (b = nu, mu + sigma) its first
+        and second r-derivatives: FD on the mode content, exact on b/r, so
+        the audit measures the solution, not FD noise on 1/r."""
+        u = _synth(f"u_{comp}", field_v.stack(comp), z)
+        derivatives = ()
+        if background is not None:
+            d1 = grid.differentiate(u, 1)
+            d1 += (-background / r)[:, None]
+            d2 = grid.differentiate(u, 2)
+            d2 += (2.0 * background / r ** 2)[:, None]
+            u += background[:, None]
+            derivatives = (d1, d2)
+        edge[comp] = u[0].copy()
+        return (u,) + derivatives
+
+    def curve(a):
+        """The per-radius maximum over z of |a|, overwriting a."""
+        return np.max(np.abs(a, out=a), axis=1)
+
+    def laplace(d2a, da, a):
+        return d2a + da / rc + _dz(a, 2)
+
+    def adv(da, a):
+        return u_r * da + u_z * _dz(a, 1)
+
+    # each residual is reduced to its per-radius maximum as soon as it is
+    # formed, and each derivative dropped once its last equation is
+    sigma = field_v.sigma or 0.0
+    (u_z,) = velocity("z")
+    u_r, dr_u_r, d2r_u_r = velocity("r", nu / r)
+    curve_div = curve(dr_u_r + u_r / rc + _dz(u_z, 1))
+
+    u_th, dr_u_th, d2r_u_th = velocity("theta", (mu + sigma) / r)
+    curve_th = curve(adv(dr_u_th, u_th) + u_th * u_r / rc
+                     - (laplace(d2r_u_th, dr_u_th, u_th) - u_th / rc ** 2)
+                     - forcing_of("theta"))
+    del dr_u_th, d2r_u_th
+
+    eq_r = (adv(dr_u_r, u_r) - u_th ** 2 / rc
+            - (laplace(d2r_u_r, dr_u_r, u_r) - u_r / rc ** 2)
+            - forcing_of("r"))
+    del u_th, dr_u_r, d2r_u_r
+
+    if pressure is not None:
+        # supplied modes are the reduced pressure, real by construction (a
+        # non-finite one fails the report); the background pair
         # (nu/r, mu/r) carries its own exact pressure -(nu^2+mu^2)/(2 r^2)
         dp_bg = ((nu * nu + mu * mu) / r ** 3)[:, None]
-        res_r = eq_r + grid.differentiate(p, 1) + dp_bg
-        res_z = eq_z + dz(p, 1)
+        p = _synth_half(half, z)
+        curve_r = curve(eq_r + grid.differentiate(p, 1) + dp_bg)
+        del eq_r
         mode = "direct"
+    dr_u_z = grid.differentiate(u_z, 1)
+    eq_z = (adv(dr_u_z, u_z)
+            - laplace(grid.differentiate(u_z, 2), dr_u_z, u_z)
+            - forcing_of("z"))
+    del dr_u_z
+    if pressure is not None:
+        curve_z = curve(eq_z + _dz(p, 1))
     else:
-        curl = dz(eq_r, 1) - grid.differentiate(eq_z, 1)
-        res_r = res_z = curl
+        curve_r = curve_z = curve(_dz(eq_r, 1) - grid.differentiate(eq_z, 1))
         mode = "curl"
 
-    cut = grid.r_max / 2.0
-    inner = r <= cut
-    outer = ~inner
-
-    def mx(a, mask):
-        return float(np.max(np.abs(a[mask, :]))) if mask.any() else 0.0
-
     boundary_mismatch = 0.0
-    for comp, u, base in (("r", u_r, nu), ("theta", u_th, mu), ("z", u_z, 0.0)):
+    for comp, base in (("r", nu), ("theta", mu), ("z", 0.0)):
         g = np.zeros(n_z, dtype=complex)
         for k in boundary.k_support():
             g += boundary.coefficient(comp, k) * np.exp(1j * k * z)
         boundary_mismatch = max(
             boundary_mismatch,
-            float(np.max(np.abs(u[0, :] - base - np.real(g)))))
+            float(np.max(np.abs(edge[comp] - base - np.real(g)))))
+
+    cut = grid.r_max / 2.0
+    inner = r <= cut
+    outer = ~inner
+
+    def mx(c, mask):
+        return float(np.max(c[mask])) if mask.any() else 0.0
 
     return ResidualReport(
-        momentum_r=mx(res_r, inner),
-        momentum_theta=mx(eq_th, inner),
-        momentum_z=mx(res_z, inner),
-        divergence=float(np.max(np.abs(cont))),
+        momentum_r=mx(curve_r, inner),
+        momentum_theta=mx(curve_th, inner),
+        momentum_z=mx(curve_z, inner),
+        divergence=float(np.max(curve_div)),
         boundary_mismatch=boundary_mismatch,
-        outer_momentum=max(mx(res_r, outer), mx(eq_th, outer), mx(res_z, outer)),
+        outer_momentum=max(mx(curve_r, outer), mx(curve_th, outer),
+                           mx(curve_z, outer)),
         pressure_mode=mode,
         n_z=n_z,
         inner_radius_cut=cut,
         curve_r=r.copy(),
-        curve_momentum=np.stack([np.max(np.abs(res_r), axis=1),
-                                 np.max(np.abs(eq_th), axis=1),
-                                 np.max(np.abs(res_z), axis=1)], axis=1),
-        curve_divergence=np.max(np.abs(cont), axis=1),
+        curve_momentum=np.stack([curve_r, curve_th, curve_z], axis=1),
+        curve_divergence=curve_div,
         decay_fits={(comp, k): fit for k in range(k_max + 1)
                     for c, comp in enumerate(COMPONENTS)
                     if (fit := decay_fit(field_v.data[c, k, 0], grid))

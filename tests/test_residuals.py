@@ -1,6 +1,8 @@
 """Verification-module tests: background exactness, decay fits, manufactured
 solutions through both the linear and nonlinear paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from excyl.fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
 from excyl.modes import solve_linear_system
 from excyl.picard import TauInfo, picard_solve
 from excyl.radial import RadialGrid, RadialProfile, integrate_outer
-from excyl.residuals import (attach_residual_report, decay_fit,
+from excyl.residuals import (_dz, _synth, attach_residual_report, decay_fit,
                              manufactured_forcing, recover_pressure,
                              residual_asns)
 
@@ -65,6 +67,27 @@ def test_decay_fit_log_modified(grid):
 
 def test_decay_fit_zero_window(grid):
     assert decay_fit(np.zeros(len(grid)), grid) is None
+
+
+def _polyfit_decay(values, grid):
+    """The decay fit by np.polyfit, as a reference for the closed form."""
+    mask = grid.last_decade_mask()
+    x, y = np.log(grid.nodes[mask]), np.log(np.abs(values[mask]))
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = np.sum((y - slope * x - intercept) ** 2)
+    return slope, 1.0 - ss_res / np.sum((y - np.mean(y)) ** 2)
+
+
+@pytest.mark.parametrize("case", ["power", "log", "random"])
+def test_decay_fit_closed_form_matches_polyfit(grid, case):
+    r = grid.nodes
+    values = {"power": r ** -2.0, "log": r ** -2.0 * np.log(r),
+              "random": r ** -3.0 * np.exp(
+                  0.3 * np.random.default_rng(7).standard_normal(len(r)))}[case]
+    slope, r2 = decay_fit(values, grid)
+    ref_slope, ref_r2 = _polyfit_decay(values, grid)
+    assert abs(slope - ref_slope) < 1e-12
+    assert abs(r2 - ref_r2) < 1e-12
 
 
 # --- manufactured solutions ---------------------------------------------------
@@ -294,3 +317,88 @@ def test_non_conjugate_forcing_pair_is_not_real(grid):
     field = FourierField.zero(grid, 2, with_sigma=False)
     with pytest.raises(NumericError, match="f_z synthesis is not real"):
         residual_asns(field, -1.0, 1.0, f, BoundaryData())
+
+
+def _conjugate_stack(rng, k_max, n):
+    """A random stack of the modes -K..K with mode -k the conjugate of k."""
+    half = rng.standard_normal((k_max + 1, n)) \
+        + 1j * rng.standard_normal((k_max + 1, n))
+    half[0] = half[0].real
+    return np.concatenate((np.conj(half[:0:-1]), half))
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 8, 32])
+def test_half_spectrum_synthesis_matches_the_complex_sum(k_max):
+    # the sum over modes 0..K as cosine and sine products, and the real-FFT
+    # z-derivatives, are the complex sum over -K..K and the complex-FFT
+    # derivatives of a real field
+    rng = np.random.default_rng(k_max)
+    n_z = 4 * k_max + 1
+    z = 2.0 * np.pi * np.arange(n_z) / n_z + 0.3
+    stack = _conjugate_stack(rng, k_max, 40)
+    k = np.arange(-k_max, k_max + 1)
+    ref = np.real(stack.T @ np.exp(1j * np.outer(k, z)))
+    got = _synth("u", stack, z)
+    assert got.shape == (40, n_z)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    freqs = np.fft.fftfreq(n_z, d=1.0 / n_z)
+    for order in (1, 2):
+        ref = np.real(np.fft.ifft(np.fft.fft(got, axis=1)
+                                  * (1j * freqs) ** order, axis=1))
+        assert np.max(np.abs(_dz(got, order) - ref)) <= \
+            1e-13 * max(np.max(np.abs(ref)), 1e-300)
+
+
+def test_single_z_sample_field_audits():
+    # K = 0 synthesizes one z sample, whose z-derivatives vanish
+    g = RadialGrid.graded(128, 60.0, 2.0)
+    bundle = picard_solve(g, -1.0, 1.0, 0, ForcingData(),
+                          BoundaryData(g_theta={0: 1e-3}))
+    rep = attach_residual_report(bundle)
+    assert bundle.converged and rep.n_z == 1
+    assert rep.pressure_mode == "direct"
+    assert rep.max_momentum < 1e-6 and rep.boundary_mismatch < 1e-12
+    assert rep.curve_momentum.shape == (len(g), 3)
+
+
+def test_non_finite_mode_fails_at_its_synthesis(grid):
+    # a NaN in one mode of one component is named where that component is
+    # synthesized, not as a downstream residual
+    field = _manufactured_field(grid, -1.5)
+    field.data[COMPONENTS.index("theta"), 1, 0, len(grid) // 4] = np.nan
+    with pytest.raises(NumericError, match="u_theta synthesis is not finite"):
+        residual_asns(field, -1.5, 0.7, ForcingData(), BoundaryData())
+
+
+def test_audit_memory_peak():
+    # the audit reduces each residual to its per-radius curve as it forms
+    # and drops each derivative after its last use; its traced peak at
+    # n = 256, K = 32 measures 3.2 MiB, against 6.5 MiB when it held every
+    # (n, 4K+1) array to the end
+    g = RadialGrid.graded(256, 100.0, 2.0)
+    k_max = 32
+    b = BoundaryData(g_theta={k: 1e-4 / k for k in range(1, k_max + 1)},
+                     g_z={k: 5e-5 / k for k in range(1, k_max + 1)})
+    bundle = picard_solve(g, -1.0, 1.0, k_max, ForcingData(), b)
+    assert bundle.converged
+    tracemalloc.start()
+    try:
+        attach_residual_report(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2 ** 20, peak / 2 ** 20
+
+
+def test_forcing_without_modes_is_a_zero_forcing(grid):
+    # a component with no forcing mode enters as a scalar 0: the residuals
+    # keep the bits of a forcing whose every mode samples to zero
+    b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
+    bundle = picard_solve(grid, -1.0, 1.0, 3, ForcingData(), b)
+    zero = ForcingData({(comp, k): ForcingMode(lambda r: 0.0 * r, 10.0)
+                        for comp in COMPONENTS for k in (0, 1)})
+    pressure = recover_pressure(bundle.v, -1.0, bundle.rhs_final)
+    for p in (pressure, None):
+        reports = [residual_asns(bundle.v, -1.0, 1.0, f, b, pressure=p)
+                   for f in (ForcingData(), zero)]
+        assert_same_bits(reports[0].curve_momentum, reports[1].curve_momentum)
