@@ -50,11 +50,10 @@ from .bessel import (bessel_i, bessel_i_prime, bessel_k, bessel_k_prime,
 from .errors import ConfigError, ConvergenceError, ExcylError, NumericError
 from .fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
                       FourierField)
-from .modes import has_sigma_tail
 from .picard import (check_iteration_settings, compute_tau, nonuniqueness_pair,
                      picard_solve)
 from .radial import RadialGrid, fd_bvp_solve
-from .residuals import attach_residual_report, residual_asns
+from .residuals import attach_residual_report, recover_pressure, residual_asns
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CONVERGENCE, EXIT_IO = 0, 1, 2, 3, 4
 
@@ -336,12 +335,10 @@ def _write_residuals(path: Path, rep):
                [rep.curve_r, *rep.curve_momentum.T, rep.curve_divergence])
 
 
-def _solve_bundle(cfg: RunConfig):
-    grid = cfg.grid()
-    bundle = picard_solve(grid, cfg.nu, cfg.mu, cfg.k_max, cfg.forcing_data(),
-                          cfg.boundary_data(), **cfg.settings())
-    attach_residual_report(bundle)
-    return bundle
+def _solve(cfg: RunConfig, grid: RadialGrid):
+    """The unaudited picard_solve of cfg on grid."""
+    return picard_solve(grid, cfg.nu, cfg.mu, cfg.k_max, cfg.forcing_data(),
+                        cfg.boundary_data(), **cfg.settings())
 
 
 def _write_solution(cfg: RunConfig, bundle, out_dir: Path):
@@ -376,8 +373,7 @@ def _summary_text(cfg: RunConfig, bundle) -> str:
         f"norm_B_tau = {bundle.norms['B_tau']!r}",
         f"c_emp = {bundle.c_emp!r}",
         f"sigma = {bundle.sigma!r}",
-        "convolution_tail = "
-        + (repr(bundle.rhs_final.convolution_tail) if bundle.rhs_final else "0.0"),
+        f"convolution_tail = {bundle.rhs_final.convolution_tail!r}",
         "",
         "[residuals]",
         bundle.residual_report.as_text(),
@@ -395,7 +391,8 @@ def _summary_text(cfg: RunConfig, bundle) -> str:
 
 def cmd_solve(args) -> int:
     cfg = parse_config(_read_text(Path(args.config)))
-    bundle = _solve_bundle(cfg)
+    bundle = _solve(cfg, cfg.grid())
+    attach_residual_report(bundle)
     out_dir = Path(args.output or cfg.output_dir)
     _write_solution(cfg, bundle, out_dir)
     print((out_dir / "summary.txt").read_text(), end="")
@@ -407,38 +404,25 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Audit the velocity that a solution directory's mode files hold, with
+    the pressure and sigma of solving its config.ini again, as solve does."""
     sol_dir = Path(args.solution_dir)
     cfg = parse_config(_read_text(sol_dir / "config.ini"))
     grid = cfg.grid()
-    field = FourierField.zero(grid, cfg.k_max, has_sigma_tail(cfg.nu))
-    field.has_derivatives = False  # the CSVs hold values only
-    for k in range(0, cfg.k_max + 1):
-        field.data[:, k, 0] = _read_mode_csv(sol_dir / f"mode_{k}.csv", grid)
-    if field.sigma is not None:
-        field.sigma = _summary_sigma(sol_dir / "summary.txt")
-    rep = residual_asns(field, cfg.nu, cfg.mu, cfg.forcing_data(),
-                        cfg.boundary_data())
+    values = [_read_mode_csv(sol_dir / f"mode_{k}.csv", grid)
+              for k in range(0, cfg.k_max + 1)]
+    # the audit synthesizes mode 0 from its real part alone
+    if np.max(np.abs(values[0].imag)) > 1e-10 * max(1.0, np.max(np.abs(values[0]))):
+        raise ConfigError(f"{sol_dir / 'mode_0.csv'}: mode 0 is not real")
+    bundle = _solve(cfg, grid)
+    field = FourierField(grid, np.zeros_like(bundle.v.data), bundle.sigma,
+                         has_derivatives=False)
+    field.data[:, :, 0] = np.stack(values, axis=1)
+    rep = residual_asns(field, cfg.nu, cfg.mu, bundle.forcing, bundle.boundary,
+                        recover_pressure(bundle.v, cfg.nu, bundle.rhs_final))
     print(rep.as_text())
     _write_residuals(sol_dir / "residuals_verify.csv", rep)
     return EXIT_OK
-
-
-def _summary_sigma(path: Path) -> float:
-    """The 1/r tail coefficient from a solve summary's `sigma = ` line.
-
-    A missing summary is an OSError; a missing line, or one that does not
-    hold a finite float, is a ConfigError.
-    """
-    for line in _read_text(path).splitlines():
-        if line.startswith("sigma = "):
-            try:
-                sigma = float(line[len("sigma = "):])
-            except ValueError:
-                sigma = np.nan
-            if not np.isfinite(sigma):
-                raise ConfigError(f"{path}: bad sigma line {line!r}")
-            return sigma
-    raise ConfigError(f"{path} has no 'sigma = <float>' line")
 
 
 def cmd_nonunique(args) -> int:
@@ -474,6 +458,11 @@ def cmd_nonunique(args) -> int:
 
 def cmd_bessel(args) -> int:
     alpha, x = args.order, args.x
+    # the substrate's domain; an x past its range is still a numeric error
+    if not (np.isfinite(alpha) and alpha >= 0.0):
+        raise ConfigError(f"--order must be finite and >= 0, got {alpha!r}")
+    if not (np.isfinite(x) and x > 0.0):
+        raise ConfigError(f"--x must be finite and > 0, got {x!r}")
     iv = bessel_i(alpha, x)
     kv = bessel_k(alpha, x)
     ivp = bessel_i_prime(alpha, x)

@@ -236,11 +236,31 @@ class ForcingData:
 
     def sample_stack(self, k_max: int, r: np.ndarray) -> np.ndarray:
         """f_{c,k} at r for the components c of COMPONENTS and k = 0..K, as
-        one (3, K+1, n) array (absent modes are zero rows)."""
+        one (3, K+1, n) array (absent modes are zero rows).
+
+        The forcing is real: mode 0 samples real and a mode -k given beside
+        mode k samples to its conjugate.  A residue above 1e-10 of the
+        component's largest sample (or of 1) is a ConfigError naming the
+        pair."""
         out = np.zeros((len(COMPONENTS), k_max + 1, len(r)), dtype=complex)
         for k in range(k_max + 1):
             for c, comp in enumerate(COMPONENTS):
                 out[c, k] = self.sample(comp, k, r)
+        for c, comp in enumerate(COMPONENTS):
+            # mode -k of every k whose pair can break the symmetry
+            minus = {0: out[c, 0]}
+            minus.update((k, self.sample(comp, -k, r))
+                         for k in range(1, k_max + 1)
+                         if {(comp, k), (comp, -k)} <= self.modes.keys())
+            scale = max(1.0, *(float(np.max(np.abs(a)))
+                               for a in (out[c], *minus.values())))
+            for k, vals in minus.items():
+                residue = 0.5 * float(np.max(np.abs(out[c, k] - np.conj(vals))))
+                if residue > 1e-10 * scale:
+                    pair = (f"({comp}, {k}) and ({comp}, {-k}) are not "
+                            "conjugates" if k else f"({comp}, 0) is not real")
+                    raise ConfigError(f"forcing {pair} (residue "
+                                      f"{residue:.2e})")
         return out
 
     def decay(self, component: str, k: int) -> float:

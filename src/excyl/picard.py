@@ -291,7 +291,7 @@ class SolutionBundle:
     c_emp: float
     forcing: ForcingData
     boundary: BoundaryData
-    rhs_final: Optional[RhsAssembly] = None
+    rhs_final: RhsAssembly  # the assembly the last step solved
     residual_report: Optional[object] = None
     meridional: Optional[MeridionalStacks] = None  # w, phi of modes 1..K
 

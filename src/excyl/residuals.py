@@ -6,13 +6,12 @@ in z.  Nothing from the solvers' analytic derivative formulas enters here, so
 a wrong derivative or sign in a representation shows up as a residual.
 
 Momentum residuals target the stationary axisymmetric system in cylindrical
-components (advection + pressure gradient - viscous - forcing).  A solve
-supplies its pressure modes 0..K as one (K+1, n) array (recover_pressure);
-without them the r/z pair is checked in curl (pressure-eliminated) form
-d/dz(R_r) - d/dr(R_z); with 4K+1 z-samples that combination is evaluated
-without aliasing.  Residual maxima are split at r_max/2: the inner half
-reflects discretization quality, the outer half absorbs domain-truncation
-effects.
+components (advection + pressure gradient - viscous - forcing), with the
+pressure modes 0..K given as one (K+1, n) array (recover_pressure of a
+solve).  The velocity is sampled at 4K+1 heights, so every quadratic term
+is resolved without aliasing.  Residual maxima are split at r_max/2: the
+inner half reflects discretization quality, the outer half absorbs
+domain-truncation effects.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class ResidualReport:
     divergence: float
     boundary_mismatch: float
     outer_momentum: float
-    pressure_mode: str                      # "direct" or "curl"
     decay_fits: Dict[Tuple[str, int], Tuple[float, float]] = field(default_factory=dict)
     n_z: int = 0
     inner_radius_cut: float = 0.0
@@ -59,7 +57,7 @@ class ResidualReport:
         # as a non-finite iterate does, naming the first such quantity
         # (maxima, then curves, then decay fits)
         checks = [(f.name, getattr(self, f.name)) for f in fields(self)
-                  if f.name not in ("pressure_mode", "decay_fits")]
+                  if f.name != "decay_fits"]
         checks += [(f"decay fit {comp},{k}", fit)
                    for (comp, k), fit in sorted(self.decay_fits.items())]
         for name, value in checks:
@@ -78,7 +76,6 @@ class ResidualReport:
             f"momentum residual (outer half):         {self.outer_momentum:.6e}",
             f"divergence residual:                    {self.divergence:.6e}",
             f"boundary mismatch:                      {self.boundary_mismatch:.6e}",
-            f"pressure handling:                      {self.pressure_mode}",
             f"z samples: {self.n_z}, inner region r <= {self.inner_radius_cut:g}",
         ]
         for (comp, k), (slope, r2) in sorted(self.decay_fits.items()):
@@ -86,21 +83,10 @@ class ResidualReport:
         return "\n".join(lines)
 
 
-def _synth(name: str, stack: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The real (node, z) samples of sum_k stack[k] e^{ikz} for a stack of
-    the modes k = -K..K, shape (2K+1, n).
-
-    A stack that is not finite, or whose modes -k are not the conjugates of
-    its modes k to within 1e-10 of its largest magnitude (or of 1), is a
-    NumericError naming it; the sum then runs over the modes 0..K alone."""
-    if not np.all(np.isfinite(stack)):
+def _synth(name: str, half: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """_synth_half(half, z), or a NumericError naming a non-finite field."""
+    if not np.all(np.isfinite(half)):
         raise NumericError(f"{name} synthesis is not finite")
-    k_max = len(stack) // 2
-    half = stack[k_max:]
-    scale = max(float(np.max(np.abs(stack))), 1.0)
-    residue = 0.5 * float(np.max(np.abs(half - np.conj(stack[k_max::-1]))))
-    if residue > 1e-10 * scale:
-        raise NumericError(f"{name} synthesis is not real (residue {residue:.2e})")
     return _synth_half(half, z)
 
 
@@ -146,7 +132,7 @@ def recover_pressure(v: FourierField, nu: float, rhs) -> np.ndarray:
 
 def residual_asns(field_v: FourierField, nu: float, mu: float,
                   forcing: ForcingData, boundary: BoundaryData,
-                  pressure: Optional[np.ndarray] = None,
+                  pressure: np.ndarray,
                   z_offset: float = 0.0) -> ResidualReport:
     """Residuals of the full stationary system for the synthesized velocity.
 
@@ -154,8 +140,7 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     (nu/r) e_r + (mu/r) e_theta is added here.  forcing enters the momentum
     residuals and boundary the boundary mismatch (ForcingData() and
     BoundaryData() state none).  pressure is the (K+1, n) array of the
-    pressure modes 0..K (recover_pressure), any other shape a DomainError;
-    without it the r/z momentum residuals are evaluated in curl form.
+    pressure modes 0..K (recover_pressure), any other shape a DomainError.
     """
     grid = field_v.grid
     r = grid.nodes
@@ -163,19 +148,16 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     k_max = field_v.k_max
     n_z = 4 * k_max + 1
     z = 2.0 * np.pi * np.arange(n_z) / n_z + z_offset
-    if pressure is not None:
-        half = np.asarray(pressure, dtype=complex)
-        if half.shape != (k_max + 1, len(grid)):
-            raise DomainError(f"pressure must be the ({k_max + 1}, {len(grid)}) "
-                              f"array of modes 0..K, got shape {half.shape}")
+    half = np.asarray(pressure, dtype=complex)
+    if half.shape != (k_max + 1, len(grid)):
+        raise DomainError(f"pressure must be the ({k_max + 1}, {len(grid)}) "
+                          f"array of modes 0..K, got shape {half.shape}")
+    f_modes = forcing.sample_stack(k_max, r)
 
     def forcing_of(comp):
-        # every k is sampled on its own, so forcing given at a non-conjugate
-        # +-k pair fails the realness check; a component without modes is 0
-        if not any(c == comp and abs(k) <= k_max for c, k in forcing.modes):
-            return 0.0
-        return _synth(f"f_{comp}", np.array(
-            [forcing.sample(comp, k, r) for k in range(-k_max, k_max + 1)]), z)
+        # a component whose modes all sample to zero enters as 0
+        half_f = f_modes[COMPONENTS.index(comp)]
+        return _synth(f"f_{comp}", half_f, z) if half_f.any() else 0.0
 
     edge = {}  # u_comp at r = 1, for the boundary mismatch
 
@@ -183,7 +165,7 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
         """u_comp, and with a background b/r (b = nu, mu + sigma) its first
         and second r-derivatives: FD on the mode content, exact on b/r, so
         the audit measures the solution, not FD noise on 1/r."""
-        u = _synth(f"u_{comp}", field_v.stack(comp), z)
+        u = _synth(f"u_{comp}", field_v.data[COMPONENTS.index(comp), :, 0], z)
         derivatives = ()
         if background is not None:
             d1 = grid.differentiate(u, 1)
@@ -223,25 +205,18 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
             - forcing_of("r"))
     del u_th, dr_u_r, d2r_u_r
 
-    if pressure is not None:
-        # supplied modes are the reduced pressure, real by construction (a
-        # non-finite one fails the report); the background pair
-        # (nu/r, mu/r) carries its own exact pressure -(nu^2+mu^2)/(2 r^2)
-        dp_bg = ((nu * nu + mu * mu) / r ** 3)[:, None]
-        p = _synth_half(half, z)
-        curve_r = curve(eq_r + grid.differentiate(p, 1) + dp_bg)
-        del eq_r
-        mode = "direct"
+    # the pressure modes are real by construction (a non-finite one fails
+    # the report); the background pair (nu/r, mu/r) carries its own exact
+    # pressure -(nu^2+mu^2)/(2 r^2)
+    dp_bg = ((nu * nu + mu * mu) / r ** 3)[:, None]
+    p = _synth_half(half, z)
+    curve_r = curve(eq_r + grid.differentiate(p, 1) + dp_bg)
+    del eq_r
     dr_u_z = grid.differentiate(u_z, 1)
-    eq_z = (adv(dr_u_z, u_z)
-            - laplace(grid.differentiate(u_z, 2), dr_u_z, u_z)
-            - forcing_of("z"))
+    curve_z = curve(adv(dr_u_z, u_z)
+                    - laplace(grid.differentiate(u_z, 2), dr_u_z, u_z)
+                    - forcing_of("z") + _dz(p, 1))
     del dr_u_z
-    if pressure is not None:
-        curve_z = curve(eq_z + _dz(p, 1))
-    else:
-        curve_r = curve_z = curve(_dz(eq_r, 1) - grid.differentiate(eq_z, 1))
-        mode = "curl"
 
     boundary_mismatch = 0.0
     for comp, base in (("r", nu), ("theta", mu), ("z", 0.0)):
@@ -267,7 +242,6 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
         boundary_mismatch=boundary_mismatch,
         outer_momentum=max(mx(curve_r, outer), mx(curve_th, outer),
                            mx(curve_z, outer)),
-        pressure_mode=mode,
         n_z=n_z,
         inner_radius_cut=cut,
         curve_r=r.copy(),
@@ -282,10 +256,9 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
 
 def attach_residual_report(bundle) -> ResidualReport:
     """Recover the pressure modes and audit a converged solution bundle."""
-    pressure = (None if bundle.rhs_final is None
-                else recover_pressure(bundle.v, bundle.nu, bundle.rhs_final))
     report = residual_asns(bundle.v, bundle.nu, bundle.mu, bundle.forcing,
-                           bundle.boundary, pressure=pressure)
+                           bundle.boundary, recover_pressure(
+                               bundle.v, bundle.nu, bundle.rhs_final))
     bundle.residual_report = report
     return report
 

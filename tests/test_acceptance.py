@@ -236,7 +236,8 @@ def test_criterion_7_background_exactness():
         nu = -4.0 * rng.random() - 1e-3
         mu = 5.0 * rng.standard_normal()
         rep = residual_asns(FourierField.zero(grid, 2, with_sigma=False),
-                            nu, mu, ForcingData(), BoundaryData())
+                            nu, mu, ForcingData(), BoundaryData(),
+                            np.zeros((3, len(grid))))
         worst = max(worst, rep.max_momentum, rep.divergence)
     assert worst <= 1e-10
     dt = time.time() - t0

@@ -10,7 +10,6 @@ from excyl import residuals
 from excyl.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
-    EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     MAX_ITERATE_VALUES,
@@ -429,48 +428,43 @@ def test_write_csv_matches_savetxt(tmp_path, table):
     assert got.read_bytes() == ref.read_bytes()
 
 
+def _verify_curves(out):
+    """Run verify on out and read back residuals_verify.csv."""
+    assert main(["verify", str(out)]) == EXIT_OK
+    return np.genfromtxt(out / "residuals_verify.csv", delimiter=",",
+                         names=True)
+
+
+def _bump_mode_1(out, col, delta):
+    """Add delta to field col of one row of mode_1.csv."""
+    path = out / "mode_1.csv"
+    head, *rows = path.read_text().splitlines()
+    cols = rows[30].split(",")
+    cols[col] = repr(float(cols[col]) + delta)
+    rows[30] = ",".join(cols)
+    path.write_text("\n".join([head] + rows) + "\n")
+
+
 def test_verify_roundtrip_and_tamper_detection(tmp_path):
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text(SMALL_RUN)
     out = tmp_path / "out"
     assert main(["solve", str(cfg_file), "--output", str(out)]) == EXIT_OK
-    assert main(["verify", str(out)]) == EXIT_OK
-    clean = np.genfromtxt(out / "residuals_verify.csv", delimiter=",",
-                          names=True)
-    clean_max = np.max(clean["momentum_r"])
+    clean_max = np.max(_verify_curves(out)["momentum_r"])
     # tamper with one coefficient of mode_1.csv and re-verify
-    lines = (out / "mode_1.csv").read_text().splitlines()
-    head, rows = lines[0], lines[1:]
-    cols = rows[30].split(",")
-    cols[3] = repr(float(cols[3]) + 1e-4)  # re_v_theta bump
-    rows[30] = ",".join(cols)
-    (out / "mode_1.csv").write_text("\n".join([head] + rows) + "\n")
-    assert main(["verify", str(out)]) == EXIT_OK
-    tampered = np.genfromtxt(out / "residuals_verify.csv", delimiter=",",
-                             names=True)
+    _bump_mode_1(out, 3, 1e-4)  # re_v_theta
+    tampered = _verify_curves(out)
     assert np.max(tampered["momentum_theta"]) > 1e3 * max(clean_max, 1e-12)
 
 
-def test_verify_needs_the_summary_sigma(tmp_path, capsys):
-    # nu = -1 keeps a 1/r tail, so verify must reread sigma from summary.txt
-    cfg_file = tmp_path / "run.ini"
-    cfg_file.write_text(SMALL_RUN)
+def test_verify_detects_a_tampered_v_z(solved_dir, tmp_path):
+    # the z momentum line, which the direct form checks against the
+    # pressure of the fresh solve, reads the viscous term of v_z
     out = tmp_path / "out"
-    assert main(["solve", str(cfg_file), "--output", str(out)]) == EXIT_OK
-    summary = out / "summary.txt"
-    text = summary.read_text()
-    assert main(["verify", str(out)]) == EXIT_OK
-    for bad in ("not-a-number", "nan", "inf"):
-        summary.write_text("".join(
-            f"sigma = {bad}\n" if ln.startswith("sigma = ") else ln
-            for ln in text.splitlines(keepends=True)))
-        assert main(["verify", str(out)]) == EXIT_CONFIG
-        assert f"summary.txt: bad sigma line 'sigma = {bad}'" \
-            in capsys.readouterr().err
-    summary.write_text("".join(ln for ln in text.splitlines(keepends=True)
-                               if not ln.startswith("sigma = ")))
-    assert main(["verify", str(out)]) == EXIT_CONFIG
-    assert "sigma" in capsys.readouterr().err
+    shutil.copytree(solved_dir, out)
+    clean = np.max(_verify_curves(out)["momentum_z"])
+    _bump_mode_1(out, 5, 1e-4)  # re_v_z
+    assert np.max(_verify_curves(out)["momentum_z"]) > 1e3 * clean
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +497,9 @@ _CORRUPTIONS = {
         _edit_row(_edit_row(ls[5], 0, "1"), 3, "abc")] + ls[6:]),
     "non-finite value": (3, lambda ls: ls[:9] + [_edit_row(ls[9], 5, "nan")]
                          + ls[10:]),
+    # field 4 is im_v_theta; the audit reads only the real part of mode 0
+    "imaginary mode 0": (0, lambda ls: ls[:9] + [_edit_row(ls[9], 4, "1e-4")]
+                         + ls[10:]),
     # written as the byte 0xFF, which no UTF-8 text holds
     "stray 0xFF byte": (1, lambda ls: ls[:5] + [ls[5] + "\udcff"] + ls[6:]),
 }
@@ -527,9 +524,10 @@ def test_verify_rejects_corrupted_mode_csvs(tmp_path, capsys, solved_dir,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["config.ini", "summary.txt"])
+@pytest.mark.parametrize("name", ["config.ini"])
 def test_verify_rejects_non_utf8_files(tmp_path, capsys, solved_dir, name):
-    # verify reads config.ini and, at nu = -1, the sigma line of summary.txt
+    # verify reads config.ini and the mode files (whose bytes the "stray
+    # 0xFF byte" corruption covers), nothing else
     out = tmp_path / "out"
     shutil.copytree(solved_dir, out)
     path = out / name
@@ -558,51 +556,23 @@ r,2 = 5e-4
 
 @pytest.mark.parametrize("config", [SMALL_RUN, _NU_3_RUN],
                          ids=["nu-1-sigma", "nu-3"])
-def test_verify_repeats_the_pressure_free_report_lines(tmp_path, capsys,
-                                                       config):
-    # verify audits the written values without a pressure, in curl form;
-    # every report line that needs no pressure must equal solve's.  The r,
-    # z and outer momentum lines differ, and the curl audit of the values
-    # reads far above solve's direct one (ROADMAP item 2): inner r and z
-    # 2.2e-8 and 1.6e-8 against 2.9e-6 at nu = -1, 5.2e-7 and 1.6e-6
-    # against 1.2e-4 at nu = -3
+def test_verify_repeats_the_solve_report(tmp_path, capsys, config):
+    # verify audits the written values with the pressure and sigma of a
+    # fresh solve, in solve's direct form: its report is solve's line for
+    # line, and its residual curves are solve's byte for byte
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text(config)
     out = tmp_path / "out"
     assert main(["solve", str(cfg_file), "--output", str(out)]) == EXIT_OK
     summary = (out / "summary.txt").read_text()
     report = summary.split("[residuals]\n")[1].split("\n\n")[0]
+    assert len([ln for ln in report.splitlines()
+                if ln.startswith("decay fit ")]) >= 6
     capsys.readouterr()
     assert main(["verify", str(out)]) == EXIT_OK
-    solve, verify = ({ln.split(":")[0]: ln for ln in text.splitlines()}
-                     for text in (report, capsys.readouterr().out))
-    assert solve.keys() == verify.keys()
-    differ = {f"momentum residual ({which})"
-              for which in ("r, inner half", "z, inner half", "outer half")}
-    fits = [label for label in solve if label.startswith("decay fit ")]
-    assert len(fits) >= 6
-    for label in solve:
-        if label in differ:
-            assert solve[label] != verify[label], label
-        elif label != "pressure handling":
-            assert solve[label] == verify[label], label
-    assert solve["pressure handling"].endswith(" direct")
-    assert verify["pressure handling"].endswith(" curl")
-    for which in ("r", "z"):
-        label = f"momentum residual ({which}, inner half)"
-        value = {side: float(lines[label].split()[-1])
-                 for side, lines in (("solve", solve), ("verify", verify))}
-        assert value["verify"] > 10.0 * value["solve"], label
-
-
-def test_verify_missing_summary_is_io_error(tmp_path, capsys):
-    cfg_file = tmp_path / "run.ini"
-    cfg_file.write_text(SMALL_RUN)
-    out = tmp_path / "out"
-    assert main(["solve", str(cfg_file), "--output", str(out)]) == EXIT_OK
-    (out / "summary.txt").unlink()
-    assert main(["verify", str(out)]) == EXIT_IO
-    assert "summary.txt" in capsys.readouterr().err
+    assert capsys.readouterr().out.splitlines() == report.splitlines()
+    assert (out / "residuals_verify.csv").read_bytes() == \
+        (out / "residuals.csv").read_bytes()
 
 
 def test_bessel_subcommand(capsys):
@@ -612,6 +582,20 @@ def test_bessel_subcommand(capsys):
     assert float(vals[2]) == pytest.approx(1.5906368546373291, rel=1e-12)
     assert float(vals[3]) == pytest.approx(0.13986588181652243, rel=1e-12)
     assert abs(float(vals[6])) < 1e-12  # wronskian defect
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--order", "-1"), ("--order", "nan"), ("--x", "0"), ("--x", "-3"),
+    ("--x", "inf")])
+def test_bessel_arguments_outside_the_domain_are_config_errors(capsys, flag,
+                                                                value):
+    # the substrate takes orders >= 0 and 0 < x; an x past its range
+    # (test_exit_codes) is still a numeric error
+    argv = {"--order": "1", "--x": "2"}
+    argv[flag] = value
+    assert main(["bessel", *(a for kv in argv.items() for a in kv)]) \
+        == EXIT_CONFIG
+    assert f"config error: {flag} must be finite" in capsys.readouterr().err
 
 
 def test_determinism_bit_identical(tmp_path):

@@ -734,6 +734,31 @@ def test_forcing_without_a_value_per_node_is_rejected_where_it_enters(
         picard_solve(grid, -1.0, 1.0, 2, forcing, BoundaryData())
 
 
+def _imaginary(r):
+    return 1e-4j * r ** -10.0
+
+
+@pytest.mark.parametrize("modes, match", [
+    ({("z", 1): _imaginary, ("z", -1): _imaginary},
+     r"forcing \(z, 1\) and \(z, -1\) are not conjugates \(residue 1.00e-04\)"),
+    ({("theta", 0): _imaginary}, r"forcing \(theta, 0\) is not real")],
+    ids=["non-conjugate-pair", "imaginary-zero-mode"])
+@pytest.mark.parametrize("solve", ["picard_solve", "nonuniqueness_pair"])
+def test_non_real_forcing_is_rejected_before_any_solve(grid, monkeypatch,
+                                                       solve, modes, match):
+    # the loop samples the modes 0..K only: a mode -k that is not the
+    # conjugate of mode k, or an imaginary mode 0, would be dropped silently
+    forcing = ForcingData({key: ForcingMode(f, 10.0)
+                           for key, f in modes.items()})
+    _no_solve(monkeypatch)
+    with pytest.raises(ConfigError, match=match):
+        if solve == "picard_solve":
+            picard_solve(grid, -1.0, 1.0, 2, forcing, BoundaryData())
+        else:
+            nonuniqueness_pair(grid, -3.0, 1.0, 2, forcing, BoundaryData(),
+                               0.05)
+
+
 # --- per-grid kernel cache ------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from excyl.errors import DomainError, NumericError
+from excyl.errors import ConfigError, DomainError, NumericError
 from excyl.fourier import (COMPONENTS, BoundaryData, ForcingData, ForcingMode,
                            FourierField)
 from excyl.modes import solve_linear_system
@@ -30,7 +30,8 @@ def test_background_is_exact_solution(grid):
         nu = -3.0 * rng.random() - 0.05
         mu = 4.0 * rng.standard_normal()
         field = FourierField.zero(grid, 2, with_sigma=False)
-        rep = residual_asns(field, nu, mu, ForcingData(), BoundaryData())
+        rep = residual_asns(field, nu, mu, ForcingData(), BoundaryData(),
+                            np.zeros((3, len(grid))))
         assert rep.max_momentum < 1e-10
         assert rep.divergence < 1e-10
 
@@ -42,13 +43,13 @@ def test_z_translation_invariance(grid):
     b = BoundaryData(g_theta={1: 1e-3}, g_z={2: 5e-4})
     bundle = picard_solve(grid, -1.0, 1.0, 4, ForcingData(), b)
     n_z = 4 * 4 + 1
-    r0 = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, bundle.boundary)
-    r1 = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, bundle.boundary,
-                       z_offset=5 * 2.0 * np.pi / n_z)
+    args = (bundle.v, -1.0, 1.0, bundle.forcing, bundle.boundary,
+            recover_pressure(bundle.v, -1.0, bundle.rhs_final))
+    r0 = residual_asns(*args)
+    r1 = residual_asns(*args, z_offset=5 * 2.0 * np.pi / n_z)
     assert abs(r0.max_momentum - r1.max_momentum) < 1e-12
     assert abs(r0.divergence - r1.divergence) < 1e-12
-    r2 = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, bundle.boundary,
-                       z_offset=0.731)
+    r2 = residual_asns(*args, z_offset=0.731)
     assert r2.max_momentum == pytest.approx(r0.max_momentum, rel=0.02)
 
 
@@ -277,14 +278,14 @@ def test_tampered_solution_detected(grid):
     # corrupting one mode profile must blow up the residual
     b = BoundaryData(g_theta={1: 1e-3})
     bundle = picard_solve(grid, -1.0, 1.0, 3, ForcingData(), b)
-    attach_residual_report(bundle)
-    clean = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, b)
+    pressure = recover_pressure(bundle.v, -1.0, bundle.rhs_final)
+    clean = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, b, pressure)
     prof = bundle.v.profile("theta", 1)
     tampered = prof.values.copy()
     near = len(grid) // 8  # r ~ 2.5, where the mode is still O(data)
     tampered[near] *= 1.5
     bundle.v.set_mode(1, "theta", RadialProfile(grid, tampered, prof.d1, prof.d2))
-    rep = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, b)
+    rep = residual_asns(bundle.v, -1.0, 1.0, bundle.forcing, b, pressure)
     assert rep.max_momentum > 100 * max(clean.max_momentum, 1e-12)
 
 
@@ -301,7 +302,8 @@ def test_forcing_given_at_minus_k_is_counted_once(grid):
                              lambda r: np.conj(amp) * r ** -10.0, 10.0)})
     b = BoundaryData(g_theta={1: 1e-3})
     bundle = picard_solve(grid, -1.0, 1.0, 4, plus, b)
-    reports = [residual_asns(bundle.v, -1.0, 1.0, f, b)
+    pressure = recover_pressure(bundle.v, -1.0, bundle.rhs_final)
+    reports = [residual_asns(bundle.v, -1.0, 1.0, f, b, pressure)
                for f in (plus, minus)]
     for name in ("momentum_r", "momentum_theta", "momentum_z", "divergence"):
         assert getattr(reports[1], name) == pytest.approx(
@@ -311,12 +313,14 @@ def test_forcing_given_at_minus_k_is_counted_once(grid):
 
 def test_non_conjugate_forcing_pair_is_not_real(grid):
     # f_{z,-1} given beside f_{z,1} but not its conjugate states no real
-    # forcing; the audit samples each k on its own, so it must refuse it
+    # forcing; the audit samples it as the solver does, so it refuses it
     f = ForcingData({("z", 1): ForcingMode(lambda r: 1e-4j * r ** -10.0, 10.0),
                      ("z", -1): ForcingMode(lambda r: 1e-4j * r ** -10.0, 10.0)})
     field = FourierField.zero(grid, 2, with_sigma=False)
-    with pytest.raises(NumericError, match="f_z synthesis is not real"):
-        residual_asns(field, -1.0, 1.0, f, BoundaryData())
+    with pytest.raises(ConfigError, match=r"forcing \(z, 1\) and \(z, -1\) "
+                                          "are not conjugates"):
+        residual_asns(field, -1.0, 1.0, f, BoundaryData(),
+                      np.zeros((3, len(grid))))
 
 
 def _conjugate_stack(rng, k_max, n):
@@ -338,7 +342,7 @@ def test_half_spectrum_synthesis_matches_the_complex_sum(k_max):
     stack = _conjugate_stack(rng, k_max, 40)
     k = np.arange(-k_max, k_max + 1)
     ref = np.real(stack.T @ np.exp(1j * np.outer(k, z)))
-    got = _synth("u", stack, z)
+    got = _synth("u", stack[k_max:], z)
     assert got.shape == (40, n_z)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     freqs = np.fft.fftfreq(n_z, d=1.0 / n_z)
@@ -356,7 +360,6 @@ def test_single_z_sample_field_audits():
                           BoundaryData(g_theta={0: 1e-3}))
     rep = attach_residual_report(bundle)
     assert bundle.converged and rep.n_z == 1
-    assert rep.pressure_mode == "direct"
     assert rep.max_momentum < 1e-6 and rep.boundary_mismatch < 1e-12
     assert rep.curve_momentum.shape == (len(g), 3)
 
@@ -367,7 +370,8 @@ def test_non_finite_mode_fails_at_its_synthesis(grid):
     field = _manufactured_field(grid, -1.5)
     field.data[COMPONENTS.index("theta"), 1, 0, len(grid) // 4] = np.nan
     with pytest.raises(NumericError, match="u_theta synthesis is not finite"):
-        residual_asns(field, -1.5, 0.7, ForcingData(), BoundaryData())
+        residual_asns(field, -1.5, 0.7, ForcingData(), BoundaryData(),
+                      np.zeros((field.k_max + 1, len(grid))))
 
 
 def test_audit_memory_peak():
@@ -398,7 +402,6 @@ def test_forcing_without_modes_is_a_zero_forcing(grid):
     zero = ForcingData({(comp, k): ForcingMode(lambda r: 0.0 * r, 10.0)
                         for comp in COMPONENTS for k in (0, 1)})
     pressure = recover_pressure(bundle.v, -1.0, bundle.rhs_final)
-    for p in (pressure, None):
-        reports = [residual_asns(bundle.v, -1.0, 1.0, f, b, pressure=p)
-                   for f in (ForcingData(), zero)]
-        assert_same_bits(reports[0].curve_momentum, reports[1].curve_momentum)
+    reports = [residual_asns(bundle.v, -1.0, 1.0, f, b, pressure)
+               for f in (ForcingData(), zero)]
+    assert_same_bits(reports[0].curve_momentum, reports[1].curve_momentum)

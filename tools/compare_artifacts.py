@@ -37,10 +37,12 @@ artifact it prints "identical" when the bytes agree, "same numbers,
 different text" when only the spelling differs (such as -0 against 0), or
 else the largest deviation of the file's numbers relative to the largest
 magnitude in the base file.  For the text reports summary.txt, bessel.txt,
-oracle.txt, verify.txt and nonunique.txt it then prints how many lines differ and the
-labels of the first five, such as "decay fit r,11" (the text before " = "
-or ": ", or the first two fields of a CSV row: the order and x of a bessel
-row, the case and n of an oracle one).
+oracle.txt, verify.txt and nonunique.txt it then aligns the lines of the
+two files (difflib) and prints how many were removed, added and changed,
+each with the labels of the first five, such as "decay fit r,11" (the text
+before " = " or ": ", or the first two fields of a CSV row: the order and x
+of a bessel row, the case and n of an oracle one).  One line deleted from a
+report is one removed line, not every line after it.
 
 Exit status: 0 when every run exits alike and every artifact is
 byte-identical, 1 otherwise.
@@ -51,13 +53,13 @@ status reports, it does not judge.
 from __future__ import annotations
 
 import argparse
+import difflib
 import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
-from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -236,13 +238,28 @@ def _label(line: str) -> str:
     return ",".join(line.split(",")[:2])
 
 
-def _differing_lines(base: str, head: str) -> str:
-    """How many lines differ, and the labels of the first five."""
-    pairs = list(zip_longest(base.splitlines(), head.splitlines()))
-    labels = [_label(a if a is not None else b) for a, b in pairs if a != b]
-    more = "; ..." if len(labels) > 5 else ""
-    return (f"{len(labels)} of {len(pairs)} lines differ: "
-            f"{'; '.join(labels[:5])}{more}")
+def _differing_lines(base: str, head: str) -> list:
+    """One line per kind of difference (removed, added, changed) between
+    the aligned lines of base and head: how many, and the labels of the
+    first five.  A replaced block pairs its lines in order; what one side
+    has beyond the other's is removed or added."""
+    a, b = base.splitlines(), head.splitlines()
+    kinds = {"removed": [], "added": [], "changed": []}
+    matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            paired = min(i2 - i1, j2 - j1)
+            kinds["changed"] += a[i1:i1 + paired]
+            kinds["removed"] += a[i1 + paired:i2]
+            kinds["added"] += b[j1 + paired:j2]
+    out = []
+    for kind, lines in kinds.items():
+        if lines:
+            labels = [_label(line) for line in lines]
+            more = "; ..." if len(labels) > 5 else ""
+            out.append(f"{kind} {len(lines)} of {len(a)} base lines: "
+                       f"{'; '.join(labels[:5])}{more}")
+    return out
 
 
 def compare(base_src: Path, head_src: Path, work: Path) -> bool:
@@ -272,7 +289,8 @@ def compare(base_src: Path, head_src: Path, work: Path) -> bool:
             same &= verdict == "identical"
             print(f"  {fname}: {verdict}")
             if fname in TEXT_REPORTS and not missing and verdict != "identical":
-                print(f"    {_differing_lines(*texts)}")
+                for line in _differing_lines(*texts):
+                    print(f"    {line}")
     return same
 
 
