@@ -26,7 +26,7 @@ Runs are described by a flat INI document with three sections:
 
 Subcommands: solve, verify, nonunique, bessel, oracle, calibrate.
 Exit codes: 0 ok, 1 config (command-line usage errors too), 2 numeric,
-3 convergence, 4 io.
+3 convergence, 4 io, 5 verify's audit differs from a fresh solve's.
 All numeric output is written with 17 significant digits, and identical
 configurations reproduce bit-identical files.
 """
@@ -40,6 +40,7 @@ import re
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields, field as dc_field
+from itertools import zip_longest
 from pathlib import Path
 from typing import List, Tuple
 
@@ -56,6 +57,7 @@ from .radial import RadialGrid, fd_bvp_solve
 from .residuals import attach_residual_report, recover_pressure, residual_asns
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CONVERGENCE, EXIT_IO = 0, 1, 2, 3, 4
+EXIT_MISMATCH = 5
 
 _FMT = "%.17g"
 
@@ -347,7 +349,7 @@ def _write_solution(cfg: RunConfig, bundle, out_dir: Path):
     grid = bundle.v.grid
     for k in range(0, cfg.k_max + 1):
         rows = list(bundle.v.data[:, k, 0])  # v_r, v_theta, v_z
-        if bundle.meridional is not None and k >= 1:
+        if k >= 1:
             rows += [bundle.meridional.w[k - 1], bundle.meridional.phi[k - 1]]
         _write_mode_csv(out_dir / f"mode_{k}.csv", grid, rows)
     _write_residuals(out_dir / "residuals.csv", bundle.residual_report)
@@ -405,7 +407,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     """Audit the velocity that a solution directory's mode files hold, with
-    the pressure and sigma of solving its config.ini again, as solve does."""
+    the pressure and sigma of solving its config.ini again, as solve does,
+    and fail (exit 5) when the report is not the fresh solve's own."""
     sol_dir = Path(args.solution_dir)
     cfg = parse_config(_read_text(sol_dir / "config.ini"))
     grid = cfg.grid()
@@ -422,6 +425,15 @@ def cmd_verify(args) -> int:
                         recover_pressure(bundle.v, cfg.nu, bundle.rhs_final))
     print(rep.as_text())
     _write_residuals(sol_dir / "residuals_verify.csv", rep)
+    for written, solved in zip_longest(
+            rep.as_text().splitlines(),
+            attach_residual_report(bundle).as_text().splitlines(),
+            fillvalue="(no line)"):
+        if written != solved:
+            print(f"verify mismatch: the mode files read\n  {written}\n"
+                  f"where a fresh solve of config.ini reads\n  {solved}",
+                  file=sys.stderr)
+            return EXIT_MISMATCH
     return EXIT_OK
 
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the solver.
 
 The CLI maps these onto exit codes: config errors -> 1, numeric errors -> 2,
-convergence failures -> 3, I/O problems (plain OSError) -> 4.
+convergence failures -> 3, I/O problems (plain OSError) -> 4.  Exit 5 is no
+exception: `excyl verify` returns it when the audit of the mode files differs
+from the audit of a fresh solve.
 """
 
 

@@ -292,8 +292,8 @@ class SolutionBundle:
     forcing: ForcingData
     boundary: BoundaryData
     rhs_final: RhsAssembly  # the assembly the last step solved
+    meridional: MeridionalStacks  # w, phi of modes 1..K
     residual_report: Optional[object] = None
-    meridional: Optional[MeridionalStacks] = None  # w, phi of modes 1..K
 
     @property
     def sigma(self) -> Optional[float]:

@@ -1,9 +1,13 @@
 """Independent verification: full PDE residuals in physical space, decay fits.
 
 The audit re-synthesizes the velocity from mode VALUES only and differentiates
-independently: 4th-order finite differences in r, exact spectral derivatives
-in z.  Nothing from the solvers' analytic derivative formulas enters here, so
-a wrong derivative or sign in a representation shows up as a residual.
+independently.  Every derivative is taken on the (K+1, n) rows of the modes
+0..K, by 4th-order finite differences in r and as (ik)^b times the rows in z
+(exact on the modes), and only then synthesized at the z samples.  The
+background b/r and its r-derivatives are added in closed form, and it has no
+z-derivative, so the background is exact in both directions.  Nothing from
+the solvers' analytic derivative formulas enters here, so a wrong derivative
+or sign in a representation shows up as a residual.
 
 Momentum residuals target the stationary axisymmetric system in cylindrical
 components (advection + pressure gradient - viscous - forcing), with the
@@ -101,17 +105,6 @@ def _synth_half(half: np.ndarray, z: np.ndarray) -> np.ndarray:
     return parts.T @ np.concatenate((weight * np.cos(kz), weight * np.sin(kz)))
 
 
-def _dz(a: np.ndarray, order: int = 1) -> np.ndarray:
-    """Derivative 1 or 2 in z of real samples a (node, z) on a uniform
-    periodic z grid of period 2 pi, exact on the modes it resolves: the
-    real-input FFT along z, scaled by (ik)^order, transformed back."""
-    n_z = a.shape[1]
-    k = np.arange(n_z // 2 + 1)
-    ah = np.fft.rfft(a, axis=1)
-    ah *= 1j * k if order == 1 else -(k * k)
-    return np.fft.irfft(ah, n_z, axis=1)
-
-
 def recover_pressure(v: FourierField, nu: float, rhs) -> np.ndarray:
     """The (K+1, n) pressure modes 0..K of a field v whose last step solved
     the RhsAssembly rhs: pi_0' = f_{r,0} (the absorbed zero radial forcing)
@@ -148,84 +141,77 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     k_max = field_v.k_max
     n_z = 4 * k_max + 1
     z = 2.0 * np.pi * np.arange(n_z) / n_z + z_offset
-    half = np.asarray(pressure, dtype=complex)
-    if half.shape != (k_max + 1, len(grid)):
+    k = np.arange(k_max + 1)[:, None]
+    half_p = np.asarray(pressure, dtype=complex)
+    if half_p.shape != (k_max + 1, len(grid)):
         raise DomainError(f"pressure must be the ({k_max + 1}, {len(grid)}) "
-                          f"array of modes 0..K, got shape {half.shape}")
+                          f"array of modes 0..K, got shape {half_p.shape}")
     f_modes = forcing.sample_stack(k_max, r)
+    rows = dict(zip(COMPONENTS, field_v.data[:, :, 0]))
+    # the scale-critical background b/r of each velocity component
+    sigma = field_v.sigma or 0.0
+    background = {"r": nu, "theta": mu + sigma, "z": 0.0}
 
     def forcing_of(comp):
         # a component whose modes all sample to zero enters as 0
         half_f = f_modes[COMPONENTS.index(comp)]
         return _synth(f"f_{comp}", half_f, z) if half_f.any() else 0.0
 
-    edge = {}  # u_comp at r = 1, for the boundary mismatch
+    def samples(half, nr, nz):
+        """The (node, z) samples of d_r^nr d_z^nz of the field whose modes
+        0..K are half: FD in r on the rows, (ik)^nz times them in z."""
+        if nr:  # on the real and imaginary parts, as one real array
+            half = grid.differentiate(
+                np.ascontiguousarray(half.T).view(float), nr).view(complex).T
+        if nz:
+            half = half * (1j * k if nz == 1 else -(k * k))
+        return _synth_half(half, z)
 
-    def velocity(comp, background=None):
-        """u_comp, and with a background b/r (b = nu, mu + sigma) its first
-        and second r-derivatives: FD on the mode content, exact on b/r, so
-        the audit measures the solution, not FD noise on 1/r."""
-        u = _synth(f"u_{comp}", field_v.data[COMPONENTS.index(comp), :, 0], z)
-        derivatives = ()
-        if background is not None:
-            d1 = grid.differentiate(u, 1)
-            d1 += (-background / r)[:, None]
-            d2 = grid.differentiate(u, 2)
-            d2 += (2.0 * background / r ** 2)[:, None]
-            u += background[:, None]
-            derivatives = (d1, d2)
-        edge[comp] = u[0].copy()
-        return (u,) + derivatives
+    def d(comp, nr=0, nz=0):
+        """d_r^nr d_z^nz u_comp, nr + nz > 0, with the r-derivative of the
+        background b/r added exactly (it has no z-derivative), so the audit
+        measures the solution, not FD noise on 1/r."""
+        out = samples(rows[comp], nr, nz)
+        if not nz:
+            b = background[comp]
+            out += ((-b / r ** 2) if nr == 1 else (2.0 * b / r ** 3))[:, None]
+        return out
+
+    # u_comp with its background, each synthesis checked for finiteness
+    u_z, u_r, u_th = (_synth(f"u_{comp}", rows[comp], z)
+                      + (background[comp] / r)[:, None]
+                      for comp in ("z", "r", "theta"))
+    boundary_mismatch = 0.0
+    for comp, base, edge in (("r", nu, u_r[0]), ("theta", mu, u_th[0]),
+                             ("z", 0.0, u_z[0])):
+        g = np.zeros(n_z, dtype=complex)
+        for m in boundary.k_support():
+            g += boundary.coefficient(comp, m) * np.exp(1j * m * z)
+        boundary_mismatch = max(boundary_mismatch,
+                                float(np.max(np.abs(edge - base - np.real(g)))))
 
     def curve(a):
         """The per-radius maximum over z of |a|, overwriting a."""
         return np.max(np.abs(a, out=a), axis=1)
 
-    def laplace(d2a, da, a):
-        return d2a + da / rc + _dz(a, 2)
-
-    def adv(da, a):
-        return u_r * da + u_z * _dz(a, 1)
+    def transport(comp):
+        """(u . grad) u_comp minus the scalar Laplacian of u_comp."""
+        dr = d(comp, 1)
+        return (u_r * dr + u_z * d(comp, nz=1)
+                - (d(comp, 2) + dr / rc + d(comp, nz=2)))
 
     # each residual is reduced to its per-radius maximum as soon as it is
-    # formed, and each derivative dropped once its last equation is
-    sigma = field_v.sigma or 0.0
-    (u_z,) = velocity("z")
-    u_r, dr_u_r, d2r_u_r = velocity("r", nu / r)
-    curve_div = curve(dr_u_r + u_r / rc + _dz(u_z, 1))
-
-    u_th, dr_u_th, d2r_u_th = velocity("theta", (mu + sigma) / r)
-    curve_th = curve(adv(dr_u_th, u_th) + u_th * u_r / rc
-                     - (laplace(d2r_u_th, dr_u_th, u_th) - u_th / rc ** 2)
+    # formed, and each derivative is formed where it is read
+    curve_div = curve(d("r", 1) + u_r / rc + d("z", nz=1))
+    curve_th = curve(transport("theta") + u_th * u_r / rc + u_th / rc ** 2
                      - forcing_of("theta"))
-    del dr_u_th, d2r_u_th
-
-    eq_r = (adv(dr_u_r, u_r) - u_th ** 2 / rc
-            - (laplace(d2r_u_r, dr_u_r, u_r) - u_r / rc ** 2)
-            - forcing_of("r"))
-    del u_th, dr_u_r, d2r_u_r
-
-    # the pressure modes are real by construction (a non-finite one fails
-    # the report); the background pair (nu/r, mu/r) carries its own exact
-    # pressure -(nu^2+mu^2)/(2 r^2)
+    # the pressure enters unchecked (a non-finite mode fails the report);
+    # the background pair (nu/r, mu/r) carries its own exact pressure
+    # -(nu^2+mu^2)/(2 r^2)
     dp_bg = ((nu * nu + mu * mu) / r ** 3)[:, None]
-    p = _synth_half(half, z)
-    curve_r = curve(eq_r + grid.differentiate(p, 1) + dp_bg)
-    del eq_r
-    dr_u_z = grid.differentiate(u_z, 1)
-    curve_z = curve(adv(dr_u_z, u_z)
-                    - laplace(grid.differentiate(u_z, 2), dr_u_z, u_z)
-                    - forcing_of("z") + _dz(p, 1))
-    del dr_u_z
-
-    boundary_mismatch = 0.0
-    for comp, base in (("r", nu), ("theta", mu), ("z", 0.0)):
-        g = np.zeros(n_z, dtype=complex)
-        for k in boundary.k_support():
-            g += boundary.coefficient(comp, k) * np.exp(1j * k * z)
-        boundary_mismatch = max(
-            boundary_mismatch,
-            float(np.max(np.abs(edge[comp] - base - np.real(g)))))
+    curve_r = curve(transport("r") - u_th ** 2 / rc + u_r / rc ** 2
+                    - forcing_of("r") + samples(half_p, 1, 0) + dp_bg)
+    curve_z = curve(transport("z") - forcing_of("z") + samples(half_p, 0, 1))
 
     cut = grid.r_max / 2.0
     inner = r <= cut

@@ -10,6 +10,7 @@ from excyl import residuals
 from excyl.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
+    EXIT_MISMATCH,
     EXIT_NUMERIC,
     EXIT_OK,
     MAX_ITERATE_VALUES,
@@ -428,9 +429,10 @@ def test_write_csv_matches_savetxt(tmp_path, table):
     assert got.read_bytes() == ref.read_bytes()
 
 
-def _verify_curves(out):
-    """Run verify on out and read back residuals_verify.csv."""
-    assert main(["verify", str(out)]) == EXIT_OK
+def _verify_curves(out, status):
+    """Run verify on out, expecting exit status, and read back
+    residuals_verify.csv."""
+    assert main(["verify", str(out)]) == status
     return np.genfromtxt(out / "residuals_verify.csv", delimiter=",",
                          names=True)
 
@@ -450,10 +452,10 @@ def test_verify_roundtrip_and_tamper_detection(tmp_path):
     cfg_file.write_text(SMALL_RUN)
     out = tmp_path / "out"
     assert main(["solve", str(cfg_file), "--output", str(out)]) == EXIT_OK
-    clean_max = np.max(_verify_curves(out)["momentum_r"])
+    clean_max = np.max(_verify_curves(out, EXIT_OK)["momentum_r"])
     # tamper with one coefficient of mode_1.csv and re-verify
     _bump_mode_1(out, 3, 1e-4)  # re_v_theta
-    tampered = _verify_curves(out)
+    tampered = _verify_curves(out, EXIT_MISMATCH)
     assert np.max(tampered["momentum_theta"]) > 1e3 * max(clean_max, 1e-12)
 
 
@@ -462,9 +464,34 @@ def test_verify_detects_a_tampered_v_z(solved_dir, tmp_path):
     # pressure of the fresh solve, reads the viscous term of v_z
     out = tmp_path / "out"
     shutil.copytree(solved_dir, out)
-    clean = np.max(_verify_curves(out)["momentum_z"])
+    clean = np.max(_verify_curves(out, EXIT_OK)["momentum_z"])
     _bump_mode_1(out, 5, 1e-4)  # re_v_z
-    assert np.max(_verify_curves(out)["momentum_z"]) > 1e3 * clean
+    assert np.max(_verify_curves(out, EXIT_MISMATCH)["momentum_z"]) \
+        > 1e3 * clean
+
+
+def test_verify_names_the_first_line_that_differs(solved_dir, tmp_path,
+                                                  capsys):
+    # a tampered mode file still gets its report and residual curves, and
+    # then fails verify, naming its first report line that differs from a
+    # fresh solve's and that line of the fresh solve
+    out = tmp_path / "out"
+    shutil.copytree(solved_dir, out)
+    solved = (out / "summary.txt").read_text() \
+        .split("[residuals]\n")[1].split("\n\n")[0].splitlines()
+    _bump_mode_1(out, 3, 1e-4)  # re_v_theta
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    written = captured.out.splitlines()
+    assert len(written) == len(solved)
+    first = next(i for i, (a, b) in enumerate(zip(written, solved)) if a != b)
+    assert written[first].startswith("momentum residual (r, inner half)")
+    assert captured.err == (f"verify mismatch: the mode files read\n"
+                            f"  {written[first]}\n"
+                            f"where a fresh solve of config.ini reads\n"
+                            f"  {solved[first]}\n")
+    assert (out / "residuals_verify.csv").exists()
 
 
 @pytest.fixture(scope="module")
