@@ -28,7 +28,11 @@ Subcommands: solve, verify, nonunique, bessel, oracle, calibrate.
 Exit codes: 0 ok, 1 config (command-line usage errors too), 2 numeric,
 3 convergence, 4 io, 5 verify's audit differs from a fresh solve's.
 All numeric output is written with 17 significant digits, and identical
-configurations reproduce bit-identical files.
+configurations reproduce bit-identical files.  Every CSV is byte for byte
+what np.savetxt(fmt="%.17g", delimiter=",") writes under its header:
+_g17.csv_blocks formats the table in blocks of rows with array
+arithmetic, and formats one by one only the values its exact product
+cannot decide (near-ties, non-finite and huge values).
 """
 
 from __future__ import annotations
@@ -288,12 +292,15 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def _write_csv(path: Path, header: List[str], columns: List[np.ndarray]):
-    """The bytes np.savetxt(fmt=_FMT, delimiter=",") writes, from one
-    %-format over the whole table."""
-    table = np.column_stack(columns)
-    row = ",".join([_FMT] * table.shape[1]) + "\n"
-    body = (row * len(table)) % tuple(table.ravel().tolist())
-    path.write_text(",".join(header) + "\n" + body)
+    """Write the bytes np.savetxt(fmt=_FMT, delimiter=",") writes for the
+    columns under the header: csv_blocks formats them in blocks of rows
+    with array arithmetic, and a value its exact product cannot decide with
+    "%.17g" % alone.  It is imported on first use, so `import excyl.cli`
+    does not compile it."""
+    from ._g17 import csv_blocks
+    with path.open("wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        f.writelines(csv_blocks(np.column_stack(columns)))
 
 
 # a mode CSV holds r, then the real and imaginary parts of these rows
@@ -343,7 +350,8 @@ def _solve(cfg: RunConfig, grid: RadialGrid):
                         cfg.boundary_data(), **cfg.settings())
 
 
-def _write_solution(cfg: RunConfig, bundle, out_dir: Path):
+def _write_solution(cfg: RunConfig, bundle, out_dir: Path) -> str:
+    """Write a solve's artifacts to out_dir; returns summary.txt's text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.ini").write_text(render_config(cfg))
     grid = bundle.v.grid
@@ -353,7 +361,9 @@ def _write_solution(cfg: RunConfig, bundle, out_dir: Path):
             rows += [bundle.meridional.w[k - 1], bundle.meridional.phi[k - 1]]
         _write_mode_csv(out_dir / f"mode_{k}.csv", grid, rows)
     _write_residuals(out_dir / "residuals.csv", bundle.residual_report)
-    (out_dir / "summary.txt").write_text(_summary_text(cfg, bundle))
+    summary = _summary_text(cfg, bundle)
+    (out_dir / "summary.txt").write_text(summary)
+    return summary
 
 
 def _summary_text(cfg: RunConfig, bundle) -> str:
@@ -395,9 +405,8 @@ def cmd_solve(args) -> int:
     cfg = parse_config(_read_text(Path(args.config)))
     bundle = _solve(cfg, cfg.grid())
     attach_residual_report(bundle)
-    out_dir = Path(args.output or cfg.output_dir)
-    _write_solution(cfg, bundle, out_dir)
-    print((out_dir / "summary.txt").read_text(), end="")
+    print(_write_solution(cfg, bundle, Path(args.output or cfg.output_dir)),
+          end="")
     if not bundle.converged:
         raise ConvergenceError(
             f"not converged after {bundle.iterations} iterations "

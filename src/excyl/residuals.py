@@ -94,15 +94,23 @@ def _synth(name: str, half: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _synth_half(half, z)
 
 
+def _z_rows(n_modes: int, z: np.ndarray) -> np.ndarray:
+    """The (2 n_modes, len(z)) cosine and sine rows of the modes
+    0..n_modes-1 at the heights z, mode k != 0 counted twice for its -k
+    twin."""
+    k = np.arange(n_modes)
+    kz = np.outer(k, z)
+    weight = np.where(k == 0, 1.0, 2.0)[:, None]
+    return np.concatenate((weight * np.cos(kz), weight * np.sin(kz)))
+
+
 def _synth_half(half: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The real (node, z) samples of the real field whose modes 0..K are
     half (K+1, n): one real product of their real and imaginary parts with
-    the cosine and sine rows, mode k != 0 counted twice for its -k twin."""
-    k = np.arange(len(half))
-    kz = np.outer(k, z)
-    weight = np.where(k == 0, 1.0, 2.0)[:, None]
-    parts = np.concatenate((half.real, -half.imag))
-    return parts.T @ np.concatenate((weight * np.cos(kz), weight * np.sin(kz)))
+    the cosine and sine rows.  z is the heights (1-D) or those rows,
+    _z_rows(K+1, heights), which an audit builds once (2-D)."""
+    rows = z if z.ndim == 2 else _z_rows(len(half), z)
+    return np.concatenate((half.real, -half.imag)).T @ rows
 
 
 def recover_pressure(v: FourierField, nu: float, rhs) -> np.ndarray:
@@ -141,6 +149,7 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     k_max = field_v.k_max
     n_z = 4 * k_max + 1
     z = 2.0 * np.pi * np.arange(n_z) / n_z + z_offset
+    z_rows = _z_rows(k_max + 1, z)  # every synthesis below reads these
     k = np.arange(k_max + 1)[:, None]
     half_p = np.asarray(pressure, dtype=complex)
     if half_p.shape != (k_max + 1, len(grid)):
@@ -155,7 +164,7 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
     def forcing_of(comp):
         # a component whose modes all sample to zero enters as 0
         half_f = f_modes[COMPONENTS.index(comp)]
-        return _synth(f"f_{comp}", half_f, z) if half_f.any() else 0.0
+        return _synth(f"f_{comp}", half_f, z_rows) if half_f.any() else 0.0
 
     def samples(half, nr, nz):
         """The (node, z) samples of d_r^nr d_z^nz of the field whose modes
@@ -165,7 +174,7 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
                 np.ascontiguousarray(half.T).view(float), nr).view(complex).T
         if nz:
             half = half * (1j * k if nz == 1 else -(k * k))
-        return _synth_half(half, z)
+        return _synth_half(half, z_rows)
 
     def d(comp, nr=0, nz=0):
         """d_r^nr d_z^nz u_comp, nr + nz > 0, with the r-derivative of the
@@ -178,7 +187,7 @@ def residual_asns(field_v: FourierField, nu: float, mu: float,
         return out
 
     # u_comp with its background, each synthesis checked for finiteness
-    u_z, u_r, u_th = (_synth(f"u_{comp}", rows[comp], z)
+    u_z, u_r, u_th = (_synth(f"u_{comp}", rows[comp], z_rows)
                       + (background[comp] / r)[:, None]
                       for comp in ("z", "r", "theta"))
     boundary_mismatch = 0.0

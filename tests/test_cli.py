@@ -1,12 +1,16 @@
 """Config round-trip, run orchestration, artifact layout, determinism."""
 
 import filecmp
+import io
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from excyl import residuals
+from excyl._g17 import BLOCK_VALUES, csv_blocks
 from excyl.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
@@ -427,6 +431,83 @@ def test_write_csv_matches_savetxt(tmp_path, table):
     got = tmp_path / "got.csv"
     _write_csv(got, header, list(table.T))
     assert got.read_bytes() == ref.read_bytes()
+
+
+def _savetxt(table):
+    buf = io.BytesIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def _g17(table):
+    return b"".join(csv_blocks(table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64,
+                  st.tuples(st.integers(1, 30), st.integers(1, 7)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+def test_csv_blocks_match_savetxt_on_any_floats(table):
+    assert _g17(table) == _savetxt(table)
+
+
+def _powers_of_ten():
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+def _ties():
+    # odd m / 4 for m in [4e15, 9e15) has 18 significant digits, the last a
+    # 5: an exact tie at 17 digits
+    m = np.random.default_rng(5).integers(2 * 10 ** 15, 45 * 10 ** 14, 500)
+    return (2 * m + 1) / 4.0
+
+
+def _near_ties():
+    # x = m 2^85 in [2^137, 2^138) with m 2^60 within 4000 of an odd
+    # multiple of 5^25 / 2: x / 10^25 = m 2^60 / 5^25 lies within 1.4e-14 of
+    # a half-integer, closer than the table's 10^-25 can decide
+    p = 5 ** 25
+    m = (((p + 2 * j + 1) // 2) * pow(2 ** 60, -1, p) % p
+         for j in range(-4000, 4000))
+    return np.array([float(k << 85) for k in m if 2 ** 52 <= k < 2 ** 53])
+
+
+@pytest.mark.parametrize("values", [
+    _powers_of_ten(),
+    _ties(),
+    _near_ties(),
+    # 17 nines round into the next decade
+    np.array([9.9999999999999999e-5, 9.99999999999999999e-5,
+              0.99999999999999999, 99999999999999999.0, 1e16 - 2, 1e17 - 16,
+              9.9999999999999999e22, 9.99999999999999e-300]),
+    np.array([0.0, -0.0]),
+], ids=["powers-of-ten", "ties", "near-ties", "decade-carry", "signed-zero"])
+def test_csv_blocks_match_savetxt_on_edge_values(values):
+    table = np.concatenate([values, -values]).reshape(-1, 2)
+    assert _g17(table) == _savetxt(table)
+
+
+def test_write_csv_matches_savetxt_past_a_row_block(tmp_path):
+    # the blocks join with their "," and "\n" intact
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((BLOCK_VALUES // 3 * 2 + 7, 3))
+    table *= 10.0 ** rng.integers(-320, 300, table.shape)
+    got = tmp_path / "tall.csv"
+    _write_csv(got, ["a", "b", "c"], list(table.T))
+    assert got.read_bytes() == b"a,b,c\n" + _savetxt(table)
+
+
+def test_solved_mode_file_matches_savetxt(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_RUN)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == EXIT_OK
+    text = (out / "mode_1.csv").read_bytes()
+    header, body = text.split(b"\n", 1)
+    table = np.loadtxt(out / "mode_1.csv", delimiter=",", skiprows=1)
+    assert body == _savetxt(table) == _g17(table)
 
 
 def _verify_curves(out, status):
